@@ -20,7 +20,7 @@ from .bimodule import (PointedBimodule, PointedBimoduleMap, annihilator_left,
 from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
                      ParseError, SkeinalgError, TangleShapeError,
                      ValidationError)
-from .laurent import LaurentFraction, LaurentPoly
+from .laurent import LaurentPoly
 from .linalg import (Matrix, find_invertible_in_affine_family, kernel_basis,
                      mat_lincomb, quotient_basis, rank, rref, solve_linear)
 from .tangles import (CAP, CUP, ID, Event, SliceTangle, bracket_state_sum,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import (Algebra, AlgebraHom, field_algebra, flatten_matrix,
                       matrix_algebra)
 from .errors import ContractViolation, InternalCheckError, ValidationError
-from .linalg import (Matrix, SparseEchelon, _find_invertible_with_coeffs,
+from .linalg import (Matrix, SparseEchelon, find_invertible_in_affine_family,
                      kernel_basis, mat_lincomb, sparse_quotient)
 
 DEFAULT_BIMODULE_DIM_CAP = 16
@@ -307,18 +307,7 @@ def _affine_intertwiner_space(m1, m2, pointed: bool):
     for piv, row in eng.rows.items():
         if piv != aug:
             x[piv] = row.get(aug, 0)
-    pivot_set = set(eng.rows)
-    directions = []
-    for f in range(n_unknowns):
-        if f in pivot_set:
-            continue
-        v = [0] * n_unknowns
-        v[f] = 1
-        for piv, row in eng.rows.items():
-            c = row.get(f)
-            if c:
-                v[piv] = -c
-        directions.append(Matrix(q, p, tuple(v)))
+    directions = [Matrix(q, p, v) for v in eng.kernel(n_unknowns)]
     return Matrix(q, p, tuple(x)), directions
 
 
@@ -337,11 +326,11 @@ def bimodule_iso_pointed(m1: PointedBimodule, m2: PointedBimodule, *,
     if space is None:
         return None
     particular, directions = space
-    got = _find_invertible_with_coeffs(particular, directions,
-                                       trials=trials, seed=seed)
-    if got is None:
+    mat = find_invertible_in_affine_family(particular, directions,
+                                           trials=trials, seed=seed)
+    if mat is None:
         return None
-    return make_bimodule_map(m1, m2, got[0])
+    return make_bimodule_map(m1, m2, mat)
 
 
 def bimodule_iso_unpointed(m1: PointedBimodule, m2: PointedBimodule, *,
@@ -352,11 +341,10 @@ def bimodule_iso_unpointed(m1: PointedBimodule, m2: PointedBimodule, *,
     if m1.dim != m2.dim:
         return None
     particular, directions = _affine_intertwiner_space(m1, m2, pointed=False)
-    got = _find_invertible_with_coeffs(particular, directions,
-                                       trials=trials, seed=seed)
-    if got is None:
+    mat = find_invertible_in_affine_family(particular, directions,
+                                           trials=trials, seed=seed)
+    if mat is None:
         return None
-    mat = got[0]
     for i in range(m1.left.dim):
         if mat @ m1.left_action[i] != m2.left_action[i] @ mat:
             raise InternalCheckError("search returned a non-intertwiner")
@@ -387,34 +375,18 @@ def conjugator_between(f: AlgebraHom, g: AlgebraHom, *, trials: int = 32,
     eng = SparseEchelon()
     for row in rows:
         eng.insert(row)
-    pivot_set = set(eng.rows)
-    basis = []
-    for fcol in range(n):
-        if fcol in pivot_set:
-            continue
-        v = [0] * n
-        v[fcol] = 1
-        for piv, row in eng.rows.items():
-            c = row.get(fcol)
-            if c:
-                v[piv] = -c
-        basis.append(tuple(v))
+    basis = eng.kernel(n)
     if not basis:
         return None
     directions = [b_alg.left_mult_matrix(v) for v in basis]
-    got = _find_invertible_with_coeffs(Matrix.zeros(n, n), directions,
-                                       trials=trials, seed=seed)
-    if got is None:
+    mat = find_invertible_in_affine_family(Matrix.zeros(n, n), directions,
+                                           trials=trials, seed=seed)
+    if mat is None:
         return None
-    _, coeffs = got
-    b = [0] * n
-    for c, v in zip(coeffs, basis):
-        if c:
-            for k, x in enumerate(v):
-                b[k] = b[k] + c * x
+    b = mat.apply(b_alg.unit)  # mat is L_b, and L_b(1) = b
     if not b_alg.is_invertible_element(b):
         raise InternalCheckError("conjugator search returned a non-unit")
-    return tuple(b)
+    return b
 
 
 # ---------------------------------------------------------------------------

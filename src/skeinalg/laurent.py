@@ -3,18 +3,14 @@
 A polynomial is stored as a sorted tuple of (exponent, coefficient) pairs
 with every coefficient nonzero, so equality is coefficient-wise and the
 zero polynomial is the empty tuple.  All arithmetic is exact; there is no
-floating point anywhere in this package.
-
-``LaurentFraction`` is the field of fractions, needed only when row
-reduction runs over Laurent entries.  Composition of diagrams never
-leaves the Laurent ring itself.
+floating point anywhere in this package.  Composition of diagrams never
+leaves the Laurent ring, so there is no division beyond unit inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import ContractViolation
 
@@ -71,12 +67,14 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
+        # False across variables rather than raising: same-term polynomials
+        # in two variables hash alike, so dicts and sets compare them
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not self.terms and not other.terms:
             return True
-        return self.terms == other.terms and self._same_var(other) is not None
+        return self.terms == other.terms and self.var == other.var
 
     def __hash__(self):
         return hash(self.terms)
@@ -186,223 +184,3 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)})"
 
-
-# ---------------------------------------------------------------------------
-# ordinary integer polynomials as exponent->coeff dicts with exponents >= 0,
-# used only to normalize fractions below
-
-
-def _poly_divmod(a: dict, b: dict):
-    """Division with remainder in Q[x]; inputs/outputs dicts with Fraction values."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = {e: Fraction(c) for e, c in a.items() if c}
-    db = max(b)
-    lb = Fraction(b[db])
-    q: dict = {}
-    while a and max(a) >= db:
-        da = max(a)
-        f = a[da] / lb
-        q[da - db] = f
-        for e, c in b.items():
-            k = da - db + e
-            a[k] = a.get(k, Fraction(0)) + (-f) * c
-            if not a[k]:
-                del a[k]
-    return q, a
-
-
-def _poly_content(p: dict) -> int:
-    g = 0
-    for c in p.values():
-        g = gcd(g, abs(c))
-    return g or 1
-
-
-def _poly_primitive(p: dict) -> dict:
-    """Scale a Fraction-coefficient poly to primitive integer coefficients."""
-    if not p:
-        return {}
-    denom = 1
-    for c in p.values():
-        denom = denom * Fraction(c).denominator // gcd(denom, Fraction(c).denominator)
-    ints = {e: int(Fraction(c) * denom) for e, c in p.items()}
-    g = _poly_content(ints)
-    out = {e: c // g for e, c in ints.items()}
-    if out[max(out)] < 0:
-        out = {e: -c for e, c in out.items()}
-    return out
-
-
-def _poly_gcd(a: dict, b: dict) -> dict:
-    """Primitive gcd in Z[x] of two integer-coefficient polys."""
-    a, b = dict(a), dict(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_primitive(a) if a else {}
-
-
-class LaurentFraction:
-    """An element of the fraction field Q(var) of the Laurent ring.
-
-    Canonical form: the denominator is an ordinary primitive polynomial
-    (valuation 0, positive leading coefficient, integer content 1) coprime
-    to the numerator; monomial and rational factors live in the numerator
-    pair (num, scale) with scale a positive integer denominator.
-    """
-
-    __slots__ = ("num", "den", "scale")
-
-    def __init__(self, num, den=None, _normalized=False):
-        if isinstance(num, int):
-            num = LaurentPoly.constant(num)
-        if den is None:
-            den = LaurentPoly.constant(1, num.var)
-        if isinstance(den, int):
-            den = LaurentPoly.constant(den, num.var)
-        if not den:
-            raise ZeroDivisionError("Laurent fraction with zero denominator")
-        num._same_var(den)
-        n, d, s = self._normalize(num, den)
-        self.num = n
-        self.den = d
-        self.scale = s
-
-    @staticmethod
-    def _normalize(num: LaurentPoly, den: LaurentPoly):
-        var = num.var if num.terms else den.var
-        if not num:
-            return LaurentPoly((), var), LaurentPoly.constant(1, var), 1
-        # pull the denominator's monomial part into the numerator
-        shift = den.valuation()
-        den_p = {e - shift: c for e, c in den.terms}
-        num_d = {e - shift: c for e, c in num.terms}
-        g = gcd(_poly_content(num_d), _poly_content(den_p))
-        num_d = {e: c // g for e, c in num_d.items()}
-        den_p = {e: c // g for e, c in den_p.items()}
-        # divide out the polynomial gcd (computed on the shifted numerator)
-        num_shift = min(num_d)
-        num_ord = {e - num_shift: c for e, c in num_d.items()}
-        h = _poly_gcd(num_ord, den_p)
-        if h and max(h) > 0:
-            qn, rn = _poly_divmod(num_ord, h)
-            qd, rd = _poly_divmod(den_p, h)
-            assert not rn and not rd
-            num_ord, den_p = qn, qd
-        # clear rational coefficients produced by the division
-        denom = 1
-        for c in list(num_ord.values()) + list(den_p.values()):
-            f = Fraction(c)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        num_i = {e: int(Fraction(c) * denom) for e, c in num_ord.items()}
-        den_i = {e: int(Fraction(c) * denom) for e, c in den_p.items()}
-        g = gcd(_poly_content(num_i), _poly_content(den_i))
-        num_i = {e: c // g for e, c in num_i.items()}
-        den_i = {e: c // g for e, c in den_i.items()}
-        if den_i[max(den_i)] < 0:
-            num_i = {e: -c for e, c in num_i.items()}
-            den_i = {e: -c for e, c in den_i.items()}
-        scale = den_i.pop(0) if set(den_i) == {0} else None
-        if scale is not None:
-            # constant denominator: keep it as the integer scale
-            if scale < 0:
-                scale, num_i = -scale, {e: -c for e, c in num_i.items()}
-            num_poly = LaurentPoly.from_dict(
-                {e + num_shift: c for e, c in num_i.items()}, var)
-            return num_poly, LaurentPoly.constant(1, var), scale
-        num_poly = LaurentPoly.from_dict(
-            {e + num_shift: c for e, c in num_i.items()}, var)
-        den_poly = LaurentPoly.from_dict(den_i, var)
-        return num_poly, den_poly, 1
-
-    # -- conversions --------------------------------------------------------
-
-    @staticmethod
-    def wrap(x, var: str = "A") -> "LaurentFraction":
-        if isinstance(x, LaurentFraction):
-            return x
-        if isinstance(x, LaurentPoly):
-            return LaurentFraction(x)
-        if isinstance(x, int):
-            return LaurentFraction(LaurentPoly.constant(x, var))
-        if isinstance(x, Fraction):
-            return LaurentFraction(LaurentPoly.constant(x.numerator, var),
-                                   LaurentPoly.constant(x.denominator, var))
-        raise ContractViolation(f"cannot coerce {type(x).__name__} to LaurentFraction")
-
-    def as_laurent(self):
-        """The underlying LaurentPoly when the value lies in the Laurent ring."""
-        if self.den == LaurentPoly.constant(1, self.den.var) and self.scale == 1:
-            return self.num
-        if self.scale != 1:
-            if all(c % self.scale == 0 for _, c in self.num.terms):
-                return LaurentPoly(
-                    tuple((e, c // self.scale) for e, c in self.num.terms),
-                    self.num.var)
-        return None
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _pair(self):
-        return self.num, self.den * self.scale
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        try:
-            other = LaurentFraction.wrap(other, self.num.var)
-        except ContractViolation:
-            return NotImplemented
-        return (self.num, self.den, self.scale) == (other.num, other.den, other.scale)
-
-    def __hash__(self):
-        return hash((self.num, self.den, self.scale))
-
-    def __add__(self, other):
-        other = LaurentFraction.wrap(other, self.num.var)
-        n1, d1 = self._pair()
-        n2, d2 = other._pair()
-        return LaurentFraction(n1 * d2 + n2 * d1, d1 * d2)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = object.__new__(LaurentFraction)
-        out.num, out.den, out.scale = -self.num, self.den, self.scale
-        return out
-
-    def __sub__(self, other):
-        return self + (-LaurentFraction.wrap(other, self.num.var))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = LaurentFraction.wrap(other, self.num.var)
-        n1, d1 = self._pair()
-        n2, d2 = other._pair()
-        return LaurentFraction(n1 * n2, d1 * d2)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = LaurentFraction.wrap(other, self.num.var)
-        if not other:
-            raise ZeroDivisionError("division by zero Laurent fraction")
-        n1, d1 = self._pair()
-        n2, d2 = other._pair()
-        return LaurentFraction(n1 * d2, d1 * n2)
-
-    def __rtruediv__(self, other):
-        return LaurentFraction.wrap(other, self.num.var) / self
-
-    def __str__(self):
-        d = self.den * self.scale
-        if d == LaurentPoly.constant(1, self.den.var):
-            return str(self.num)
-        return f"({self.num}) / ({d})"
-
-    def __repr__(self):
-        return f"LaurentFraction({str(self)})"

@@ -1,10 +1,11 @@
-"""Dense exact matrices and row reduction over a field.
+"""Dense exact matrices and row reduction over the rationals.
 
-Entries are ints and Fractions (mixed freely) or Laurent polynomials;
-the latter are promoted to the fraction field on entry to the reduction
-routines and cleared back to Laurent form entrywise whenever the
-denominators cancel.  Pivoting always takes the first nonzero entry in
-column order, so every result here is deterministic.
+Entries are ints and Fractions, mixed freely; any other entry that
+reaches a division raises ContractViolation, with no floating-point or
+fraction-field fallback.  ``SparseEchelon`` is the one elimination
+engine: rref, rank, kernels, solving, quotients and the determinant all
+run through it.  Pivoting always takes the first nonzero entry in column
+order, so every result here is deterministic.
 
 All values are immutable after construction and every operation is a
 pure function, so callers may parallelize independent calls freely.
@@ -17,10 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolation
-from .laurent import LaurentFraction, LaurentPoly
 
 
 def _div(a, b):
+    if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
+        raise ContractViolation(
+            f"exact linear algebra takes int and Fraction entries, not "
+            f"{type(a).__name__} / {type(b).__name__}")
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
     return a / b
@@ -148,29 +152,27 @@ class Matrix:
                             for i in range(self.cols) for j in range(self.rows)))
 
     def det(self):
-        """Exact determinant by fraction-preserving elimination."""
+        """Exact determinant from the shared echelon engine.
+
+        Each row is reduced against the rows before it, which leaves the
+        determinant unchanged; the reduced rows form a triangular matrix
+        up to the column permutation given by their pivots.
+        """
         if not self.is_square:
             raise ContractViolation("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(self.row(i)) for i in range(n)]
-        sign = 1
+        eng = SparseEchelon()
         acc = 1
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c]), None)
-            if piv is None:
-                return 0 * acc
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            p = m[c][c]
-            acc = acc * p
-            for r in range(c + 1, n):
-                if m[r][c]:
-                    f = _div(m[r][c], p)
-                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-        return sign * acc
+        order = []
+        for i in range(self.rows):
+            row = eng.reduce(_row_to_dict(self.row(i)))
+            if not row:
+                return 0
+            p = min(row)
+            acc = acc * row[p]
+            order.append(p)
+            eng.insert(row)
+        inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+        return -acc if inversions % 2 else acc
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -259,24 +261,35 @@ class SparseEchelon:
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
+    def kernel(self, ncols: int) -> list:
+        """Basis of the vectors over columns < ncols that every row annihilates.
+
+        One tuple per free (non-pivot) column f: 1 at f, minus the f-entry
+        of each pivot row at that row's pivot, so the basis is canonical.
+        """
+        basis = []
+        for f in range(ncols):
+            if f in self.rows:
+                continue
+            v = [0] * ncols
+            v[f] = 1
+            for p, row in self.rows.items():
+                c = row.get(f)
+                if c:
+                    v[p] = -c
+            basis.append(tuple(v))
+        return basis
+
 
 def _row_to_dict(row) -> dict:
     return {j: v for j, v in enumerate(row) if v}
 
 
-def _promote_entries(entries):
-    """Wrap every entry in the Laurent fraction field if any is Laurent."""
-    if any(isinstance(x, (LaurentPoly, LaurentFraction)) for x in entries):
-        var = next((x.var for x in entries if isinstance(x, LaurentPoly)), "A")
-        return tuple(LaurentFraction.wrap(x, var) for x in entries), True
-    return tuple(entries), False
-
-
-def _demote(x):
-    if isinstance(x, LaurentFraction):
-        lau = x.as_laurent()
-        return lau if lau is not None else x
-    return x
+def _echelon(rows) -> SparseEchelon:
+    eng = SparseEchelon()
+    for r in rows:
+        eng.insert(_row_to_dict(r))
+    return eng
 
 
 def _rref_rows(rows):
@@ -284,9 +297,7 @@ def _rref_rows(rows):
     if not rows:
         return [], []
     ncols = len(rows[0])
-    eng = SparseEchelon()
-    for r in rows:
-        eng.insert(_row_to_dict(r))
+    eng = _echelon(rows)
     pivots = eng.pivots()
     out = []
     for p in pivots:
@@ -307,17 +318,10 @@ def rref(m: Matrix) -> RrefResult:
     """Reduced row-echelon form and pivot columns.
 
     The row space is preserved and pivot columns are strictly increasing.
-    Laurent entries are reduced in the fraction field; entries of the
-    result are cleared back to Laurent polynomials where denominators
-    cancel.
     """
-    entries, promoted = _promote_entries(m.entries)
-    work = Matrix(m.rows, m.cols, entries)
-    red, pivots = _rref_rows(work.rows_list())
-    flat = [x for row in red for x in row]
-    if promoted:
-        flat = [_demote(x) for x in flat]
-    return RrefResult(Matrix(m.rows, m.cols, tuple(flat)), tuple(pivots))
+    red, pivots = _rref_rows(m.rows_list())
+    flat = tuple(x for row in red for x in row)
+    return RrefResult(Matrix(m.rows, m.cols, flat), tuple(pivots))
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -326,25 +330,7 @@ def kernel_basis(m: Matrix) -> list:
     The count always equals cols - rank; the vectors come from the free
     columns of the RREF, so the basis is canonical.
     """
-    entries, promoted = _promote_entries(m.entries)
-    eng = SparseEchelon()
-    for i in range(m.rows):
-        eng.insert(_row_to_dict(entries[i * m.cols:(i + 1) * m.cols]))
-    pivot_set = set(eng.rows)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[f] = 1
-        for p, row in eng.rows.items():
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        if promoted:
-            v = [_demote(x) for x in v]
-        basis.append(tuple(v))
-    return basis
+    return _echelon(m.rows_list()).kernel(m.cols)
 
 
 def solve_linear(m: Matrix, b):
@@ -358,35 +344,19 @@ def solve_linear(m: Matrix, b):
     if len(b) != m.rows:
         raise ContractViolation(
             f"right-hand side of length {len(b)} for {m.rows} equations")
-    entries, promoted = _promote_entries(tuple(m.entries) + b)
-    ents, bvals = entries[:m.rows * m.cols], entries[m.rows * m.cols:]
     aug = m.cols  # augmented column index
     eng = SparseEchelon()
-    for i in range(m.rows):
-        row = _row_to_dict(ents[i * m.cols:(i + 1) * m.cols])
-        if bvals[i]:
-            row[aug] = bvals[i]
+    for i, bi in enumerate(b):
+        row = _row_to_dict(m.row(i))
+        if bi:
+            row[aug] = bi
         eng.insert(row)
     if aug in eng.rows:
         return None
     x = [0] * m.cols
     for p, row in eng.rows.items():
         x[p] = row.get(aug, 0)
-    kern = []
-    pivot_set = set(eng.rows)
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[f] = 1
-        for p, row in eng.rows.items():
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        kern.append(tuple(_demote(t) for t in v) if promoted else tuple(v))
-    if promoted:
-        x = [_demote(t) for t in x]
-    return tuple(x), kern
+    return tuple(x), eng.kernel(m.cols)
 
 
 def quotient_basis(ambient_dim: int, relations):
@@ -444,21 +414,13 @@ def find_invertible_in_affine_family(particular: Matrix, directions,
     coefficients), so None after the default 32 trials is wrong with
     probability below 1e-160 for the sizes used here.
     """
-    got = _find_invertible_with_coeffs(particular, directions, trials=trials,
-                                       seed=seed, coeff_bound=coeff_bound)
-    return got[0] if got else None
-
-
-def _find_invertible_with_coeffs(particular: Matrix, directions,
-                                 *, trials: int = 32, seed: int = 0,
-                                 coeff_bound: int = 10**6):
     directions = list(directions)
     n = particular.rows
     if not particular.is_square or any(
             d.rows != n or d.cols != n for d in directions):
         raise ContractViolation("affine family must consist of equal square matrices")
     if particular.det():
-        return particular, [0] * len(directions)
+        return particular
     if not directions:
         return None
     rng = random.Random(seed)
@@ -467,13 +429,9 @@ def _find_invertible_with_coeffs(particular: Matrix, directions,
         cand = mat_lincomb([(1, particular)] + list(zip(coeffs, directions)),
                            n, n)
         if cand.det():
-            return cand, coeffs
+            return cand
     return None
 
 
 def rank(m: Matrix) -> int:
-    entries, _ = _promote_entries(m.entries)
-    eng = SparseEchelon()
-    for i in range(m.rows):
-        eng.insert(_row_to_dict(entries[i * m.cols:(i + 1) * m.cols]))
-    return eng.rank
+    return _echelon(m.rows_list()).rank

@@ -2,12 +2,20 @@
 
 These construct expected values and witnesses by routes that avoid the
 code paths they are checking: explicit basis maps for tensor composites,
-and brute-force enumeration elsewhere.
+cofactor expansion for determinants, and brute-force enumeration elsewhere.
 """
 
 from skeinalg.algebra import compose_homs
 from skeinalg.bimodule import end_morphism, modulate, tensor_over
 from skeinalg.linalg import Matrix, sparse_quotient
+
+
+def laplace_det(rows):
+    """Determinant by cofactor expansion along the first row, no elimination."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
 
 
 def _tensor_reps(m1, m2):

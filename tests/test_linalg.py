@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import laplace_det
 from skeinalg.errors import ContractViolation
-from skeinalg.laurent import LaurentFraction, LaurentPoly
+from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import (Matrix, find_invertible_in_affine_family,
                              kernel_basis, quotient_basis, rank, rref,
                              solve_linear)
@@ -94,6 +95,17 @@ def test_solve_underdetermined():
 def test_solve_dimension_mismatch():
     with pytest.raises(ContractViolation):
         solve_linear(Matrix.identity(2), (1, 2, 3))
+    # entries outside Q are malformed input too: floats and Laurent
+    # polynomials are rejected, never reduced in floats or a fraction field
+    a = LaurentPoly.gen()
+    for bad in (Matrix.from_rows([[0.5, 1], [1, 3]]),
+                Matrix.from_rows([[a, 1], [1, a ** -1]])):
+        for call in (rank, rref, kernel_basis, Matrix.det,
+                     lambda m: solve_linear(m, (1, 0))):
+            with pytest.raises(ContractViolation):
+                call(bad)
+    with pytest.raises(ContractViolation):
+        solve_linear(Matrix.identity(2), (0.5, 1))
 
 
 def test_quotient_trivial():
@@ -135,6 +147,35 @@ def test_quotient_projection_annihilates_exactly():
         assert rank(proj) == amb - rank(Matrix.from_rows(rels))
 
 
+def test_det_matches_laplace_oracle():
+    rng = random.Random(12)
+    cases = []
+    for n in range(1, 6):
+        for _ in range(4):
+            dense = rand_matrix(rng, n, n)
+            cases.append(dense)
+            cases.append(Matrix(n, n, tuple(x if rng.random() < 0.3 else 0
+                                            for x in dense.entries)))
+            if n >= 2:
+                rows = dense.rows_list()
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                rows[-1] = tuple(c * x - y for x, y in zip(rows[0], rows[-2]))
+                cases.append(Matrix.from_rows(rows))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append(Matrix.from_rows([[1 if j == perm[i] else 0
+                                            for j in range(n)]
+                                           for i in range(n)]))
+    # the cases reach the singular branch and both permutation signs
+    assert any(not m.det() for m in cases)
+    assert {m.det() for m in cases} >= {1, -1}
+    for m in cases:
+        assert m.det() == laplace_det(m.rows_list())
+    assert Matrix.zeros(0, 0).det() == 1
+    with pytest.raises(ContractViolation):
+        Matrix.zeros(2, 3).det()
+
+
 def test_find_invertible_identity():
     assert find_invertible_in_affine_family(Matrix.identity(3), []) \
         == Matrix.identity(3)
@@ -158,28 +199,3 @@ def test_find_invertible_deterministic():
     b = find_invertible_in_affine_family(Matrix.zeros(2, 2), dirs, seed=3)
     assert a == b
 
-
-def test_rref_over_laurent_fractions():
-    a = LaurentPoly.gen()
-    m = Matrix.from_rows([[a, 1], [1, a ** -1]])
-    got = rref(m)
-    # rank one: second row is A^-1 times the first
-    assert got.pivots == (0,)
-    assert got.matrix.row(1) == (0, 0)
-    assert got.matrix[0, 0] == 1
-    assert got.matrix[0, 1] == LaurentFraction(LaurentPoly.constant(1), a)
-    (v,) = kernel_basis(m)
-    assert not any(x and True for x in
-                   (sum((LaurentFraction.wrap(c) * LaurentFraction.wrap(x)
-                         for c, x in zip(m.row(i), v)),
-                        LaurentFraction.wrap(0)) for i in range(2)))
-
-
-def test_rref_laurent_clears_back():
-    a = LaurentPoly.gen()
-    m = Matrix.from_rows([[a, a ** 2]])
-    got = rref(m).matrix
-    # pivot scaled to 1; the off-pivot entry divides exactly back to Laurent
-    assert got[0, 0] == 1
-    assert got[0, 1] == a
-    assert isinstance(got[0, 1], LaurentPoly)
