@@ -22,7 +22,8 @@ from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
                      ValidationError)
 from .laurent import LaurentPoly
 from .linalg import (Matrix, find_invertible_in_affine_family, kernel_basis,
-                     mat_lincomb, quotient_basis, rank, rref, solve_linear)
+                     mat_lincomb, matrix_power, quotient_basis, rank, rref,
+                     solve_linear)
 from .tangles import (CAP, CUP, ID, Event, SliceTangle, bracket_state_sum,
                       braid_to_slices, cable_double, closed_braid_tangle,
                       coupon, cross, insert_slices, interpret_tangle,

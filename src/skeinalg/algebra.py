@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolation, ValidationError
-from .linalg import Matrix
+from .linalg import Matrix, matrix_power
 
 DEFAULT_ALGEBRA_DIM_CAP = 6
 
@@ -258,12 +258,10 @@ def compose_homs(g: AlgebraHom, f: AlgebraHom) -> AlgebraHom:
 
 
 def hom_power(f: AlgebraHom, t: int) -> AlgebraHom:
-    if f.source != f.target or t < 0:
-        raise ContractViolation("powers need an endomorphism and t >= 0")
-    out = identity_hom(f.source)
-    for _ in range(t):
-        out = compose_homs(f, out)
-    return out
+    """f composed with itself t times; the matrix of f^t is f.matrix^t."""
+    if f.source != f.target:
+        raise ContractViolation("powers need an endomorphism")
+    return AlgebraHom(f.source, f.source, matrix_power(f.matrix, t))
 
 
 def flatten_matrix(m: Matrix) -> tuple:

@@ -16,7 +16,7 @@ below; all composition orders in this module derive from these two lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (Algebra, AlgebraHom, field_algebra, flatten_matrix,
                       matrix_algebra)
@@ -109,21 +109,15 @@ def modulate(f: AlgebraHom) -> PointedBimodule:
                          b.unit, max_dim=b.dim)
 
 
-def end_morphism(f: Matrix, dim_v=None, dim_w=None) -> PointedBimodule:
-    """hom(V, W) pointed by f, with End(W) acting left and End(V) acting right.
+_HOM_SPACE_CACHE: dict = {}
 
-    f is a dim(W) x dim(V) matrix; module coordinates flatten hom(V, W)
-    row-major.  Zero-dimensional spaces are rejected.
-    """
-    nw = f.rows if dim_w is None else dim_w
-    nv = f.cols if dim_v is None else dim_v
-    if (f.rows, f.cols) != (nw, nv):
-        raise ContractViolation("stated dimensions disagree with the matrix shape")
-    if nv < 1 or nw < 1:
-        raise ContractViolation("zero-dimensional source or target rejected")
+
+def _hom_space(nw: int, nv: int) -> PointedBimodule:
+    """hom(V, W) with its End(W)-End(V) actions, validated once per shape."""
+    key = (nw, nv)
+    if key in _HOM_SPACE_CACHE:
+        return _HOM_SPACE_CACHE[key]
     m = nv * nw
-    left = matrix_algebra(nw)
-    right = matrix_algebra(nv)
     # E(a,b) o E(p,q) = delta(b,p) E(a,q): post-composition on flat (p, q)
     left_action = []
     for a in range(nw):
@@ -139,8 +133,29 @@ def end_morphism(f: Matrix, dim_v=None, dim_w=None) -> PointedBimodule:
             for p in range(nw):
                 ents[(p * nv + b) * m + (p * nv + a)] = 1
             right_action.append(Matrix(m, m, tuple(ents)))
-    return make_bimodule(left, right, left_action, right_action,
-                         flatten_matrix(f), max_dim=m)
+    # make_bimodule reads the pointing only for its length
+    out = make_bimodule(matrix_algebra(nw), matrix_algebra(nv), left_action,
+                        right_action, (0,) * m, max_dim=m)
+    _HOM_SPACE_CACHE[key] = out
+    return out
+
+
+def end_morphism(f: Matrix, dim_v=None, dim_w=None) -> PointedBimodule:
+    """hom(V, W) pointed by f, with End(W) acting left and End(V) acting right.
+
+    f is a dim(W) x dim(V) matrix; module coordinates flatten hom(V, W)
+    row-major.  Zero-dimensional spaces are rejected.  The actions depend
+    only on the shape (dim W, dim V): each shape's action set is built and
+    validated by make_bimodule once per process and then shared, and only
+    the pointing comes from f.
+    """
+    nw = f.rows if dim_w is None else dim_w
+    nv = f.cols if dim_v is None else dim_v
+    if (f.rows, f.cols) != (nw, nv):
+        raise ContractViolation("stated dimensions disagree with the matrix shape")
+    if nv < 1 or nw < 1:
+        raise ContractViolation("zero-dimensional source or target rejected")
+    return replace(_hom_space(nw, nv), pointing=flatten_matrix(f))
 
 
 def tensor_over(m1: PointedBimodule, m2: PointedBimodule, *,

@@ -1,7 +1,8 @@
 """Dense exact matrices and row reduction over the rationals.
 
-Entries are ints and Fractions, mixed freely; any other entry that
-reaches a division raises ContractViolation, with no floating-point or
+Entries are ints and Fractions, mixed freely; any other entry in a
+Matrix row or right-hand side that enters elimination, or that reaches
+a division, raises ContractViolation, with no floating-point or
 fraction-field fallback.  ``SparseEchelon`` is the one elimination
 engine: rref, rank, kernels, solving, quotients and the determinant all
 run through it.  Pivoting always takes the first nonzero entry in column
@@ -18,6 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolation
+
+
+def _check_exact(values):
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise ContractViolation(
+                f"exact linear algebra takes int and Fraction entries, not "
+                f"{type(v).__name__}")
 
 
 def _div(a, b):
@@ -189,6 +198,22 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
+def matrix_power(m: Matrix, t: int) -> Matrix:
+    """m to the power t >= 0 by repeated squaring, in O(log t) products."""
+    if not m.is_square:
+        raise ContractViolation("power of a non-square matrix")
+    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
+        raise ContractViolation(f"matrix power needs an int t >= 0, got {t!r}")
+    out = None
+    while True:
+        if t & 1:
+            out = m if out is None else out @ m
+        t >>= 1
+        if not t:
+            return Matrix.identity(m.rows) if out is None else out
+        m = m @ m
+
+
 def mat_lincomb(pairs, rows: int, cols: int) -> Matrix:
     """Sum of coeff * matrix over (coeff, Matrix) pairs, skipping zeros."""
     out = [0] * (rows * cols)
@@ -282,6 +307,9 @@ class SparseEchelon:
 
 
 def _row_to_dict(row) -> dict:
+    # a row that reduces to zero is never divided, so _div alone would let
+    # float rows through; every Matrix row is checked here on entry
+    _check_exact(row)
     return {j: v for j, v in enumerate(row) if v}
 
 
@@ -344,6 +372,7 @@ def solve_linear(m: Matrix, b):
     if len(b) != m.rows:
         raise ContractViolation(
             f"right-hand side of length {len(b)} for {m.rows} equations")
+    _check_exact(b)
     aug = m.cols  # augmented column index
     eng = SparseEchelon()
     for i, bi in enumerate(b):

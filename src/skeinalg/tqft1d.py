@@ -9,7 +9,8 @@ are evaluated in two pictures and compared:
     endomorphism algebras and the word becomes a tensor composite.
 
 Durations are positive integers and u(t) is the t-th power of the step
-matrix, which is exactly what the group law u(s) u(t) = u(s+t) needs.
+matrix, which is exactly what the group law u(s) u(t) = u(s+t) needs; it
+is computed by repeated squaring, in O(log t) matrix products.
 Words are written left to right in diagram order and evaluated in
 function-composition order: the rightmost generator applies first.
 """
@@ -26,7 +27,7 @@ from .bimodule import (PointedBimodule, bimodule_iso_pointed, end_morphism,
 from .algebra import Algebra, AlgebraHom, hom_power
 from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
                      ParseError)
-from .linalg import Matrix
+from .linalg import Matrix, matrix_power
 
 PT = "pt"
 EMPTY = "empty"
@@ -98,6 +99,13 @@ class SpacetimeWord:
 
 def make_word(gens, at: str = PT) -> SpacetimeWord:
     gens = tuple(gens)
+    for k, gen in enumerate(gens):
+        # the same durations parse_word accepts; u(0) would otherwise
+        # evaluate silently to the identity
+        if gen[0] == "u" and (isinstance(gen[1], bool)
+                              or not isinstance(gen[1], int) or gen[1] < 1):
+            raise ContractViolation(
+                f"generator {k}: duration must be an int >= 1, got {gen[1]!r}")
     for k, (g, h) in enumerate(zip(gens, gens[1:])):
         # in f o g the source of f must be the target of g
         if generator_endpoints(g)[0] != generator_endpoints(h)[1]:
@@ -148,13 +156,6 @@ def parse_word(text: str) -> SpacetimeWord:
     return make_word(gens)
 
 
-def _step_power(sys: System, t: int) -> Matrix:
-    out = Matrix.identity(sys.dim_v)
-    for _ in range(t):
-        out = sys.step @ out
-    return out
-
-
 def _lookup(table: dict, kind: str, label: str):
     if label not in table:
         raise LabelNotFound(f"no {kind} with label {label!r}")
@@ -164,7 +165,7 @@ def _lookup(table: dict, kind: str, label: str):
 def _schrodinger_matrix(sys: System, gen) -> Matrix:
     kind, arg = gen
     if kind == "u":
-        return _step_power(sys, arg)
+        return matrix_power(sys.step, arg)
     if kind == "a":
         return _lookup(sys.observables, "observable", arg)
     if kind == "v":

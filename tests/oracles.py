@@ -2,7 +2,8 @@
 
 These construct expected values and witnesses by routes that avoid the
 code paths they are checking: explicit basis maps for tensor composites,
-cofactor expansion for determinants, and brute-force enumeration elsewhere.
+Kronecker products for hom-space actions, cofactor expansion for
+determinants, and brute-force enumeration elsewhere.
 """
 
 from skeinalg.algebra import compose_homs
@@ -16,6 +17,31 @@ def laplace_det(rows):
         return 1
     return sum((-1) ** j * a * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
                for j, a in enumerate(rows[0]) if a)
+
+
+def _elementary(n, a, b):
+    return Matrix(n, n, tuple(1 if (i, j) == (a, b) else 0
+                              for i in range(n) for j in range(n)))
+
+
+def _kron(x, y):
+    return Matrix(x.rows * y.rows, x.cols * y.cols,
+                  tuple(x[i // y.rows, j // y.cols] * y[i % y.rows, j % y.cols]
+                        for i in range(x.rows * y.rows)
+                        for j in range(x.cols * y.cols)))
+
+
+def hom_space_actions(nw, nv):
+    """The End(W) and End(V) actions on hom(V, W) from Kronecker products.
+
+    On row-major coordinates vec(a x b) = (a kron b^T) vec(x), so E(a,b)
+    acts on the left as E(a,b) kron I and on the right as I kron E(b,a).
+    """
+    left = [_kron(_elementary(nw, a, b), Matrix.identity(nv))
+            for a in range(nw) for b in range(nw)]
+    right = [_kron(Matrix.identity(nw), _elementary(nv, b, a))
+             for a in range(nv) for b in range(nv)]
+    return left, right
 
 
 def _tensor_reps(m1, m2):

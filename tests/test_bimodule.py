@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import hom_space_actions
 from skeinalg.algebra import (conjugation_hom, field_algebra,
                               flatten_matrix, identity_hom, make_hom,
                               matrix_algebra, product_field_algebra,
@@ -168,6 +169,38 @@ def test_end_morphism_shapes_and_sides():
     assert m.right == matrix_algebra(3)
     assert m.dim == 6
     assert m.pointing == flatten_matrix(f)
+
+
+@pytest.mark.parametrize("nw,nv", [(1, 1), (1, 3), (3, 1), (2, 3), (3, 2),
+                                   (4, 4)])
+def test_end_morphism_matches_kronecker_oracle(nw, nv):
+    f = random_matrix(random.Random(nw * 10 + nv), nw, nv)
+    m = end_morphism(f)
+    left, right = hom_space_actions(nw, nv)
+    assert m.left == matrix_algebra(nw) and m.right == matrix_algebra(nv)
+    assert m.dim == nw * nv
+    assert list(m.left_action) == left and list(m.right_action) == right
+    assert m.pointing == flatten_matrix(f)
+
+
+@pytest.mark.parametrize("nw,nv", [(2, 3), (3, 2)])
+def test_end_morphism_actions_pass_validation(nw, nv):
+    f = random_matrix(random.Random(5), nw, nv)
+    m = end_morphism(f)
+    again = make_bimodule(m.left, m.right, m.left_action, m.right_action,
+                          m.pointing, max_dim=m.dim)
+    assert again == m
+
+
+def test_end_morphism_same_shape_shares_actions_not_pointing():
+    rng = random.Random(8)
+    f, g = random_matrix(rng, 2, 3), random_matrix(rng, 2, 3)
+    assert f != g
+    mf, mg = end_morphism(f), end_morphism(g)
+    assert (mf.left, mf.right, mf.left_action, mf.right_action) == \
+        (mg.left, mg.right, mg.left_action, mg.right_action)
+    assert mf.pointing == flatten_matrix(f)
+    assert mg.pointing == flatten_matrix(g)
 
 
 def test_end_morphism_rejects_dim_zero():

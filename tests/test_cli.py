@@ -223,6 +223,17 @@ def test_tqft1d_both_agree(tmp_path):
     assert "1 vs 1" in lines[-1]
 
 
+def test_tqft1d_huge_duration_agrees(tmp_path):
+    sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
+                      states={"x": (0, 1)}, costates={"y": (1, 0)})
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system_to_json(sys)))
+    code, lines = run_cli("tqft1d", str(path), "w[y] . u(2000000) . v[x]",
+                          "--picture", "both")
+    assert code == 0
+    assert lines[-1] == "scalars: 2000000 vs 2000000: AGREE"
+
+
 def test_tqft1d_group_law_identical_output(tmp_path):
     sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
                       states={"0": (0, 1)}, costates={"0": (0, 1)})

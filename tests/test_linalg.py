@@ -7,8 +7,8 @@ from oracles import laplace_det
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import (Matrix, find_invertible_in_affine_family,
-                             kernel_basis, quotient_basis, rank, rref,
-                             solve_linear)
+                             kernel_basis, matrix_power, quotient_basis,
+                             rank, rref, solve_linear)
 
 
 def rand_matrix(rng, rows, cols):
@@ -97,15 +97,20 @@ def test_solve_dimension_mismatch():
         solve_linear(Matrix.identity(2), (1, 2, 3))
     # entries outside Q are malformed input too: floats and Laurent
     # polynomials are rejected, never reduced in floats or a fraction field
+    # a float row that reduces to zero is never divided, and a float zero
+    # is never stored; both are rejected where the rows enter elimination
     a = LaurentPoly.gen()
     for bad in (Matrix.from_rows([[0.5, 1], [1, 3]]),
+                Matrix.from_rows([[1, 2], [0.5, 1.0]]),
+                Matrix.from_rows([[1, 0.0], [0, 1]]),
                 Matrix.from_rows([[a, 1], [1, a ** -1]])):
         for call in (rank, rref, kernel_basis, Matrix.det,
                      lambda m: solve_linear(m, (1, 0))):
             with pytest.raises(ContractViolation):
                 call(bad)
-    with pytest.raises(ContractViolation):
-        solve_linear(Matrix.identity(2), (0.5, 1))
+    for rhs in ((0.5, 1), (1, 1.0), (0.0, 1)):
+        with pytest.raises(ContractViolation):
+            solve_linear(Matrix.from_rows([[1, 0], [1, 0]]), rhs)
 
 
 def test_quotient_trivial():
@@ -174,6 +179,24 @@ def test_det_matches_laplace_oracle():
     assert Matrix.zeros(0, 0).det() == 1
     with pytest.raises(ContractViolation):
         Matrix.zeros(2, 3).det()
+
+
+def test_matrix_power_matches_repeated_products():
+    rng = random.Random(21)
+    dense = rand_matrix(rng, 4, 4)
+    singular = Matrix.from_rows([[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)],
+                                 [0, -1, 4]])
+    assert singular.det() == 0
+    for m in (dense, singular):
+        naive = Matrix.identity(m.rows)
+        for t in range(41):
+            assert matrix_power(m, t) == naive
+            naive = naive @ m
+    for bad in (-1, 2.0, True):
+        with pytest.raises(ContractViolation):
+            matrix_power(dense, bad)
+    with pytest.raises(ContractViolation):
+        matrix_power(Matrix.zeros(2, 3), 2)
 
 
 def test_find_invertible_identity():

@@ -49,6 +49,22 @@ def test_parse_errors_carry_position():
         parse_word("x[0]")
 
 
+def test_make_word_rejects_bad_durations():
+    for t in (0, -3, 2.5, True, "2"):
+        with pytest.raises(ContractViolation, match="duration"):
+            make_word([("w", "0"), ("u", t), ("v", "0")])
+    assert make_word([("u", 1)]).gens == (("u", 1),)
+
+
+def test_huge_duration_by_squaring():
+    # a unipotent step: u(t) = [[1, t], [0, 1]], so w.u(t).v picks out t
+    sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
+                      states={"x": (0, 1)}, costates={"y": (1, 0)})
+    rep = compare_pictures(sys, parse_word("w[y] . u(2000000) . v[x]"))
+    assert rep.agree
+    assert rep.schrodinger_value == rep.heisenberg_value == 2000000
+
+
 def test_eval_schrodinger_group_law():
     sys = example_system()
     assert eval_schrodinger(sys, parse_word("u(1).u(2)")) == \
