@@ -108,6 +108,13 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         var = self._same_var(other)
+        # a monomial factor shifts and scales the other factor's terms,
+        # which keeps them sorted and nonzero
+        big, mono = (other, self) if len(self.terms) == 1 else (self, other)
+        if len(mono.terms) == 1:
+            (e, c), = mono.terms
+            return LaurentPoly(
+                tuple((e1 + e, c1 * c) for e1, c1 in big.terms), var)
         out: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -160,6 +167,9 @@ class LaurentPoly:
         return self.terms[0][0] if self.terms else None
 
     def evaluate(self, value: Fraction) -> Fraction:
+        if value == 0 and self.terms and self.terms[0][0] < 0:
+            raise ContractViolation(
+                f"cannot evaluate {self} at 0: it has negative exponents")
         acc = Fraction(0)
         for e, c in self.terms:
             acc += c * value ** e

@@ -153,12 +153,26 @@ def _noncrossing_matchings(n: int):
     return tuple(out)
 
 
+# Catalan(10) = 16796 diagrams on 20 points take a fraction of a second;
+# every two points more multiply the count by about four
+TL_BASIS_MAX_POINTS = 20
+
+
 def tl_basis(n_bottom: int, n_top: int) -> list:
     """All planar matchings in lexicographic order; empty for odd totals.
 
     The count equals the Catalan number of half the boundary size.
+    Negative widths and more than TL_BASIS_MAX_POINTS boundary points
+    raise ContractViolation before anything is enumerated.
     """
+    if n_bottom < 0 or n_top < 0:
+        raise ContractViolation(
+            f"widths must be nonnegative, got ({n_bottom}, {n_top})")
     n = n_bottom + n_top
+    if n > TL_BASIS_MAX_POINTS:
+        raise ContractViolation(
+            f"hom({n_bottom}, {n_top}) has {n} boundary points; tl_basis "
+            f"enumerates at most {TL_BASIS_MAX_POINTS}")
     if n % 2:
         return []
     return [TLDiagram(n_bottom, n_top, m)

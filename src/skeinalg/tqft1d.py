@@ -100,6 +100,11 @@ class SpacetimeWord:
 def make_word(gens, at: str = PT) -> SpacetimeWord:
     gens = tuple(gens)
     for k, gen in enumerate(gens):
+        if not (isinstance(gen, tuple) and len(gen) == 2
+                and isinstance(gen[0], str) and gen[0] in _ENDPOINTS):
+            raise ContractViolation(
+                f"generator {k}: expected a (kind, argument) pair with kind "
+                f"one of u, v, w, a, got {gen!r}")
         # the same durations parse_word accepts; u(0) would otherwise
         # evaluate silently to the identity
         if gen[0] == "u" and (isinstance(gen[1], bool)

@@ -3,12 +3,15 @@
 These construct expected values and witnesses by routes that avoid the
 code paths they are checking: explicit basis maps for tensor composites,
 Kronecker products for hom-space actions, cofactor expansion for
-determinants, and brute-force enumeration elsewhere.
+determinants, full-width stacking for the tangle fold, and brute-force
+enumeration elsewhere.
 """
 
 from skeinalg.algebra import compose_homs
 from skeinalg.bimodule import end_morphism, modulate, tensor_over
 from skeinalg.linalg import Matrix, sparse_quotient
+from skeinalg.tangles import _event_morphism
+from skeinalg.tl import tl_compose, tl_identity, tl_tensor
 
 
 def laplace_det(rows):
@@ -112,3 +115,16 @@ def end_composition_witness(f, g):
                  tuple(cols[j][i] for i in range(direct.dim)
                        for j in range(composite.dim)))
     return composite, direct, mat
+
+
+def literal_fold(t):
+    """A tangle's morphism by tensoring each slice into a full-width block
+    and stacking the blocks bottom to top with ``tl_compose``."""
+    out = tl_identity(t.strands_in)
+    for sl in t.slices:
+        block = tl_identity(0)
+        for e in sl:
+            m = tl_identity(1) if e.kind == "id" else _event_morphism(e)
+            block = tl_tensor(block, m)
+        out = tl_compose(out, block)
+    return out

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -148,6 +149,13 @@ def test_tl_basis_command():
     assert json.loads(lines[0])["count"] == 2
 
 
+def test_tl_basis_too_large_exits_3_promptly():
+    start = time.perf_counter()
+    assert run_cli("tl", "basis", "30", "30") == (3, [])
+    assert time.perf_counter() - start < 5
+    assert run_cli("tl", "basis", "-1", "3") == (3, [])
+
+
 def test_tl_closure_command():
     code, lines = run_cli("tl", "closure", "--braid", "s1 s1 s1",
                           "--strands", "2")
@@ -293,3 +301,31 @@ def test_selftest_catches_corrupted_loop_value(monkeypatch):
     code = run_selftest("quick", 0, lines.append)
     assert code == 5
     assert any(line.startswith("FAIL skein.") for line in lines)
+
+
+# -- the README examples, byte for byte ---------------------------------------
+
+README_EXAMPLES = [
+    (["bracket", "--braid", "s1 s1 s1", "--strands", "2"],
+     "A^7 + A^3 + A^-1 - A^-9\n"),
+    (["bracket", "--braid", "s1 s1 s1", "--strands", "2",
+      "--normalize-writhe"],
+     "-A^-2 - A^-6 - A^-10 + A^-18\n"),
+    (["tl", "basis", "3", "3"],
+     "hom(3, 3) has 5 diagrams\n"
+     "  bottom0-bottom1 bottom2-top2 top1-top0\n"
+     "  bottom0-bottom1 bottom2-top0 top2-top1\n"
+     "  bottom0-top2 bottom1-bottom2 top1-top0\n"
+     "  bottom0-top0 bottom1-bottom2 top2-top1\n"
+     "  bottom0-top0 bottom1-top1 bottom2-top2\n"),
+    (["tl", "closure", "--braid", "s1", "--strands", "2"], "A^5 + A\n"),
+    (["tl", "annulus", "--braid", "s1 s2^-1", "--strands", "3", "--emit-json"],
+     '{"3": {"0": 1}, "1": {"-4": -1, "0": -1, "4": -1}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", README_EXAMPLES,
+                         ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_readme_examples_print_their_golden_output(argv, stdout, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout

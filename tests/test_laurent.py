@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +43,50 @@ def test_multiplication():
     assert (a + 1) * (a - 1) == P({2: 1, 0: -1})
     delta = P({2: -1, -2: -1})
     assert delta * delta == P({4: 1, 0: 2, -4: 1})
+
+
+def _convolution(p, q):
+    out = {}
+    for e1, c1 in p.terms:
+        for e2, c2 in q.terms:
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return P(out, p.var if p.terms else q.var)
+
+
+def test_monomial_products_match_convolution():
+    rng = random.Random(20261018)
+    monomials = [P({e: c}) for e in (-5, 0, 3) for c in (-3, -1, 1, 2)]
+    others = monomials + [P({}), P({2: -1, -2: -1})] + \
+        [P({rng.randint(-6, 6): rng.randint(-5, 5) for _ in range(4)})
+         for _ in range(30)]
+    for m in monomials:
+        for p in others:
+            for x, y in ((m, p), (p, m)):
+                got = x * y
+                assert got.terms == _convolution(x, y).terms
+                assert got.var == "A"
+    for k in (-1, 0, 1, 7):
+        for p in others:
+            want = _convolution(p, P({0: k})).terms
+            assert (p * k).terms == (k * p).terms == want
+    q = LaurentPoly.gen("q")
+    assert (q * P({0: -1}, "q")).terms == ((1, -1),)
+    for p in (P({1: 1}), P({1: 1, 2: 3})):
+        with pytest.raises(ContractViolation):
+            p * q
+        with pytest.raises(ContractViolation):
+            q * p
+
+
+def test_evaluate_at_zero_needs_no_negative_exponent():
+    assert P({0: 3, 2: 1}).evaluate(Fraction(0)) == 3
+    assert P({}).evaluate(Fraction(0)) == 0
+    assert P({-1: 2, 1: 1}).evaluate(Fraction(1, 2)) == Fraction(9, 2)
+    for p in (P({-1: 1, 0: 2}), P({-2: 1})):
+        with pytest.raises(ContractViolation, match="negative exponents"):
+            p.evaluate(Fraction(0))
+        with pytest.raises(ContractViolation, match="negative exponents"):
+            p.evaluate(0)
 
 
 def test_powers_and_unit_inverse():

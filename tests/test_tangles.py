@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import literal_fold
 
 from skeinalg.errors import ContractViolation, TangleShapeError
 from skeinalg.laurent import LaurentPoly
@@ -10,8 +11,8 @@ from skeinalg.tangles import (CAP, CUP, ID, bracket_state_sum, braid_to_slices,
                               insert_slices, interpret_tangle, kauffman_bracket,
                               kink_slices, mirror_tangle, ribbon_axiom_checks,
                               tangle, twist, writhe)
-from skeinalg.tl import (crossing_resolution, delta, plane_closure, tl_compose,
-                         tl_identity)
+from skeinalg.tl import (TLMorphism, crossing_resolution, delta, plane_closure,
+                         tl_basis, tl_compose, tl_e, tl_identity)
 
 
 def P(d):
@@ -223,3 +224,66 @@ def test_full_twist_value():
 def test_quadratic_equation_scalars():
     double_twist = interpret_tangle(tangle(1, [[twist(1)], [twist(1)]]))
     assert double_twist == tl_identity(1).scaled(P({6: 1}))
+
+
+# -- the local fold against full-width stacking -----------------------------
+
+
+def _random_coupon(rng):
+    if rng.random() < 0.3:
+        return coupon(tl_e(2, 0) + tl_identity(2))
+    nb, nt = rng.choice([(0, 2), (2, 0), (1, 1), (2, 2), (1, 3), (3, 1),
+                         (3, 3), (4, 0), (0, 4)])
+    basis = tl_basis(nb, nt)
+    terms = {d: P({rng.randint(-4, 4): rng.choice((-2, -1, 1, 3)),
+                   rng.randint(-4, 4): rng.randint(-2, 2)})
+             for d in rng.sample(basis, rng.randint(1, len(basis)))}
+    return coupon(TLMorphism(nb, nt, terms))
+
+
+def _random_slice(rng, width, max_width, coupons):
+    events, left, out = [], width, 0
+    # keep at least two strands open between slices, so that wide and
+    # closing events keep turning up
+    while left or (out + 2 <= max_width and (out < 2 or rng.random() < 0.3)):
+        choices = (CUP, ID, ID, CAP, cross(1), cross(-1), twist(1), twist(-1))
+        e = rng.choice(choices + ((_random_coupon(rng),) if coupons else ()))
+        nb, nt = e.widths()
+        if nb <= left and out + nt + left - nb <= max_width:
+            events.append(e)
+            left, out = left - nb, out + nt
+    return events
+
+
+def random_morse_tangle(rng, strands_in, slices, *, coupons=False,
+                        closed=False, max_width=6):
+    """Random slices of every event kind; closed ones end in a row of caps."""
+    rows, width = [], strands_in
+    for _ in range(slices):
+        rows.append(_random_slice(rng, width, max_width, coupons))
+        width = sum(e.widths()[1] for e in rows[-1])
+    if closed:
+        rows.append([CAP] * (width // 2))
+    return tangle(strands_in, rows)
+
+
+def test_fold_matches_full_width_stacking():
+    rng = random.Random(101)
+    kinds = set()
+    for k in range(300):
+        t = random_morse_tangle(rng, rng.randint(0, 4), rng.randint(1, 7),
+                                coupons=k % 3 == 0)
+        kinds.update(e.kind for sl in t.slices for e in sl)
+        assert interpret_tangle(t) == literal_fold(t)
+    assert kinds == {"id", "cup", "cap", "cross", "twist", "coupon"}
+
+
+def test_state_sum_agrees_with_fold_on_random_closed_tangles():
+    rng = random.Random(103)
+    for _ in range(100):
+        t = random_morse_tangle(rng, 0, rng.randint(1, 8), closed=True)
+        if t.crossing_count() > 10:
+            continue
+        value = kauffman_bracket(t, verify=False)
+        assert bracket_state_sum(t) == value
+        assert literal_fold(t) == tl_identity(0).scaled(value)

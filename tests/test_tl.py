@@ -5,7 +5,8 @@ import pytest
 
 from skeinalg.errors import ContractViolation, ValidationError
 from skeinalg.laurent import LaurentPoly
-from skeinalg.tl import (AnnularClass, TLDiagram, annulus_closure_eval,
+from skeinalg.tl import (TL_BASIS_MAX_POINTS, AnnularClass, TLDiagram,
+                         annulus_closure_eval,
                          catalan, crossing_resolution, delta,
                          diagram_from_pairs, plane_closure, tl_basis, tl_cap,
                          tl_compose, tl_cup, tl_e, tl_from_diagram,
@@ -58,6 +59,18 @@ def test_basis_counts_are_catalan():
         for nt in range(0, 6):
             want = catalan((nb + nt) // 2) if (nb + nt) % 2 == 0 else 0
             assert len(tl_basis(nb, nt)) == want
+
+
+def test_basis_rejects_bad_sizes_before_enumerating():
+    for nb, nt in ((-1, 1), (2, -2), (-1, -1)):
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            tl_basis(nb, nt)
+    assert len(tl_basis(TL_BASIS_MAX_POINTS - 2, 2)) == \
+        catalan(TL_BASIS_MAX_POINTS // 2)
+    # a start on (1000, 1000) would recurse past the interpreter's limit
+    for nb, nt in ((TL_BASIS_MAX_POINTS, 1), (11, 11), (30, 30), (1000, 1000)):
+        with pytest.raises(ContractViolation, match="at most"):
+            tl_basis(nb, nt)
 
 
 def test_odd_total_gives_empty_homspace():

@@ -56,6 +56,12 @@ def test_make_word_rejects_bad_durations():
     assert make_word([("u", 1)]).gens == (("u", 1),)
 
 
+def test_make_word_rejects_unknown_generators():
+    for gens in ([("x", "0")], [("w", "0"), ("x", "1")], [("u",)]):
+        with pytest.raises(ContractViolation, match="kind"):
+            make_word(gens)
+
+
 def test_huge_duration_by_squaring():
     # a unipotent step: u(t) = [[1, t], [0, 1]], so w.u(t).v picks out t
     sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
