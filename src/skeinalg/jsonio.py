@@ -39,10 +39,28 @@ def emit_rational(x) -> str:
     return str(Fraction(x))
 
 
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    return obj
+
+
 def _require(obj: dict, key: str, where: str):
-    if key not in obj:
+    if key not in _object(obj, where):
         raise ParseError(f"{where} is missing required key {key!r}")
     return obj[key]
+
+
+def _list(x, where: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(f"{where} must be a list")
+    return x
+
+
+def _count(x, where: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+        raise ParseError(f"{where} must be a nonnegative integer")
+    return x
 
 
 # -- Laurent ----------------------------------------------------------------
@@ -53,10 +71,17 @@ def laurent_to_json(p: LaurentPoly) -> dict:
 
 
 def laurent_from_json(obj: dict, var: str = "A") -> LaurentPoly:
-    try:
-        coeffs = {int(e): int(c) for e, c in obj.items()}
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad Laurent polynomial: {exc}") from None
+    coeffs = {}
+    for e, c in _object(obj, "Laurent polynomial").items():
+        if isinstance(c, (bool, float)):
+            raise ParseError(f"Laurent coefficient {c!r} is not an integer")
+        try:
+            exp, c = int(e), int(c)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad Laurent polynomial: {exc}") from None
+        if exp in coeffs:
+            raise ParseError(f"Laurent exponent {exp} appears twice")
+        coeffs[exp] = c
     return LaurentPoly.from_dict(coeffs, var)
 
 
@@ -78,9 +103,7 @@ def matrix_to_json(m: Matrix) -> list:
 
 
 def vector_from_json(v, where: str = "vector") -> tuple:
-    if not isinstance(v, list):
-        raise ParseError(f"{where} must be a list")
-    return tuple(parse_rational(x) for x in v)
+    return tuple(parse_rational(x) for x in _list(v, where))
 
 
 def vector_to_json(v) -> list:
@@ -91,10 +114,12 @@ def vector_to_json(v) -> list:
 
 
 def algebra_from_json(obj: dict, *, max_dim=None) -> Algebra:
-    n = _require(obj, "dim", "algebra")
+    n = _count(_require(obj, "dim", "algebra"), "algebra dim")
     mult = _require(obj, "mult", "algebra")
     unit = _require(obj, "unit", "algebra")
-    if not isinstance(mult, list) or len(mult) != n:
+    if (not isinstance(mult, list) or len(mult) != n
+            or any(not isinstance(p, list)
+                   or any(not isinstance(r, list) for r in p) for p in mult)):
         raise ParseError("algebra mult must be an [n][n][n] array")
     consts = [[[parse_rational(x) for x in row] for row in plane]
               for plane in mult]
@@ -128,8 +153,7 @@ def hom_to_json(f: AlgebraHom) -> dict:
 
 def _algebra_ref(obj, base_dir: str, where: str) -> Algebra:
     if isinstance(obj, str):
-        with open(os.path.join(base_dir, obj)) as fh:
-            obj = json.load(fh)
+        obj = load_json(os.path.join(base_dir, obj))
     if not isinstance(obj, dict):
         raise ParseError(f"{where} must be an algebra object or a file path")
     return algebra_from_json(obj)
@@ -139,11 +163,12 @@ def bimodule_from_json(obj: dict, base_dir: str = ".", *,
                        max_dim=None) -> PointedBimodule:
     left = _algebra_ref(_require(obj, "left", "bimodule"), base_dir, "left")
     right = _algebra_ref(_require(obj, "right", "bimodule"), base_dir, "right")
-    m = _require(obj, "dim", "bimodule")
+    m = _count(_require(obj, "dim", "bimodule"), "bimodule dim")
     la = [matrix_from_json(x, "left_action")
-          for x in _require(obj, "left_action", "bimodule")]
+          for x in _list(_require(obj, "left_action", "bimodule"), "left_action")]
     ra = [matrix_from_json(x, "right_action")
-          for x in _require(obj, "right_action", "bimodule")]
+          for x in _list(_require(obj, "right_action", "bimodule"),
+                         "right_action")]
     point = vector_from_json(_require(obj, "point", "bimodule"), "point")
     if len(point) != m:
         raise ParseError("bimodule point length disagrees with dim")
@@ -166,14 +191,18 @@ def bimodule_to_json(b: PointedBimodule) -> dict:
 
 
 def system_from_json(obj: dict) -> System:
-    n = _require(obj, "dim", "system")
+    n = _count(_require(obj, "dim", "system"), "system dim")
     step = matrix_from_json(_require(obj, "step", "system"), "step")
+
+    def labelled(key):
+        return _object(obj.get(key, {}), f"system {key}").items()
+
     states = {str(k): vector_from_json(v, f"state {k}")
-              for k, v in obj.get("states", {}).items()}
+              for k, v in labelled("states")}
     costates = {str(k): vector_from_json(v, f"costate {k}")
-                for k, v in obj.get("costates", {}).items()}
+                for k, v in labelled("costates")}
     observables = {str(k): matrix_from_json(v, f"observable {k}")
-                   for k, v in obj.get("observables", {}).items()}
+                   for k, v in labelled("observables")}
     return make_system(n, step, states, costates, observables)
 
 
@@ -211,7 +240,8 @@ def _slice_from_json(spec, width: int, index: int) -> list:
         ev = _EVENT_NAMES[name]
         at = opts.get("at", 0)
         win, _ = ev.widths()
-        if not isinstance(at, int) or at < 0 or at + win > max(width, win):
+        if (isinstance(at, bool) or not isinstance(at, int) or at < 0
+                or at + win > max(width, win)):
             raise ParseError(f"slice {index}: position {at!r} out of range")
         return [ID] * at + [ev] + [ID] * (width - at - win)
     events = []
@@ -223,12 +253,8 @@ def _slice_from_json(spec, width: int, index: int) -> list:
 
 
 def tangle_from_json(obj: dict) -> SliceTangle:
-    strands_in = obj.get("strands_in", 0)
-    if not isinstance(strands_in, int) or strands_in < 0:
-        raise ParseError("strands_in must be a nonnegative integer")
-    raw = _require(obj, "slices", "tangle")
-    if not isinstance(raw, list):
-        raise ParseError("slices must be a list")
+    raw = _list(_require(obj, "slices", "tangle"), "slices")
+    strands_in = _count(obj.get("strands_in", 0), "strands_in")
     width = strands_in
     slices = []
     for k, spec in enumerate(raw):

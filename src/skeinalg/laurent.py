@@ -136,8 +136,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def unit_inverse(self):

@@ -2,14 +2,10 @@
 
 A tangle is a list of horizontal slices; each slice is a tensor of
 elementary events (identity, cup, cap, signed crossing, signed twist,
-coupon).  The interpretation folds the slices bottom to top while
-acting locally on the open boundary: the fold carries a Laurent
-combination of mate tables over the input points and the current top
-points, and each event rewrites only the points it touches.  Every
-event but the identity contributes the terms of its morphism, and each
-term acts as its caps (join two adjacent points, or close a loop worth
-delta) followed by its cups (insert a mated adjacent pair).  Only the
-final terms become ``TLDiagram``s, so each is checked for planarity.
+coupon).  The interpretation folds the slices bottom to top with the
+one gluing engine of ``tl``: each event but the identity acts on just
+the open boundary points it touches, through the rewrites of its
+morphism, and only the final terms become checked ``TLDiagram``s.
 
 Conventions:
   * cross+ resolves to A*id + A^-1*e, cross- to the mirror;
@@ -24,19 +20,20 @@ checks this at runtime for small crossing numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContractViolation, InternalCheckError, TangleShapeError
 from .laurent import LaurentPoly
-from .tl import (TLDiagram, TLMorphism, crossing_resolution, delta, tl_cap,
-                 tl_compose, tl_cup, tl_identity, tl_tensor)
+from .tl import (TLMorphism, _fold, _rewrites, crossing_resolution, delta,
+                 tl_cap, tl_compose, tl_cup, tl_identity, tl_tensor)
 
 
 @dataclass(frozen=True)
 class Event:
     kind: str                 # id, cup, cap, cross, twist, coupon
     sign: int = 0             # crossings and twists
-    morphism: object = None   # coupons
+    # coupons; == compares it, hash() skips it (a TLMorphism is unhashable)
+    morphism: object = field(default=None, hash=False)
 
     def widths(self):
         if self.kind == "id" or self.kind == "twist":
@@ -124,106 +121,29 @@ def _event_morphism(e: Event) -> TLMorphism:
     return e.morphism
 
 
-def _event_terms(e: Event) -> list:
-    """(caps, cups, coefficient) for each term of the event's morphism.
-
-    caps lists the left point of each bottom pair, innermost first, as a
-    position in the segment that shrinks while they are applied; cups
-    lists the left point of each top pair, outermost first, as its final
-    position.  Applied in that order to the event's input points, they
-    rebuild the term's wiring; the remaining points pass straight up.
-    """
-    out = []
-    for diag, coeff in _event_morphism(e).terms.items():
-        rights, cups = [], []
-        for (s1, p1), (s2, p2) in diag.pairs():
-            if s1 == s2 == "bottom":
-                rights.append(max(p1, p2))
-            elif s1 == s2 == "top":
-                cups.append(min(p1, p2))
-        # once the k caps with smaller right points are gone, the points
-        # between this pair's ends are gone too
-        caps = tuple(j - 2 * k - 1 for k, j in enumerate(sorted(rights)))
-        out.append((caps, tuple(sorted(cups)), coeff))
-    return out
-
-
-def _rewrite(mate: tuple, at: int, caps: tuple, cups: tuple):
-    """Apply one term's caps, then its cups, at boundary index ``at``.
-
-    Returns the new mate table and the number of loops closed.
-    """
-    if caps == cups == (0,):
-        # the hook: a cap then a cup at one place swaps mates
-        a, b = mate[at], mate[at + 1]
-        if a == at + 1:
-            return mate, 1
-        m = list(mate)
-        m[a], m[b], m[at], m[at + 1] = b, a, at + 1, at
-        return tuple(m), 0
-    m = list(mate)
-    loops = 0
-    for p in caps:
-        q = at + p
-        a, b = m[q], m[q + 1]
-        if a == q + 1:
-            loops += 1
-        else:
-            m[a], m[b] = b, a
-        del m[q:q + 2]
-        m = [x - 2 if x > q else x for x in m]
-    for p in cups:
-        q = at + p
-        m = [x + 2 if x >= q else x for x in m]
-        m[q:q] = (q + 1, q)
-    return tuple(m), loops
-
-
 def interpret_tangle(t: SliceTangle) -> TLMorphism:
     """Fold the slices bottom-to-top into a single morphism.
 
-    The fold state maps a mate table to its coefficient.  A table indexes
-    the open boundary linearly: the ``strands_in`` input points left to
-    right, then the current top points left to right.  Each slice's
-    events act right to left, so a rewrite never moves the points of the
-    events still to come; identity events do nothing.  The terms of each
-    event come from its morphism, computed once per fold.
+    Each slice's events act right to left, so a rewrite never moves the
+    points of the events still to come; identity events do nothing.  The
+    rewrites of each distinct event are computed once per fold.
     """
     widths = t.widths()
-    n_in = t.strands_in
-    d = delta()
-    state = {tuple(range(n_in, 2 * n_in)) + tuple(range(n_in)):
-             LaurentPoly.constant(1)}
-    actions: dict = {}
-    for k, sl in enumerate(t.slices):
-        at = n_in + widths[k]
-        for e in reversed(sl):
-            at -= e.widths()[0]
-            if e.kind == "id":
-                continue
-            # a coupon is told apart by its morphism, the rest by kind and sign
-            key = id(e.morphism) if e.kind == "coupon" else (e.kind, e.sign)
-            if key not in actions:
-                actions[key] = _event_terms(e)
-            out: dict = {}
-            for mate, coeff in state.items():
-                for caps, cups, factor in actions[key]:
-                    m, loops = _rewrite(mate, at, caps, cups)
-                    c = coeff * factor
-                    for _ in range(loops):
-                        c = c * d
-                    out[m] = out[m] + c if m in out else c
-            state = {m: c for m, c in out.items() if c}
-    n_out = widths[-1]
-    # linear index x of a top point is circular index top - x
-    top = 2 * n_in + n_out - 1
-    terms = {}
-    for mate, coeff in state.items():
-        circular = [0] * (n_in + n_out)
-        for x, y in enumerate(mate):
-            circular[x if x < n_in else top - x] = y if y < n_in else top - y
-        terms[TLDiagram(n_in, n_out, tuple(circular))] = coeff
-    return TLMorphism(n_in, n_out, terms)
+    rewrites: dict = {}
+
+    def steps():
+        for k, sl in enumerate(t.slices):
+            at = widths[k]
+            for e in reversed(sl):
+                at -= e.widths()[0]
+                if e.kind == "id":
+                    continue
+                r = rewrites.get(e)
+                if r is None:
+                    r = rewrites[e] = _rewrites(_event_morphism(e))
+                yield at, r
+
+    return _fold(t.strands_in, widths[-1], steps())
 
 
 def writhe(t: SliceTangle) -> int:

@@ -7,9 +7,12 @@ Conventions (pinned once for the whole package):
   * the empty diagram is the unit: its closure evaluates to 1, so the
     0-crossing unknot evaluates to delta.
 
-Morphisms are Laurent-coefficient combinations of loop-free planar
-matchings; loops appear only transiently while stacking and are
-immediately converted to delta factors.
+Morphisms are Laurent-coefficient combinations of planar matchings.
+All gluing runs through one engine, ``_fold``: it carries a Laurent
+combination of mate tables over the open boundary and lets each
+morphism act on the top points it touches, its caps joining two mates
+(or closing a loop worth delta) and its cups inserting a mated pair.
+``tl_compose``, ``tl_tensor`` and the tangle fold are its three callers.
 """
 
 from __future__ import annotations
@@ -37,14 +40,12 @@ def catalan(n: int) -> int:
 class TLDiagram:
     """A planar perfect matching of the boundary of a rectangle.
 
-    mate[i] is the circular index matched with circular index i; loops
-    counts free closed components (0 in canonical form).
+    mate[i] is the circular index matched with circular index i.
     """
 
     n_bottom: int
     n_top: int
     mate: tuple
-    loops: int = 0
 
     def __post_init__(self):
         n = self.n_bottom + self.n_top
@@ -64,16 +65,6 @@ class TLDiagram:
                 if not stack or stack[-1] != j:
                     raise ValidationError("matching is not planar")
                 stack.pop()
-        if self.loops < 0:
-            raise ContractViolation("negative loop count")
-
-    # circular index <-> (side, position)
-
-    def bottom_index(self, pos: int) -> int:
-        return pos
-
-    def top_index(self, pos: int) -> int:
-        return self.n_bottom + self.n_top - 1 - pos
 
     def pairs(self):
         """Matched pairs as ((side, pos), (side, pos)) tuples."""
@@ -87,35 +78,6 @@ class TLDiagram:
         if ci < self.n_bottom:
             return ("bottom", ci)
         return ("top", self.n_bottom + self.n_top - 1 - ci)
-
-    def stripped(self):
-        """(loop-free diagram, loop count)."""
-        if not self.loops:
-            return self, 0
-        return TLDiagram(self.n_bottom, self.n_top, self.mate), self.loops
-
-
-def diagram_from_pairs(n_bottom: int, n_top: int, pairs) -> TLDiagram:
-    """Build a diagram from ((side, pos), (side, pos)) pairs."""
-    n = n_bottom + n_top
-    mate = [-1] * n
-
-    def ci(point):
-        side, pos = point
-        if side == "bottom":
-            if not 0 <= pos < n_bottom:
-                raise ContractViolation(f"bottom position {pos} out of range")
-            return pos
-        if not 0 <= pos < n_top:
-            raise ContractViolation(f"top position {pos} out of range")
-        return n - 1 - pos
-
-    for x, y in pairs:
-        a, b = ci(x), ci(y)
-        if mate[a] != -1 or mate[b] != -1:
-            raise ContractViolation("point matched twice")
-        mate[a], mate[b] = b, a
-    return TLDiagram(n_bottom, n_top, tuple(mate))
 
 
 def identity_diagram(n: int) -> TLDiagram:
@@ -184,7 +146,7 @@ def tl_basis(n_bottom: int, n_top: int) -> list:
 
 
 class TLMorphism:
-    """A Laurent combination of loop-free diagrams with common boundary."""
+    """A Laurent combination of diagrams with common boundary."""
 
     __slots__ = ("n_bottom", "n_top", "terms")
 
@@ -195,8 +157,6 @@ class TLMorphism:
         for diag, coeff in (terms or {}).items():
             if (diag.n_bottom, diag.n_top) != (n_bottom, n_top):
                 raise ContractViolation("term with mismatched boundary")
-            if diag.loops:
-                raise ContractViolation("terms must be loop-free")
             if isinstance(coeff, int):
                 coeff = LaurentPoly.constant(coeff)
             if coeff:
@@ -255,9 +215,7 @@ def tl_zero(n_bottom: int, n_top: int) -> TLMorphism:
 
 
 def tl_from_diagram(diag: TLDiagram, coeff=1) -> TLMorphism:
-    d, loops = diag.stripped()
-    c = LaurentPoly.constant(coeff) if isinstance(coeff, int) else coeff
-    return TLMorphism(d.n_bottom, d.n_top, {d: c * delta() ** loops})
+    return TLMorphism(diag.n_bottom, diag.n_top, {diag: coeff})
 
 
 def tl_identity(n: int) -> TLMorphism:
@@ -280,115 +238,115 @@ def tl_e(n: int, i: int) -> TLMorphism:
     return tl_tensor(tl_tensor(tl_identity(i), hook), tl_identity(n - i - 2))
 
 
-def _stack_diagrams(lower: TLDiagram, upper: TLDiagram):
-    """Glue upper onto the top of lower; return (diagram, loops closed)."""
-    a, b = lower.n_bottom, lower.n_top
-    if upper.n_bottom != b:
-        raise ContractViolation("stacking widths do not match")
-    c = upper.n_top
+# ---------------------------------------------------------------------------
+# gluing
 
-    # nodes: ("b", i) bottom of result, ("t", k) top of result, ("m", j) glued
-    def lower_node(ci):
-        return ("b", ci) if ci < a else ("m", a + b - 1 - ci)
 
-    def upper_node(ci):
-        return ("m", ci) if ci < b else ("t", b + c - 1 - ci)
+def _rewrites(m: TLMorphism) -> list:
+    """(caps, cups, coefficient) for each term of m.
 
-    edges: dict = {}  # node -> {tag: partner}
-    for i, j in enumerate(lower.mate):
-        if j > i:
-            x, y = lower_node(i), lower_node(j)
-            edges.setdefault(x, {})["L"] = y
-            edges.setdefault(y, {})["L"] = x
-    for i, j in enumerate(upper.mate):
-        if j > i:
-            x, y = upper_node(i), upper_node(j)
-            edges.setdefault(x, {})["U"] = y
-            edges.setdefault(y, {})["U"] = x
+    caps lists the left point of each bottom pair, innermost first, as a
+    position in the segment that shrinks while they are applied; cups
+    lists the left point of each top pair, outermost first, as its final
+    position.  Applied in that order to the term's input points, they
+    rebuild its wiring; the remaining points pass straight up.
+    """
+    out = []
+    for diag, coeff in m.terms.items():
+        rights, cups = [], []
+        for (s1, p1), (s2, p2) in diag.pairs():
+            if s1 == s2 == "bottom":
+                rights.append(max(p1, p2))
+            elif s1 == s2 == "top":
+                cups.append(min(p1, p2))
+        # once the k caps with smaller right points are gone, the points
+        # between this pair's ends are gone too
+        caps = tuple(j - 2 * k - 1 for k, j in enumerate(sorted(rights)))
+        out.append((caps, tuple(sorted(cups)), coeff))
+    return out
 
-    seen_mid = set()
-    pairs = []
-    boundary = [("b", i) for i in range(a)] + [("t", k) for k in range(c)]
-    done = set()
-    for start in boundary:
-        if start in done:
-            continue
-        (tag, cur), = edges[start].items()
-        while cur[0] == "m":
-            seen_mid.add(cur)
-            tag = "U" if tag == "L" else "L"
-            cur = edges[cur][tag]
-        done.add(start)
-        done.add(cur)
-        pairs.append((start, cur))
-    loops = lower.loops + upper.loops
-    for j in range(b):
-        node = ("m", j)
-        if node in seen_mid or node not in edges:
-            continue
-        tag, cur = "L", node
-        while cur not in seen_mid:
-            seen_mid.add(cur)
-            cur = edges[cur][tag]
-            tag = "U" if tag == "L" else "L"
-        loops += 1
 
-    n = a + c
-    mate = [-1] * n
+def _rewrite(mate: tuple, at: int, caps: tuple, cups: tuple):
+    """Apply one term's caps, then its cups, at boundary index ``at``.
 
-    def ci(node):
-        kind, pos = node
-        return pos if kind == "b" else n - 1 - pos
+    Returns the new mate table and the number of loops closed.
+    """
+    if caps == cups == (0,):
+        # the hook: a cap then a cup at one place swaps mates
+        a, b = mate[at], mate[at + 1]
+        if a == at + 1:
+            return mate, 1
+        m = list(mate)
+        m[a], m[b], m[at], m[at + 1] = b, a, at + 1, at
+        return tuple(m), 0
+    m = list(mate)
+    loops = 0
+    for p in caps:
+        q = at + p
+        a, b = m[q], m[q + 1]
+        if a == q + 1:
+            loops += 1
+        else:
+            m[a], m[b] = b, a
+        del m[q:q + 2]
+        m = [x - 2 if x > q else x for x in m]
+    for p in cups:
+        q = at + p
+        m = [x + 2 if x >= q else x for x in m]
+        m[q:q] = (q + 1, q)
+    return tuple(m), loops
 
-    for x, y in pairs:
-        u, v = ci(x), ci(y)
-        mate[u], mate[v] = v, u
-    return TLDiagram(a, c, tuple(mate)), loops
+
+def _fold(n_in: int, n_out: int, steps) -> TLMorphism:
+    """Glue morphisms one by one onto the top of the identity on n_in points.
+
+    The state maps a mate table to its coefficient.  A table indexes the
+    open boundary linearly: the n_in input points left to right, then the
+    current top points left to right.  Each step is (pos, rewrites): the
+    ``_rewrites`` of one morphism, acting on the top points from position
+    pos on.  The result has n_out top points, which an empty state (a
+    zero morphism on the way) cannot tell.
+    """
+    d = delta()
+    state = {tuple(range(n_in, 2 * n_in)) + tuple(range(n_in)):
+             LaurentPoly.constant(1)}
+    for pos, rewrites in steps:
+        at = n_in + pos
+        out: dict = {}
+        for mate, coeff in state.items():
+            for caps, cups, factor in rewrites:
+                m, loops = _rewrite(mate, at, caps, cups)
+                c = coeff * factor
+                for _ in range(loops):
+                    c = c * d
+                out[m] = out[m] + c if m in out else c
+        state = {m: c for m, c in out.items() if c}
+    # linear index x of a top point is circular index top - x
+    top = 2 * n_in + n_out - 1
+    terms = {}
+    for mate, coeff in state.items():
+        circular = [0] * (n_in + n_out)
+        for x, y in enumerate(mate):
+            circular[x if x < n_in else top - x] = y if y < n_in else top - y
+        terms[TLDiagram(n_in, n_out, tuple(circular))] = coeff
+    return TLMorphism(n_in, n_out, terms)
 
 
 def tl_compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     """Stack g on top of f: the composite (f.n_bottom -> g.n_top).
 
-    Each closed loop created contributes a factor delta; the result is
-    loop-free canonical.
+    Each closed loop created contributes a factor delta.
     """
     if f.n_top != g.n_bottom:
         raise ContractViolation(
             f"cannot stack {g.n_bottom} onto {f.n_top} strands")
-    d = delta()
-    out: dict = {}
-    for d1, c1 in f.terms.items():
-        for d2, c2 in g.terms.items():
-            diag, loops = _stack_diagrams(d1, d2)
-            coeff = c1 * c2 * d ** loops
-            out[diag] = out.get(diag, LaurentPoly()) + coeff
-    return TLMorphism(f.n_bottom, g.n_top, out)
-
-
-def _tensor_diagrams(d1: TLDiagram, d2: TLDiagram) -> TLDiagram:
-    nb, nt = d1.n_bottom + d2.n_bottom, d1.n_top + d2.n_top
-    pairs = []
-    for (s1, p1), (s2, p2) in d1.pairs():
-        pairs.append(((s1, p1), (s2, p2)))
-    for (s1, p1), (s2, p2) in d2.pairs():
-        off1 = d1.n_bottom if s1 == "bottom" else d1.n_top
-        off2 = d1.n_bottom if s2 == "bottom" else d1.n_top
-        pairs.append(((s1, p1 + off1), (s2, p2 + off2)))
-    out = diagram_from_pairs(nb, nt, pairs)
-    if d1.loops or d2.loops:
-        out = TLDiagram(nb, nt, out.mate, d1.loops + d2.loops)
-    return out
+    return _fold(f.n_bottom, g.n_top, [(0, _rewrites(f)), (0, _rewrites(g))])
 
 
 def tl_tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     """Side-by-side placement; widths add and coefficients multiply."""
-    out: dict = {}
-    for d1, c1 in f.terms.items():
-        for d2, c2 in g.terms.items():
-            diag = _tensor_diagrams(d1, d2)
-            coeff = c1 * c2
-            out[diag] = out.get(diag, LaurentPoly()) + coeff
-    return TLMorphism(f.n_bottom + g.n_bottom, f.n_top + g.n_top, out)
+    return _fold(f.n_bottom + g.n_bottom, f.n_top + g.n_top,
+                 [(f.n_bottom, _rewrites(g)), (0, _rewrites(f))])
 
 
 def crossing_resolution(sign: int, var: str = "A") -> TLMorphism:
@@ -406,40 +364,6 @@ def crossing_resolution(sign: int, var: str = "A") -> TLMorphism:
 
 # ---------------------------------------------------------------------------
 # closures
-
-
-def plane_closure(m: TLMorphism) -> LaurentPoly:
-    """Close top i to bottom i around the right side in the plane.
-
-    Every component of a closed-up basis diagram is a loop worth delta;
-    the empty diagram closes to 1.
-    """
-    if m.n_bottom != m.n_top:
-        raise ContractViolation("plane closure needs a square morphism")
-    n = m.n_bottom
-    d = delta()
-    total = LaurentPoly()
-    for diag, coeff in m.terms.items():
-        parent = list(range(2 * n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        loops = 0
-        for i, j in enumerate(diag.mate):
-            if j > i:
-                parent[find(i)] = find(j)
-        for i in range(n):
-            a, b = find(diag.bottom_index(i)), find(diag.top_index(i))
-            if a == b:
-                loops += 1
-            else:
-                parent[a] = b
-        total = total + coeff * d ** loops
-    return total
 
 
 class AnnularClass:
@@ -533,3 +457,19 @@ def annulus_closure_eval(m: TLMorphism) -> AnnularClass:
         term = coeff * d ** contractible
         out[core] = out.get(core, LaurentPoly()) + term
     return AnnularClass(out)
+
+
+def plane_closure(m: TLMorphism) -> LaurentPoly:
+    """Close top i to bottom i around the right side in the plane.
+
+    This is the annular closure with the core class z set to delta: in
+    the plane every core-parallel curve bounds a disc.  The empty
+    diagram closes to 1.
+    """
+    if m.n_bottom != m.n_top:
+        raise ContractViolation("plane closure needs a square morphism")
+    d = delta()
+    total = LaurentPoly()
+    for k, coeff in annulus_closure_eval(m).coeffs.items():
+        total = total + coeff * d ** k
+    return total

@@ -3,15 +3,15 @@
 These construct expected values and witnesses by routes that avoid the
 code paths they are checking: explicit basis maps for tensor composites,
 Kronecker products for hom-space actions, cofactor expansion for
-determinants, full-width stacking for the tangle fold, and brute-force
-enumeration elsewhere.
+determinants, full-width stacking by a union-find for the tangle fold
+and the diagram products, and brute-force enumeration elsewhere.
 """
 
 from skeinalg.algebra import compose_homs
 from skeinalg.bimodule import end_morphism, modulate, tensor_over
+from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import Matrix, sparse_quotient
-from skeinalg.tangles import _event_morphism
-from skeinalg.tl import tl_compose, tl_identity, tl_tensor
+from skeinalg.tl import TLDiagram, TLMorphism
 
 
 def laplace_det(rows):
@@ -117,14 +117,104 @@ def end_composition_witness(f, g):
     return composite, direct, mat
 
 
+LOOP = LaurentPoly.from_dict({2: -1, -2: -1})
+
+
+def _diagram(nb, nt, pairs):
+    """The diagram with the given ((side, pos), (side, pos)) pairs."""
+    def ci(side, pos):
+        return pos if side == "bottom" else nb + nt - 1 - pos
+    mate = [0] * (nb + nt)
+    for x, y in pairs:
+        mate[ci(*x)], mate[ci(*y)] = ci(*y), ci(*x)
+    return TLDiagram(nb, nt, tuple(mate))
+
+
+def _stacked(d1, d2):
+    """(diagram, loops) for d2 glued onto the top of d1, by a union-find.
+
+    The top of d1 and the bottom of d2 become middle points; a component
+    made of middle points only is a closed loop.
+    """
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for diag, glued in ((d1, "top"), (d2, "bottom")):
+        for (s1, p1), (s2, p2) in diag.pairs():
+            parent[find(("middle" if s1 == glued else s1, p1))] = \
+                find(("middle" if s2 == glued else s2, p2))
+    components = {}
+    for x in list(parent):
+        components.setdefault(find(x), []).append(x)
+    ends = [[x for x in c if x[0] != "middle"] for c in components.values()]
+    return (_diagram(d1.n_bottom, d2.n_top, [e for e in ends if e]),
+            ends.count([]))
+
+
+def _side_by_side(d1, d2):
+    shift = {"bottom": d1.n_bottom, "top": d1.n_top}
+    pairs = d1.pairs() + [((s1, p1 + shift[s1]), (s2, p2 + shift[s2]))
+                          for (s1, p1), (s2, p2) in d2.pairs()]
+    return _diagram(d1.n_bottom + d2.n_bottom, d1.n_top + d2.n_top, pairs), 0
+
+
+def _bilinear(glue, f, g, nb, nt):
+    out = {}
+    for d1, c1 in f.terms.items():
+        for d2, c2 in g.terms.items():
+            d, loops = glue(d1, d2)
+            out[d] = out.get(d, LaurentPoly()) + c1 * c2 * LOOP ** loops
+    return TLMorphism(nb, nt, out)
+
+
+def stack(f, g):
+    """g on top of f, independently of ``tl_compose``."""
+    assert f.n_top == g.n_bottom
+    return _bilinear(_stacked, f, g, f.n_bottom, g.n_top)
+
+
+def side_by_side(f, g):
+    """f left of g, independently of ``tl_tensor``."""
+    return _bilinear(_side_by_side, f, g, f.n_bottom + g.n_bottom,
+                     f.n_top + g.n_top)
+
+
+_B0, _B1, _T0, _T1 = ("bottom", 0), ("bottom", 1), ("top", 0), ("top", 1)
+_EVENT_DIAGRAMS = {"id": (1, 1, [(_B0, _T0)]), "twist": (1, 1, [(_B0, _T0)]),
+                   "cup": (0, 2, [(_T0, _T1)]), "cap": (2, 0, [(_B0, _B1)])}
+
+
+def _event_morphism(e):
+    """An event's morphism written out diagram by diagram."""
+    if e.kind == "coupon":
+        return e.morphism
+    if e.kind == "cross":
+        parallel = _diagram(2, 2, [(_B0, _T0), (_B1, _T1)])
+        hook = _diagram(2, 2, [(_B0, _B1), (_T0, _T1)])
+        return TLMorphism(2, 2, {parallel: LaurentPoly.monomial(1, e.sign),
+                                 hook: LaurentPoly.monomial(1, -e.sign)})
+    nb, nt, pairs = _EVENT_DIAGRAMS[e.kind]
+    coeff = LaurentPoly.monomial(-1, 3 * e.sign) if e.kind == "twist" else 1
+    return TLMorphism(nb, nt, {_diagram(nb, nt, pairs): coeff})
+
+
+def _identity(n):
+    return TLMorphism(n, n, {_diagram(n, n, [(("bottom", i), ("top", i))
+                                             for i in range(n)]): 1})
+
+
 def literal_fold(t):
     """A tangle's morphism by tensoring each slice into a full-width block
-    and stacking the blocks bottom to top with ``tl_compose``."""
-    out = tl_identity(t.strands_in)
+    and stacking the blocks bottom to top, with the stacking and tensor
+    above in place of the library's fold."""
+    out = _identity(t.strands_in)
     for sl in t.slices:
-        block = tl_identity(0)
+        block = _identity(0)
         for e in sl:
-            m = tl_identity(1) if e.kind == "id" else _event_morphism(e)
-            block = tl_tensor(block, m)
-        out = tl_compose(out, block)
+            block = side_by_side(block, _event_morphism(e))
+        out = stack(out, block)
     return out

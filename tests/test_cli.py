@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,6 +24,8 @@ from skeinalg.tangles import closed_braid_tangle
 from skeinalg.tqft1d import make_system
 
 TREFOIL = "A^7 + A^3 + A^-1 - A^-9"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run_cli(*argv):
@@ -62,6 +67,13 @@ def test_tangle_roundtrip():
 def test_laurent_roundtrip():
     p = LaurentPoly.from_dict({7: 1, -9: -1})
     assert laurent_from_json(laurent_to_json(p)) == p
+
+
+def test_laurent_json_rejects_malformed_maps():
+    for bad in ({"1": 1.5}, {"1": True}, {"x": 1}, {"1": "1/2"}, [1],
+                {"1": 1, "01": 2}):
+        with pytest.raises(ParseError):
+            laurent_from_json(bad)
 
 
 def test_tangle_json_positional_form():
@@ -114,6 +126,29 @@ def test_bracket_parse_error_exits_1(tmp_path):
     path.write_text("{not json")
     assert run_cli("bracket", str(path))[0] == 1
     assert run_cli("bracket", "--braid", "zz", "--strands", "2")[0] == 1
+
+
+BIMODULE_WITH_MISSING_ALGEBRA = {
+    "left": "missing.json", "right": "missing.json", "dim": 1,
+    "left_action": [], "right_action": [], "point": ["1"]}
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["algebra", "tensor", "{0}", "{0}"], BIMODULE_WITH_MISSING_ALGEBRA),
+    (["algebra", "validate", "{0}"], {"dim": 1, "mult": [1], "unit": ["1"]}),
+    (["bracket", "{0}"], [1]),
+    (["tqft1d", "{0}", "w[0]"], {"dim": 1, "step": [["1"]], "states": [1]}),
+], ids=["missing-algebra-file", "flat-mult", "tangle-list", "states-list"])
+def test_malformed_json_exits_1_without_traceback(tmp_path, argv, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "skeinalg"] + [a.format(path) for a in argv],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_bracket_normalize_writhe():

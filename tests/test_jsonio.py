@@ -1,0 +1,74 @@
+"""Property test: the JSON loaders turn any JSON value into an object or a
+SkeinalgError, never into another exception."""
+
+import copy
+import os
+import random
+
+import pytest
+
+from skeinalg.algebra import product_field_algebra, truncated_poly_algebra
+from skeinalg.bimodule import regular_bimodule
+from skeinalg.errors import SkeinalgError
+from skeinalg.jsonio import (algebra_from_json, algebra_to_json,
+                             bimodule_from_json, bimodule_to_json,
+                             laurent_from_json, system_from_json,
+                             system_to_json, tangle_from_json, tangle_to_json)
+from skeinalg.samples import random_system
+from skeinalg.tangles import closed_braid_tangle
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+KEYS = ("dim", "mult", "unit", "left", "right", "left_action", "right_action",
+        "point", "step", "states", "costates", "observables", "strands_in",
+        "slices", "at", "1", "-2")
+SCALARS = (st.none() | st.booleans() | st.integers(-2, 3)
+           | st.floats(allow_nan=False, allow_infinity=False, width=16)
+           | st.sampled_from(["1", "1/2", "1/0", "x", "cup", "cap", "cross+",
+                              "id", "a.json", ""]))
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2),
+                                     inner, max_size=5)),
+    max_leaves=16)
+VALID = (algebra_to_json(truncated_poly_algebra(2)),
+         bimodule_to_json(regular_bimodule(product_field_algebra(2))),
+         system_to_json(random_system(random.Random(0))),
+         tangle_to_json(closed_braid_tangle([1, -1], 2)),
+         {"strands_in": 2, "slices": [["cross+", {"at": 0}], ["cap"]]},
+         {"2": -1, "-2": -1})
+
+
+@st.composite
+def mutated(draw):
+    """A valid document with one subtree replaced by an arbitrary value."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID)))
+    parent, key, node = None, None, doc
+    for _ in range(draw(st.integers(0, 6))):
+        if not isinstance(node, (list, dict)) or not node:
+            break
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return draw(JSON)
+    parent[key] = draw(JSON)
+    return doc
+
+
+# a directory that does not exist: algebra file references never resolve
+NOWHERE = os.path.join(os.path.dirname(__file__), "no-such-directory")
+LOADERS = (tangle_from_json, algebra_from_json, system_from_json,
+           lambda obj: bimodule_from_json(obj, NOWHERE), laurent_from_json)
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(JSON | mutated())
+def test_loaders_raise_only_skeinalg_errors(value):
+    for load in LOADERS:
+        try:
+            load(value)
+        except SkeinalgError:
+            pass

@@ -99,6 +99,36 @@ def test_powers_and_unit_inverse():
     assert minus_a3 ** -2 == P({-6: 1})
     with pytest.raises(ContractViolation):
         (a + 1) ** -1
+    for base in (P({2: -1, -2: -1}), a + 2, minus_a3):
+        product = LaurentPoly.constant(1)
+        for n in range(13):
+            assert base ** n == product
+            product = product * base
+    for unit in (a, minus_a3, P({-2: -1}), P({0: -1})):
+        product = LaurentPoly.constant(1)
+        for n in range(13):
+            assert unit ** -n == product
+            assert unit ** -n * unit ** n == 1
+            product = product * unit.unit_inverse()
+
+
+def test_power_multiplies_at_most_bit_length_plus_popcount(monkeypatch):
+    d = P({2: -1, -2: -1})
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    for n in range(1, 65):
+        calls.clear()
+        d ** n
+        assert len(calls) <= n.bit_length() - 1 + bin(n).count("1")
+    calls.clear()
+    d ** 0
+    assert not calls
 
 
 def test_mirror_and_rename():

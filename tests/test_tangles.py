@@ -3,6 +3,7 @@ import random
 import pytest
 from oracles import literal_fold
 
+from skeinalg import tangles
 from skeinalg.errors import ContractViolation, TangleShapeError
 from skeinalg.laurent import LaurentPoly
 from skeinalg.samples import random_braid
@@ -174,6 +175,24 @@ def test_coupon_widths():
     m = tl_compose(tl_identity(2), crossing_resolution(1))
     t = tangle(2, [[coupon(m)]])
     assert interpret_tangle(t) == m
+
+
+def test_coupon_tangles_hash_like_their_equals(monkeypatch):
+    e, e_again, twice = tl_e(2, 0), tl_e(2, 0), tl_identity(2).scaled(2)
+    t = tangle(2, [[coupon(e)], [coupon(twice)]])
+    same = tangle(2, [[coupon(e_again)], [coupon(twice.scaled(1))]])
+    assert t == same and hash(t) == hash(same)
+    assert coupon(e) != coupon(twice)
+    assert len({coupon(e), coupon(e_again), coupon(twice)}) == 2
+    # the fold computes the rewrites of each distinct event once
+    seen = []
+    rewrites = tangles._rewrites
+    monkeypatch.setattr(tangles, "_rewrites",
+                        lambda m: seen.append(m) or rewrites(m))
+    t = tangle(2, [[coupon(e)], [coupon(e_again)], [coupon(twice)],
+                   [coupon(e)]])
+    assert interpret_tangle(t) == e.scaled(2 * delta() * delta())
+    assert seen == [e, twice]
 
 
 def test_plane_closure_cross_check():

@@ -2,14 +2,14 @@ import itertools
 import random
 
 import pytest
+from oracles import side_by_side, stack
 
 from skeinalg.errors import ContractViolation, ValidationError
 from skeinalg.laurent import LaurentPoly
 from skeinalg.tl import (TL_BASIS_MAX_POINTS, AnnularClass, TLDiagram,
-                         annulus_closure_eval,
-                         catalan, crossing_resolution, delta,
-                         diagram_from_pairs, plane_closure, tl_basis, tl_cap,
-                         tl_compose, tl_cup, tl_e, tl_from_diagram,
+                         TLMorphism, annulus_closure_eval, catalan,
+                         crossing_resolution, delta, plane_closure, tl_basis,
+                         tl_cap, tl_compose, tl_cup, tl_e, tl_from_diagram,
                          tl_identity, tl_tensor, tl_zero)
 
 
@@ -85,17 +85,44 @@ def test_diagram_validation():
         TLDiagram(2, 0, (0, 1))  # not an involution without fixed points
 
 
-def test_diagram_from_pairs_roundtrip():
-    d = diagram_from_pairs(2, 2, [(("bottom", 0), ("bottom", 1)),
-                                  (("top", 0), ("top", 1))])
-    assert set(map(frozenset, d.pairs())) == {
-        frozenset({("bottom", 0), ("bottom", 1)}),
-        frozenset({("top", 0), ("top", 1)})}
-
-
 def test_compose_e_squared():
     e = tl_e(2, 0)
     assert tl_compose(e, e) == e.scaled(delta())
+
+
+def _random_morphism(rng, nb, nt):
+    """A Laurent combination of up to four basis diagrams; now and then 0."""
+    basis = tl_basis(nb, nt)
+    if not basis or rng.random() < 0.1:
+        return tl_zero(nb, nt)
+    return TLMorphism(nb, nt, {
+        d: P({rng.randint(-3, 3): rng.choice((-2, -1, 1, 2)),
+              rng.randint(-3, 3): rng.randint(-1, 1)})
+        for d in rng.sample(basis, rng.randint(1, min(4, len(basis))))})
+
+
+def _width(rng, parity):
+    return rng.randrange(parity % 2, 7, 2) if rng.random() < 0.9 \
+        else rng.randint(0, 6)
+
+
+def test_compose_and_tensor_match_the_union_find_oracle():
+    rng = random.Random(73)
+    fixed = [(tl_cup(), tl_cap()), (tl_e(4, 1), tl_e(4, 1)),
+             (tl_identity(0), tl_identity(0)), (tl_zero(2, 4), tl_e(4, 0)),
+             (tl_cap(), tl_zero(0, 6)), (tl_zero(1, 3), tl_zero(3, 3))]
+    for f, g in fixed:
+        assert tl_compose(f, g) == stack(f, g)
+    assert stack(tl_cup(), tl_cap()) == tl_identity(0).scaled(delta())
+    for _ in range(150):
+        b = rng.randint(0, 6)
+        f = _random_morphism(rng, _width(rng, b), b)
+        g = _random_morphism(rng, b, _width(rng, b))
+        assert tl_compose(f, g) == stack(f, g)
+        hb = rng.randint(0, 6)
+        h = _random_morphism(rng, hb, _width(rng, hb))
+        assert tl_tensor(f, h) == side_by_side(f, h)
+        assert tl_tensor(h, g) == side_by_side(h, g)
 
 
 def test_compose_identity_neutral():
