@@ -312,10 +312,3 @@ def hom_from_images(source: Algebra, target: Algebra, images) -> AlgebraHom:
                        for j in range(source.dim)))
     return make_hom(source, target, mat)
 
-
-def transport_hom(f: AlgebraHom, s_source: Matrix, s_target: Matrix) -> AlgebraHom:
-    """The same hom between transported algebras."""
-    src = transport_algebra(f.source, s_source)
-    tgt = transport_algebra(f.target, s_target)
-    mat = s_target.inverse() @ f.matrix @ s_source
-    return make_hom(src, tgt, mat)

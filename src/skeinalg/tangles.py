@@ -14,8 +14,12 @@ Conventions:
 
 The closed-tangle evaluator has a second, independent route: the brute
 force state sum over all 2^c crossing resolutions, which never touches
-the diagram-composition code.  Both routes must agree and the bracket
-checks this at runtime for small crossing numbers.
+the diagram-composition code.  It is a depth-first walk over the
+crossings on a union-find with rollback, so states that share a prefix
+of resolutions share its work, and it refuses tangles with more than
+``STATE_SUM_MAX_CROSSINGS`` = 20 crossings before enumerating.  Both
+routes must agree and the bracket checks this at runtime for small
+crossing numbers.
 """
 
 from __future__ import annotations
@@ -154,89 +158,134 @@ def writhe(t: SliceTangle) -> int:
 # ---------------------------------------------------------------------------
 # brute-force state sum (independent of the composition machinery)
 
+# the state sum refuses tangles with more crossings (2^20 states) at once
+STATE_SUM_MAX_CROSSINGS = 20
+# kauffman_bracket runs the state sum by default up to this many crossings
+STATE_SUM_VERIFY_MAX_CROSSINGS = 10
+
 
 def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
     """Sum over all 2^c crossing resolutions of A^(smoothing exponents) * delta^loops.
 
-    Walks each fully-smoothed diagram with a union-find to count loops.
-    Coupons are not supported here; this is the independent check route.
+    One pass in slice order labels every wire segment, joins the segment
+    ends that no crossing separates (cups share a label, caps join two)
+    and records the four ends of each crossing.  A depth-first walk then
+    resolves the crossings in slice order on a union-find with rollback,
+    so states that share a prefix of resolutions share its work, and
+    each state adds one to a histogram over (exponent, loops).  A loop
+    is a join of two ends already connected; their number does not
+    depend on the order of the joins.  Coupons are not supported here;
+    this is the independent check route.
     """
     if t.has_coupons():
         raise ContractViolation("state sum does not evaluate coupons")
     widths = t.widths()
     if widths[0] != 0 or widths[-1] != 0:
         raise TangleShapeError("state sum needs a closed tangle")
-    events = [e for sl in t.slices for e in sl]
-    c = sum(1 for e in events if e.kind == "cross")
-    twist_factor = LaurentPoly.constant(1)
-    for e in events:
-        if e.kind == "twist":
-            twist_factor = twist_factor * LaurentPoly.from_dict({3 * e.sign: -1})
+    c = t.crossing_count()
+    if c > STATE_SUM_MAX_CROSSINGS:
+        raise ContractViolation(
+            f"state sum over {c} crossings exceeds the cap of "
+            f"{STATE_SUM_MAX_CROSSINGS} (2^{c} states)")
+
+    # union by rank, no path compression; undo holds (child, rank grew)
+    parent: list = []
+    rank: list = []
+    undo: list = []
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def join(x, y):
+        """Join the classes of x and y; 1 if they already were one (a loop)."""
+        x, y = find(x), find(y)
+        if x == y:
+            return 1
+        if rank[x] > rank[y]:
+            x, y = y, x
+        grew = rank[x] == rank[y]
+        parent[x] = y
+        rank[y] += grew
+        undo.append((x, grew))
+        return 0
+
+    def fresh():
+        parent.append(len(parent))
+        rank.append(0)
+        return len(parent) - 1
+
+    cap_loops = 0
+    twists = 0
+    twist_sign = 1
+    crossings = []  # (sign, in left, in right, out left, out right)
+    wires: list = []
+    for sl in t.slices:
+        new_wires = []
+        pos = 0
+        for e in sl:
+            if e.kind == "cup":
+                node = fresh()
+                new_wires += [node, node]
+                continue
+            if e.kind == "cap":
+                cap_loops += join(wires[pos], wires[pos + 1])
+            elif e.kind == "cross":
+                ends = (fresh(), fresh())
+                crossings.append((e.sign, wires[pos], wires[pos + 1]) + ends)
+                new_wires += ends
+            else:
+                if e.kind == "twist":
+                    twists += 3 * e.sign
+                    twist_sign = -twist_sign
+                new_wires.append(wires[pos])
+            pos += e.widths()[0]
+        wires = new_wires
+    base = (parent[:], rank[:])
+
+    histogram: dict = {}
+
+    def walk(k, exponent, loops):
+        if k == c:
+            key = (exponent, loops)
+            histogram[key] = histogram.get(key, 0) + 1
+            return
+        sign, a, b, p, q = crossings[k]
+        mark = len(undo)
+        # smoothing 0 keeps the strands parallel (the A-smoothing of a
+        # positive crossing); smoothing 1 is the hook
+        for x, y, u, v, step in ((a, p, b, q, 1), (a, b, p, q, -1)):
+            walk(k + 1, exponent + sign * step, loops + join(x, y) + join(u, v))
+            while len(undo) > mark:
+                child, grew = undo.pop()
+                rank[parent[child]] -= grew
+                parent[child] = child
+
+    walk(0, 0, cap_loops)
+    if (parent, rank) != base:
+        raise InternalCheckError("state sum walk left its union-find changed")
+
+    by_loops: dict = {}
+    for (exponent, loops), count in histogram.items():
+        by_loops.setdefault(loops, {})[exponent + twists] = twist_sign * count
     d = delta()
+    power = LaurentPoly.constant(1)
     total = LaurentPoly()
-    for state in range(1 << c):
-        choice = [(state >> k) & 1 for k in range(c)]
-        parent: list = []
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def fresh():
-            parent.append(len(parent))
-            return len(parent) - 1
-
-        wires: list = []
-        loops = 0
-        exponent = 0
-        idx = 0
-        for sl in t.slices:
-            new_wires = []
-            pos = 0
-            for e in sl:
-                win, _ = e.widths()
-                args = wires[pos:pos + win]
-                pos += win
-                if e.kind in ("id", "twist"):
-                    new_wires.append(args[0])
-                elif e.kind == "cup":
-                    node = fresh()
-                    new_wires += [node, node]
-                elif e.kind == "cap":
-                    a, b = find(args[0]), find(args[1])
-                    if a == b:
-                        loops += 1
-                    else:
-                        parent[a] = b
-                else:
-                    # smoothing 0 keeps the strands parallel (the A-smoothing
-                    # of a positive crossing); smoothing 1 is the hook
-                    smooth = choice[idx]
-                    idx += 1
-                    exponent += e.sign * (1 if smooth == 0 else -1)
-                    if smooth == 0:
-                        new_wires += args
-                    else:
-                        a, b = find(args[0]), find(args[1])
-                        if a == b:
-                            loops += 1
-                        else:
-                            parent[a] = b
-                        node = fresh()
-                        new_wires += [node, node]
-            wires = new_wires
-        total = total + LaurentPoly.from_dict({exponent: 1}) * d ** loops
-    return twist_factor * total
+    for loops in range(max(by_loops) + 1):
+        if loops in by_loops:
+            total = total + LaurentPoly.from_dict(by_loops[loops]) * power
+        power = power * d
+    return total
 
 
 def kauffman_bracket(t: SliceTangle, *, verify=None) -> LaurentPoly:
     """Bracket of a closed tangle: the empty-diagram coefficient of its interpretation.
 
     With verify left at the default, the independent state sum recomputes
-    the value whenever the tangle is coupon-free with at most 10
-    crossings, and disagreement raises InternalCheckError.
+    the value whenever the tangle is coupon-free with at most
+    ``STATE_SUM_VERIFY_MAX_CROSSINGS`` crossings, and disagreement raises
+    InternalCheckError.
     """
     widths = t.widths()
     if widths[0] != 0 or widths[-1] != 0:
@@ -246,7 +295,8 @@ def kauffman_bracket(t: SliceTangle, *, verify=None) -> LaurentPoly:
     for diag, coeff in m.terms.items():
         value = value + coeff  # the only (0,0) diagram is the empty one
     if verify is None:
-        verify = not t.has_coupons() and t.crossing_count() <= 10
+        verify = (not t.has_coupons()
+                  and t.crossing_count() <= STATE_SUM_VERIFY_MAX_CROSSINGS)
     if verify:
         other = bracket_state_sum(t)
         if other != value:

@@ -218,3 +218,71 @@ def literal_fold(t):
             block = side_by_side(block, _event_morphism(e))
         out = stack(out, block)
     return out
+
+
+def literal_state_sum(t):
+    """The bracket of a closed coupon-free tangle as a sum over its 2^c states,
+    re-walking every slice with a fresh union-find for each state."""
+    events = [e for sl in t.slices for e in sl]
+    c = sum(1 for e in events if e.kind == "cross")
+    twist_factor = LaurentPoly.constant(1)
+    for e in events:
+        if e.kind == "twist":
+            twist_factor = twist_factor * LaurentPoly.from_dict({3 * e.sign: -1})
+    d = LOOP
+    total = LaurentPoly()
+    for state in range(1 << c):
+        choice = [(state >> k) & 1 for k in range(c)]
+        parent: list = []
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def fresh():
+            parent.append(len(parent))
+            return len(parent) - 1
+
+        wires: list = []
+        loops = 0
+        exponent = 0
+        idx = 0
+        for sl in t.slices:
+            new_wires = []
+            pos = 0
+            for e in sl:
+                win, _ = e.widths()
+                args = wires[pos:pos + win]
+                pos += win
+                if e.kind in ("id", "twist"):
+                    new_wires.append(args[0])
+                elif e.kind == "cup":
+                    node = fresh()
+                    new_wires += [node, node]
+                elif e.kind == "cap":
+                    a, b = find(args[0]), find(args[1])
+                    if a == b:
+                        loops += 1
+                    else:
+                        parent[a] = b
+                else:
+                    # smoothing 0 keeps the strands parallel (the A-smoothing
+                    # of a positive crossing); smoothing 1 is the hook
+                    smooth = choice[idx]
+                    idx += 1
+                    exponent += e.sign * (1 if smooth == 0 else -1)
+                    if smooth == 0:
+                        new_wires += args
+                    else:
+                        a, b = find(args[0]), find(args[1])
+                        if a == b:
+                            loops += 1
+                        else:
+                            parent[a] = b
+                        node = fresh()
+                        new_wires += [node, node]
+            wires = new_wires
+        total = total + LaurentPoly.from_dict({exponent: 1}) * d ** loops
+    return twist_factor * total

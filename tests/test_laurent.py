@@ -156,3 +156,34 @@ def test_ring_axioms_randomized():
         assert p * (q + r) == p * q + p * r
         assert (p + q) + r == p + (q + r)
 
+
+
+def test_ring_axioms_property():
+    """Ring axioms and powers on sparse polynomials, monomials included, so
+    both the monomial fast path and the general product are exercised."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = st.dictionaries(st.integers(-40, 40), st.integers(-9, 9),
+                            max_size=5).map(P)
+    units = st.builds(LaurentPoly.monomial, st.sampled_from((1, -1)),
+                      st.integers(-40, 40))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(polys, polys, polys, units, st.integers(0, 7))
+    def check(p, q, r, u, n):
+        zero, one = LaurentPoly(), LaurentPoly.constant(1)
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p + q == q + p
+        assert p * q == q * p
+        assert p * (q + r) == p * q + p * r
+        assert (p + q) * r == p * r + q * r
+        assert p + zero == p and p * one == p and p * zero == zero
+        assert p - p == zero and p + (-p) == zero
+        product = one
+        for _ in range(n):
+            product = product * p
+        assert p ** n == product
+        assert u ** -n * u ** n == one
+
+    check()

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from oracles import literal_fold
+from oracles import literal_fold, literal_state_sum
 
 from skeinalg import tangles
-from skeinalg.errors import ContractViolation, TangleShapeError
+from skeinalg.errors import (ContractViolation, InternalCheckError,
+                             TangleShapeError)
 from skeinalg.laurent import LaurentPoly
 from skeinalg.samples import random_braid
 from skeinalg.tangles import (CAP, CUP, ID, bracket_state_sum, braid_to_slices,
@@ -306,3 +307,48 @@ def test_state_sum_agrees_with_fold_on_random_closed_tangles():
         value = kauffman_bracket(t, verify=False)
         assert bracket_state_sum(t) == value
         assert literal_fold(t) == tl_identity(0).scaled(value)
+
+
+def test_state_sum_matches_literal_walk():
+    rng = random.Random(107)
+    twist_signs, crossings = set(), set()
+    checked = 0
+    while checked < 200:
+        t = random_morse_tangle(rng, 0, rng.randint(1, 14), closed=True)
+        if t.crossing_count() > 12:
+            continue
+        twist_signs.update(e.sign for sl in t.slices for e in sl
+                           if e.kind == "twist")
+        crossings.add(t.crossing_count())
+        assert bracket_state_sum(t) == literal_state_sum(t)
+        checked += 1
+    assert twist_signs == {1, -1}
+    assert max(crossings) >= 10
+    for strands in range(2, 6):
+        for _ in range(6):
+            word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(0, 10))]
+            t = closed_braid_tangle(word, strands)
+            assert bracket_state_sum(t) == literal_state_sum(t)
+
+
+def test_state_sum_refuses_too_many_crossings_at_once():
+    assert tangles.STATE_SUM_MAX_CROSSINGS == 20
+    for c in (tangles.STATE_SUM_MAX_CROSSINGS + 1, 30):
+        t = closed_braid_tangle([1] * c, 2)
+        # 2^30 states would never finish; the cap is checked first
+        with pytest.raises(ContractViolation, match="exceeds the cap"):
+            bracket_state_sum(t)
+        with pytest.raises(ContractViolation, match="exceeds the cap"):
+            kauffman_bracket(t, verify=True)
+
+
+def test_default_verify_bound_is_ten_crossings(monkeypatch):
+    calls = []
+    real = tangles.bracket_state_sum
+    monkeypatch.setattr(tangles, "bracket_state_sum",
+                        lambda t: calls.append(t) or real(t))
+    assert tangles.STATE_SUM_VERIFY_MAX_CROSSINGS == 10
+    kauffman_bracket(closed_braid_tangle([1, -2] * 5, 3))
+    kauffman_bracket(closed_braid_tangle([1, -2] * 5 + [1], 3))
+    assert [t.crossing_count() for t in calls] == [10]
