@@ -4,7 +4,8 @@ These construct expected values and witnesses by routes that avoid the
 code paths they are checking: explicit basis maps for tensor composites,
 Kronecker products for hom-space actions, cofactor expansion for
 determinants, full-width stacking by a union-find for the tangle fold
-and the diagram products, and brute-force enumeration elsewhere.
+and the diagram products, a fresh walk of every slice per state for the
+state sum, and brute-force enumeration elsewhere.
 """
 
 from skeinalg.algebra import compose_homs

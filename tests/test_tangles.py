@@ -4,8 +4,7 @@ import pytest
 from oracles import literal_fold, literal_state_sum
 
 from skeinalg import tangles
-from skeinalg.errors import (ContractViolation, InternalCheckError,
-                             TangleShapeError)
+from skeinalg.errors import ContractViolation, TangleShapeError
 from skeinalg.laurent import LaurentPoly
 from skeinalg.samples import random_braid
 from skeinalg.tangles import (CAP, CUP, ID, bracket_state_sum, braid_to_slices,
