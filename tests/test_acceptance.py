@@ -7,28 +7,22 @@ prints a PASS line so the suite doubles as a report under pytest -s.
 """
 
 import random
-from fractions import Fraction
 
 from oracles import end_composition_witness, modulation_witness
 
-from skeinalg.algebra import conjugation_hom, matrix_algebra
-from skeinalg.bimodule import (annihilator_left, bimodule_iso_pointed,
-                               bimodule_iso_unpointed, conjugator_between,
-                               make_bimodule_map, modulate, regular_bimodule)
-from skeinalg.algebra import flatten_matrix
-from skeinalg.laurent import LaurentPoly
-from skeinalg.samples import (random_braid, random_closed_word,
-                              random_composable_hom_pair, random_hom_pair,
-                              random_invertible, random_matrix, random_system)
+from skeinalg.algebra import conjugation_hom, flatten_matrix, matrix_algebra
+from skeinalg.bimodule import (bimodule_iso_pointed, make_bimodule_map,
+                               modulate, regular_bimodule)
+from skeinalg.samples import (random_composable_hom_pair, random_invertible,
+                              random_matrix)
+from skeinalg.selftest import (check_annulus, check_conjugation_agreement,
+                               check_kauffman_moves, check_picture_equivalence,
+                               check_projectivity, check_tl_dimensions,
+                               check_tl_relations)
 from skeinalg.tangles import (CAP, CUP, ID, bracket_state_sum,
-                              braid_to_slices, closed_braid_tangle, cross,
-                              insert_slices, interpret_tangle,
-                              kauffman_bracket, kink_slices,
+                              closed_braid_tangle, cross, kauffman_bracket,
                               ribbon_axiom_checks, tangle)
-from skeinalg.tl import (annulus_closure_eval, AnnularClass, catalan,
-                         crossing_resolution, delta, tl_basis, tl_compose,
-                         tl_e, tl_identity, tl_tensor)
-from skeinalg.tqft1d import compare_pictures
+from skeinalg.tl import catalan
 
 
 def _report(name):
@@ -37,19 +31,8 @@ def _report(name):
 
 def test_criterion_01_picture_equivalence():
     """200 random systems, dim <= 3, entries in [-3, 3], >= 50 singular steps."""
-    rng = random.Random(1001)
-    singular = 0
-    for k in range(200):
-        force_singular = k % 3 == 0
-        sys = random_system(rng, max_dim=3, singular_step=force_singular)
-        assert sys.dim_v <= 3
-        assert all(abs(x) <= 3 for x in sys.step.entries)
-        if not sys.step.det():
-            singular += 1
-        word = random_closed_word(rng, max_len=6)
-        assert len(word) <= 6 and word.is_closed
-        rep = compare_pictures(sys, word)
-        assert rep.agree, (sys, word.gens, rep)
+    singular = check_picture_equivalence(random.Random(1001), systems=200,
+                                         dim=3)
     assert singular >= 50
     _report("01 picture-equivalence (200 systems, "
             f"{singular} with singular step)")
@@ -57,15 +40,8 @@ def test_criterion_01_picture_equivalence():
 
 def test_criterion_02_conjugator_oracle_agreement():
     """100 random hom pairs, dims <= 4: iso test == direct conjugator search."""
-    rng = random.Random(1002)
-    present = absent = 0
-    for _ in range(100):
-        f, g = random_hom_pair(rng, max_dim=4)
-        direct = conjugator_between(f, g, seed=7) is not None
-        via = bimodule_iso_unpointed(modulate(f), modulate(g), seed=7) is not None
-        assert direct == via, (f, g)
-        present += via
-        absent += not via
+    present, absent = check_conjugation_agreement(random.Random(1002),
+                                                  pairs=100, dim=4)
     assert present > 0 and absent > 0
     _report(f"02 conjugator agreement (100 pairs: {present} present, "
             f"{absent} absent)")
@@ -107,31 +83,12 @@ def test_criterion_04_functoriality_with_explicit_witnesses():
 def test_criterion_05_tl_dimensions():
     """hom sizes are Catalan numbers for all boundary sizes up to 10."""
     assert [catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
-    for nb in range(11):
-        for nt in range(11 - nb):
-            want = catalan((nb + nt) // 2) if (nb + nt) % 2 == 0 else 0
-            assert len(tl_basis(nb, nt)) == want
+    check_tl_dimensions(None, points=10)
     _report("05 TL dimensions (all n_bottom + n_top <= 10)")
 
 
 def test_criterion_06_tl_relations_and_braid():
-    d = delta()
-    for n in range(2, 6):
-        for i in range(n - 1):
-            e = tl_e(n, i)
-            assert tl_compose(e, e) == e.scaled(d)
-            if i <= n - 3:
-                f = tl_e(n, i + 1)
-                assert tl_compose(tl_compose(e, f), e) == e
-                assert tl_compose(tl_compose(f, e), f) == f
-            for j in range(i + 2, n - 1):
-                f = tl_e(n, j)
-                assert tl_compose(e, f) == tl_compose(f, e)
-    b = crossing_resolution(1)
-    one = tl_identity(1)
-    b12, b23 = tl_tensor(b, one), tl_tensor(one, b)
-    assert tl_compose(tl_compose(b12, b23), b12) == \
-        tl_compose(tl_compose(b23, b12), b23)
+    check_tl_relations(None, strands=5)
     _report("06 TL relations and braid relation (n <= 5)")
 
 
@@ -158,37 +115,9 @@ def _acceptance_corpus():
 
 def test_criterion_07_kauffman_invariance():
     """500 R2/R3 insertions; R1 scaling; state-sum agreement on the corpus."""
-    rng = random.Random(1007)
-    minus_a3 = LaurentPoly.from_dict({3: -1})
-    moves = 0
-    while moves < 500:
-        word, n = random_braid(rng, max_crossings=6, max_strands=4)
-        base = kauffman_bracket(closed_braid_tangle(word, n), verify=False)
-        pos = rng.randint(0, len(word))
-        if moves % 2 == 0 or n < 3:
-            g = rng.choice([1, -1]) * rng.randint(1, n - 1)
-            w2 = word[:pos] + [g, -g] + word[pos:]
-            got = kauffman_bracket(closed_braid_tangle(w2, n), verify=False)
-            assert got == base, (word, n, "R2", g)
-        else:
-            g = rng.randint(1, n - 2)
-            s = rng.choice([1, -1])
-            wa = word[:pos] + [s * g, s * (g + 1), s * g] + word[pos:]
-            wb = word[:pos] + [s * (g + 1), s * g, s * (g + 1)] + word[pos:]
-            assert kauffman_bracket(closed_braid_tangle(wa, n), verify=False) \
-                == kauffman_bracket(closed_braid_tangle(wb, n), verify=False), \
-                (word, n, "R3", g, s)
-        moves += 1
-    # R1: a geometric curl scales the bracket by exactly -A^(+-3)
-    for _ in range(25):
-        word, n = random_braid(rng, max_crossings=5, max_strands=3)
-        t = closed_braid_tangle(word, n)
-        base = kauffman_bracket(t, verify=False)
-        for sign in (1, -1):
-            wire = rng.randrange(2 * n)
-            t2 = insert_slices(t, n + len(word), kink_slices(2 * n, wire, sign))
-            assert kauffman_bracket(t2, verify=False) == \
-                (minus_a3 ** sign) * base
+    moves = check_kauffman_moves(random.Random(1007), insertions=500, curls=25,
+                                 crossings=6, strands=4)
+    assert moves["R2"] + moves["R3"] >= 500 and moves["R1"] >= 50
     # evaluator agreement on every closed tangle of the corpus
     for t in _acceptance_corpus():
         assert t.crossing_count() <= 8
@@ -206,29 +135,10 @@ def test_criterion_08_ribbon_axioms():
 
 
 def test_criterion_09_annulus():
-    for n in range(6):
-        assert annulus_closure_eval(tl_identity(n)) == AnnularClass({n: 1})
-    rng = random.Random(1009)
-    for _ in range(50):
-        w1, n1 = random_braid(rng, max_crossings=4, max_strands=3)
-        w2, n2 = random_braid(rng, max_crossings=4, max_strands=3)
-        m1 = interpret_tangle(braid_to_slices(w1, n1))
-        m2 = interpret_tangle(braid_to_slices(w2, n2))
-        nested = annulus_closure_eval(tl_tensor(m1, m2))
-        assert nested == annulus_closure_eval(m1) * annulus_closure_eval(m2)
+    check_annulus(random.Random(1009), strands=5, pairs=50, crossings=4)
     _report("09 annulus (id_n = z^n, 50 nested unions multiplicative)")
 
 
 def test_criterion_10_projectivity():
-    rng = random.Random(1010)
-    for _ in range(50):
-        n = rng.randint(2, 3)
-        u = random_invertible(rng, n)
-        lam = Fraction(rng.choice([-5, -3, -2, 2, 3, 5]),
-                       rng.choice([1, 2, 3]))
-        assert modulate(conjugation_hom(n, u.scale(lam))) == \
-            modulate(conjugation_hom(n, u))
-        v = tuple(rng.randint(-3, 3) for _ in range(n))
-        scaled = tuple(lam * x for x in v)
-        assert annihilator_left(n, v) == annihilator_left(n, scaled)
+    check_projectivity(random.Random(1010), rescalings=50, dim=3)
     _report("10 projectivity (50 rescalings, exact equality)")

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,8 +15,8 @@ from skeinalg.bimodule import (annihilator_left, annihilator_right,
                                regular_bimodule, tensor_over)
 from skeinalg.errors import ContractViolation, ValidationError
 from skeinalg.linalg import Matrix
-from skeinalg.samples import (random_composable_hom_pair, random_hom_pair,
-                              random_invertible, random_matrix)
+from skeinalg.samples import (random_composable_hom_pair, random_invertible,
+                              random_matrix)
 
 
 def test_modulate_identity_is_regular():
@@ -91,20 +90,6 @@ def test_tensor_over_field():
     t = tensor_over(m, n)
     assert t.dim == 6
     assert t.pointing == (0, 1, 0, 0, 0, 0)
-
-
-def test_tensor_unit_law_random():
-    rng = random.Random(17)
-    for _ in range(8):
-        n = rng.randint(1, 3)
-        u = random_matrix(rng, n, n)
-        m = end_morphism(u)
-        alg = matrix_algebra(n)
-        t = tensor_over(regular_bimodule(alg), m)
-        assert t.dim == m.dim
-        assert bimodule_iso_pointed(t, m) is not None
-        t2 = tensor_over(m, regular_bimodule(alg))
-        assert bimodule_iso_pointed(t2, m) is not None
 
 
 def test_modulation_functoriality_explicit_witness():
@@ -275,16 +260,6 @@ def test_annihilator_right():
         assert m[1, 0] == 0 and m[1, 1] == 0
 
 
-def test_annihilator_scale_invariance():
-    rng = random.Random(41)
-    for _ in range(10):
-        n = rng.randint(2, 3)
-        v = tuple(rng.randint(-3, 3) for _ in range(n))
-        lam = Fraction(rng.choice([-2, 2, 3]))
-        assert annihilator_left(n, v) == \
-            annihilator_left(n, tuple(lam * x for x in v))
-
-
 def test_ideal_quotient_trivial_ideal():
     m2 = matrix_algebra(2)
     q = ideal_quotient_module(m2, [], "left")
@@ -323,36 +298,3 @@ def test_ideal_quotient_right_side():
     q = ideal_quotient_module(m2, ideal, "right")
     assert q.dim == 2
     assert q.left == field_algebra()
-
-
-def test_tensor_associativity_random_triples():
-    rng = random.Random(43)
-    for _ in range(6):
-        n = rng.randint(1, 2)
-        ms = [end_morphism(random_matrix(rng, n, n)) for _ in range(3)]
-        left = tensor_over(tensor_over(ms[0], ms[1]), ms[2])
-        right = tensor_over(ms[0], tensor_over(ms[1], ms[2]))
-        assert bimodule_iso_pointed(left, right) is not None
-
-
-def test_modulate_projectivity():
-    rng = random.Random(47)
-    for _ in range(8):
-        n = rng.randint(2, 3)
-        u = random_invertible(rng, n)
-        lam = Fraction(rng.choice([-3, -2, 2, 5]))
-        assert modulate(conjugation_hom(n, u)) == \
-            modulate(conjugation_hom(n, u.scale(lam)))
-
-
-def test_lemma_agreement_random_pairs():
-    rng = random.Random(53)
-    present = absent = 0
-    for _ in range(25):
-        f, g = random_hom_pair(rng, max_dim=4)
-        direct = conjugator_between(f, g) is not None
-        via = bimodule_iso_unpointed(modulate(f), modulate(g)) is not None
-        assert direct == via
-        present += via
-        absent += not via
-    assert present and absent  # the sample hits both outcomes
