@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -260,6 +261,16 @@ def test_annihilator_right():
         assert m[1, 0] == 0 and m[1, 1] == 0
 
 
+def test_annihilator_scale_invariance():
+    rng = random.Random(41)
+    for _ in range(10):
+        n = rng.randint(2, 3)
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        lam = Fraction(rng.choice([-2, 2, 3]))
+        assert annihilator_left(n, v) == \
+            annihilator_left(n, tuple(lam * x for x in v))
+
+
 def test_ideal_quotient_trivial_ideal():
     m2 = matrix_algebra(2)
     q = ideal_quotient_module(m2, [], "left")
@@ -298,3 +309,13 @@ def test_ideal_quotient_right_side():
     q = ideal_quotient_module(m2, ideal, "right")
     assert q.dim == 2
     assert q.left == field_algebra()
+
+
+def test_modulate_projectivity():
+    rng = random.Random(47)
+    for _ in range(8):
+        n = rng.randint(2, 3)
+        u = random_invertible(rng, n)
+        lam = Fraction(rng.choice([-3, -2, 2, 5]))
+        assert modulate(conjugation_hom(n, u)) == \
+            modulate(conjugation_hom(n, u.scale(lam)))

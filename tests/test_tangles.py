@@ -6,11 +6,12 @@ from oracles import literal_fold, literal_state_sum
 from skeinalg import tangles
 from skeinalg.errors import ContractViolation, TangleShapeError
 from skeinalg.laurent import LaurentPoly
+from skeinalg.samples import random_braid
 from skeinalg.tangles import (CAP, CUP, ID, bracket_state_sum, braid_to_slices,
                               cable_double, closed_braid_tangle, coupon, cross,
-                              interpret_tangle, kauffman_bracket, kink_slices,
-                              mirror_tangle, ribbon_axiom_checks, tangle, twist,
-                              writhe)
+                              insert_slices, interpret_tangle, kauffman_bracket,
+                              kink_slices, mirror_tangle, ribbon_axiom_checks,
+                              tangle, twist, writhe)
 from skeinalg.tl import (TLMorphism, crossing_resolution, delta, plane_closure,
                          tl_basis, tl_compose, tl_e, tl_identity)
 
@@ -117,6 +118,39 @@ def test_bracket_runtime_crosscheck_is_on_by_default():
     # verify=None recomputes small brackets through the state sum
     t = closed_braid_tangle([1, -1], 2)
     assert kauffman_bracket(t) == delta() * delta()
+
+
+def test_r1_scales_bracket():
+    rng = random.Random(73)
+    minus_a3 = P({3: -1})
+    for _ in range(10):
+        word, n = random_braid(rng, 4, 3)
+        base_tangle = closed_braid_tangle(word, n)
+        base = kauffman_bracket(base_tangle, verify=False)
+        for sign in (1, -1):
+            wire = rng.randrange(2 * n)
+            t2 = insert_slices(base_tangle, n + len(word),
+                               kink_slices(2 * n, wire, sign))
+            got = kauffman_bracket(t2, verify=False)
+            assert got == (minus_a3 ** sign) * base
+
+
+def test_r2_r3_invariance_small():
+    rng = random.Random(79)
+    for _ in range(15):
+        word, n = random_braid(rng, 5, 4)
+        base = kauffman_bracket(closed_braid_tangle(word, n), verify=False)
+        pos = rng.randint(0, len(word))
+        g = rng.randint(1, n - 1)
+        w2 = word[:pos] + [g, -g] + word[pos:]
+        assert kauffman_bracket(closed_braid_tangle(w2, n), verify=False) == base
+        if n >= 3:
+            g = rng.randint(1, n - 2)
+            s = rng.choice([1, -1])
+            wa = word[:pos] + [s * g, s * (g + 1), s * g] + word[pos:]
+            wb = word[:pos] + [s * (g + 1), s * g, s * (g + 1)] + word[pos:]
+            assert kauffman_bracket(closed_braid_tangle(wa, n), verify=False) \
+                == kauffman_bracket(closed_braid_tangle(wb, n), verify=False)
 
 
 def test_writhe():

@@ -179,6 +179,21 @@ def test_associativity_and_interchange_property():
     check()
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_tl_relations(n):
+    d = delta()
+    for i in range(n - 1):
+        e = tl_e(n, i)
+        assert tl_compose(e, e) == e.scaled(d)
+        if i + 1 <= n - 2:
+            f = tl_e(n, i + 1)
+            assert tl_compose(tl_compose(e, f), e) == e
+            assert tl_compose(tl_compose(f, e), f) == f
+        for j in range(i + 2, n - 1):
+            f = tl_e(n, j)
+            assert tl_compose(e, f) == tl_compose(f, e)
+
+
 def test_crossing_coefficients():
     pos = crossing_resolution(1)
     ident = tl_identity(2)

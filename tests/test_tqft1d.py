@@ -7,7 +7,8 @@ from skeinalg.bimodule import (annihilator_left, bimodule_iso_pointed,
                                end_morphism, regular_bimodule)
 from skeinalg.errors import ContractViolation, LabelNotFound, ParseError
 from skeinalg.linalg import Matrix
-from skeinalg.samples import random_invertible
+from skeinalg.samples import (random_closed_word, random_invertible,
+                              random_system)
 from skeinalg.tqft1d import (EMPTY, PT, SpacetimeWord, compare_pictures,
                              eval_heisenberg, eval_schrodinger, make_word,
                              parse_word, system_from_heisenberg_data,
@@ -133,6 +134,35 @@ def test_picture_equivalence_non_invertible_step():
 def test_compare_rejects_open_word():
     with pytest.raises(ContractViolation):
         compare_pictures(example_system(), parse_word("u(1)"))
+
+
+def test_functoriality_under_splits():
+    rng = random.Random(103)
+    for _ in range(6):
+        sys = random_system(rng, max_dim=2)
+        word = random_closed_word(rng, max_len=5)
+        k = rng.randint(1, len(word.gens) - 1)
+        left = SpacetimeWord(word.gens[:k])
+        right = SpacetimeWord(word.gens[k:])
+        assert eval_schrodinger(sys, word) == \
+            eval_schrodinger(sys, left) @ eval_schrodinger(sys, right)
+
+
+def test_heisenberg_functoriality_under_splits():
+    from skeinalg.bimodule import tensor_over
+
+    rng = random.Random(104)
+    for _ in range(4):
+        sys = random_system(rng, max_dim=2)
+        word = random_closed_word(rng, max_len=5)
+        k = rng.randint(1, len(word.gens) - 1)
+        left = SpacetimeWord(word.gens[:k])
+        right = SpacetimeWord(word.gens[k:])
+        glued = tensor_over(eval_heisenberg(sys, left),
+                            eval_heisenberg(sys, right),
+                            max_dim=sys.dim_v ** 2)
+        assert bimodule_iso_pointed(glued, eval_heisenberg(sys, word)) \
+            is not None
 
 
 def test_group_law_heisenberg_pointed_iso():
