@@ -9,8 +9,7 @@ from .algebra import (Algebra, AlgebraHom, algebra_direct_sum, compose_homs,
                       hom_from_images, hom_power, identity_hom, make_algebra,
                       make_hom, matrix_algebra, product_field_algebra,
                       scalar_inclusion_hom, transport_algebra,
-                      truncated_poly_algebra, unflatten_matrix,
-                      upper_triangular_algebra)
+                      truncated_poly_algebra, upper_triangular_algebra)
 from .bimodule import (PointedBimodule, PointedBimoduleMap, annihilator_left,
                        annihilator_right, bimodule_iso_pointed,
                        bimodule_iso_unpointed, conjugator_between,

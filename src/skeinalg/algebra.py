@@ -5,9 +5,9 @@ basis vector k in the product e_i * e_j) together with the coordinate
 vector of the unit.  Construction validates associativity and the unit
 laws exhaustively over basis indices.
 
-The default dimension cap guards user-supplied data at desk scale;
-systematic constructors such as ``matrix_algebra`` pass the exact size
-they need.
+The default dimension cap applies to a make_algebra call without
+max_dim; systematic constructors such as ``matrix_algebra`` pass the
+exact size they need, and the JSON loader passes the declared size.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolation, ValidationError
-from .linalg import Matrix, matrix_power
+from .linalg import Matrix, _check_exact, matrix_power
 
 DEFAULT_ALGEBRA_DIM_CAP = 6
 
@@ -47,12 +47,12 @@ class Algebra:
     def left_mult_matrix(self, x) -> Matrix:
         """Matrix of y -> x * y."""
         cols = [self.multiply(x, _unit_vec(self.dim, j)) for j in range(self.dim)]
-        return _from_cols(cols)
+        return Matrix.from_cols(cols, self.dim)
 
     def right_mult_matrix(self, x) -> Matrix:
         """Matrix of y -> y * x."""
         cols = [self.multiply(_unit_vec(self.dim, j), x) for j in range(self.dim)]
-        return _from_cols(cols)
+        return Matrix.from_cols(cols, self.dim)
 
     def left_regular(self) -> list:
         """Left multiplication matrices of the basis elements."""
@@ -73,12 +73,6 @@ def _unit_vec(n: int, i: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _from_cols(cols) -> Matrix:
-    n = len(cols[0]) if cols else 0
-    return Matrix(n, len(cols),
-                  tuple(cols[j][i] for i in range(n) for j in range(len(cols))))
-
-
 def make_algebra(structure_constants, unit, *, max_dim=None) -> Algebra:
     """Validate and build an Algebra from raw structure constants.
 
@@ -95,6 +89,8 @@ def make_algebra(structure_constants, unit, *, max_dim=None) -> Algebra:
     if len(unit) != n or any(len(p) != n or any(len(r) != n for r in p)
                              for p in mult):
         raise ContractViolation("structure constant array has inconsistent shape")
+    _check_exact(c for plane in mult for row in plane for c in row)
+    _check_exact(unit)
     alg = Algebra(n, mult, unit)
     # associativity: (e_i e_j) e_k == e_i (e_j e_k)
     for i in range(n):
@@ -232,6 +228,7 @@ def make_hom(source: Algebra, target: Algebra, matrix: Matrix) -> AlgebraHom:
         raise ContractViolation(
             f"hom matrix must be {target.dim}x{source.dim}, got "
             f"{matrix.rows}x{matrix.cols}")
+    _check_exact(matrix.entries)
     f = AlgebraHom(source, target, matrix)
     if f.apply(source.unit) != tuple(target.unit):
         raise ValidationError("homomorphism does not preserve the unit")
@@ -269,10 +266,6 @@ def flatten_matrix(m: Matrix) -> tuple:
     return tuple(m.entries)
 
 
-def unflatten_matrix(vec, n: int) -> Matrix:
-    return Matrix(n, n, tuple(vec))
-
-
 def conjugation_hom(n: int, u: Matrix) -> AlgebraHom:
     """The conjugation automorphism a -> u^-1 a u of matrix_algebra(n).
 
@@ -292,9 +285,7 @@ def conjugation_hom(n: int, u: Matrix) -> AlgebraHom:
             e = Matrix(n, n, tuple(1 if (r, c) == (i, j) else 0
                                    for r in range(n) for c in range(n)))
             cols.append(flatten_matrix(uinv @ e @ u))
-    mat = Matrix(n * n, n * n,
-                 tuple(cols[j][i] for i in range(n * n) for j in range(n * n)))
-    return make_hom(alg, alg, mat)
+    return make_hom(alg, alg, Matrix.from_cols(cols, n * n))
 
 
 def scalar_inclusion_hom(target: Algebra) -> AlgebraHom:
@@ -307,8 +298,5 @@ def hom_from_images(source: Algebra, target: Algebra, images) -> AlgebraHom:
     cols = [tuple(v) for v in images]
     if len(cols) != source.dim or any(len(c) != target.dim for c in cols):
         raise ContractViolation("wrong number or length of basis images")
-    mat = Matrix(target.dim, source.dim,
-                 tuple(cols[j][i] for i in range(target.dim)
-                       for j in range(source.dim)))
-    return make_hom(source, target, mat)
+    return make_hom(source, target, Matrix.from_cols(cols, target.dim))
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 from .algebra import (Algebra, AlgebraHom, field_algebra, flatten_matrix,
                       matrix_algebra)
 from .errors import ContractViolation, InternalCheckError, ValidationError
-from .linalg import (Matrix, SparseEchelon, find_invertible_in_affine_family,
-                     kernel_basis, mat_lincomb, sparse_quotient)
+from .linalg import (Matrix, SparseEchelon, _check_exact,
+                     find_invertible_in_affine_family, kernel_basis,
+                     mat_lincomb, sparse_quotient)
 
 DEFAULT_BIMODULE_DIM_CAP = 16
 
@@ -44,12 +45,6 @@ class PointedBimodule:
     right_action: tuple
     pointing: tuple
 
-    def act_left(self, avec, m) -> tuple:
-        return mat_lincomb(zip(avec, self.left_action), self.dim, self.dim).apply(m)
-
-    def act_right(self, m, bvec) -> tuple:
-        return mat_lincomb(zip(bvec, self.right_action), self.dim, self.dim).apply(m)
-
 
 def make_bimodule(left: Algebra, right: Algebra, left_action, right_action,
                   pointing, *, max_dim=None) -> PointedBimodule:
@@ -64,9 +59,11 @@ def make_bimodule(left: Algebra, right: Algebra, left_action, right_action,
             f"bimodule dimension {m} exceeds the cap {cap}; pass max_dim to allow")
     if len(left_action) != left.dim or len(right_action) != right.dim:
         raise ContractViolation("one action matrix per algebra basis element")
-    for mat in list(left_action) + list(right_action):
+    for mat in left_action + right_action:
         if (mat.rows, mat.cols) != (m, m):
             raise ContractViolation("action matrices must be dim x dim")
+        _check_exact(mat.entries)
+    _check_exact(pointing)
     ident = Matrix.identity(m)
     if mat_lincomb(zip(left.unit, left_action), m, m) != ident:
         raise ValidationError("left action of the unit is not the identity")
@@ -140,7 +137,7 @@ def _hom_space(nw: int, nv: int) -> PointedBimodule:
     return out
 
 
-def end_morphism(f: Matrix, dim_v=None, dim_w=None) -> PointedBimodule:
+def end_morphism(f: Matrix) -> PointedBimodule:
     """hom(V, W) pointed by f, with End(W) acting left and End(V) acting right.
 
     f is a dim(W) x dim(V) matrix; module coordinates flatten hom(V, W)
@@ -149,13 +146,84 @@ def end_morphism(f: Matrix, dim_v=None, dim_w=None) -> PointedBimodule:
     validated by make_bimodule once per process and then shared, and only
     the pointing comes from f.
     """
-    nw = f.rows if dim_w is None else dim_w
-    nv = f.cols if dim_v is None else dim_v
-    if (f.rows, f.cols) != (nw, nv):
-        raise ContractViolation("stated dimensions disagree with the matrix shape")
-    if nv < 1 or nw < 1:
+    if f.rows < 1 or f.cols < 1:
         raise ContractViolation("zero-dimensional source or target rejected")
-    return replace(_hom_space(nw, nv), pointing=flatten_matrix(f))
+    _check_exact(f.entries)
+    return replace(_hom_space(f.rows, f.cols), pointing=flatten_matrix(f))
+
+
+def _relation_rows(pcols, qcols) -> list:
+    """The nonzero images (P tensor 1 - 1 tensor Q) e(i, j) as sparse rows.
+
+    pcols[i] and qcols[j] are the columns of the square matrices P and Q,
+    and e(i, j) is coordinate i * len(qcols) + j.
+    """
+    q = len(qcols)
+    pnz = [[(k * q, v) for k, v in enumerate(col) if v] for col in pcols]
+    qnz = [[(l, v) for l, v in enumerate(col) if v] for col in qcols]
+    rows = []
+    for i, pi in enumerate(pnz):
+        for j, qj in enumerate(qnz):
+            row = {}
+            for kq, v in pi:
+                row[kq + j] = v
+            for l, v in qj:
+                key = i * q + l
+                nv = row.get(key, 0) - v
+                if nv:
+                    row[key] = nv
+                elif key in row:
+                    del row[key]
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _quotient_bimodule(left: Algebra, right: Algebra, left_action,
+                       right_action, point, relations, *,
+                       max_dim) -> PointedBimodule:
+    """The bimodule that M tensor N / span(relations) inherits.
+
+    left_action holds the p x p matrices by which the left algebra acts on
+    the factor M, right_action the q x q ones by which the right algebra
+    acts on N, and point = (x, y) gives the pointing x tensor y.  Ambient
+    coordinate i * q + j is e(i) tensor e(j); the relations must span a
+    sub-bimodule.  The result lives on the canonical pivot-complement basis
+    and is checked by make_bimodule.
+    """
+    x, y = point
+    p, q = len(x), len(y)
+    reps, proj_cols = sparse_quotient(p * q, relations)
+    dim = len(reps)
+
+    def descend(action, on_left):
+        mats = []
+        for act in action:
+            cols = []
+            for r in reps:
+                i, j = divmod(r, q)
+                # the left action moves the first factor, the right the second
+                start, stride, c = (j, q, i) if on_left else (i * q, 1, j)
+                col = [0] * dim
+                for k, v in enumerate(act.col(c)):
+                    if v:
+                        for t, w in proj_cols[start + k * stride].items():
+                            col[t] = col[t] + v * w
+                # a sum that cancels is Fraction(0); store it as int 0, like
+                # every entry no term reached
+                cols.append([e or 0 for e in col])
+            mats.append(Matrix.from_cols(cols, dim))
+        return mats
+
+    pointing = [0] * dim
+    for i, v in enumerate(x):
+        for j, w in enumerate(y):
+            if v and w:
+                for t, c in proj_cols[i * q + j].items():
+                    pointing[t] = pointing[t] + v * w * c
+    return make_bimodule(left, right, descend(left_action, True),
+                         descend(right_action, False), pointing,
+                         max_dim=max_dim)
 
 
 def tensor_over(m1: PointedBimodule, m2: PointedBimodule, *,
@@ -168,74 +236,13 @@ def tensor_over(m1: PointedBimodule, m2: PointedBimodule, *,
     """
     if m1.right != m2.left:
         raise ContractViolation("middle algebras do not match")
-    mid = m1.right
-    p, q = m1.dim, m2.dim
-    amb = p * q
     relations = []
-    for b in range(mid.dim):
-        rb = m1.right_action[b]
-        lb = m2.left_action[b]
-        for i in range(p):
-            rcol = rb.col(i)
-            for j in range(q):
-                row: dict = {}
-                for k, v in enumerate(rcol):
-                    if v:
-                        row[k * q + j] = v
-                lcol = lb.col(j)
-                for l, v in enumerate(lcol):
-                    if v:
-                        key = i * q + l
-                        nv = row.get(key, 0) - v
-                        if nv:
-                            row[key] = nv
-                        elif key in row:
-                            del row[key]
-                if row:
-                    relations.append(row)
-    reps, proj_cols = sparse_quotient(amb, relations)
-    dim = len(reps)
-
-    def descend(action, side_dim, on_left):
-        mats = []
-        for a in range(side_dim):
-            act = action[a]
-            cols = []
-            for r in reps:
-                i, j = divmod(r, q)
-                col: dict = {}
-                if on_left:
-                    for k, v in enumerate(act.col(i)):
-                        if v:
-                            for t, w in proj_cols[k * q + j].items():
-                                col[t] = col.get(t, 0) + v * w
-                else:
-                    for l, v in enumerate(act.col(j)):
-                        if v:
-                            for t, w in proj_cols[i * q + l].items():
-                                col[t] = col.get(t, 0) + v * w
-                cols.append(col)
-            ents = [0] * (dim * dim)
-            for jj, col in enumerate(cols):
-                for ii, v in col.items():
-                    if v:
-                        ents[ii * dim + jj] = v
-            mats.append(Matrix(dim, dim, tuple(ents)))
-        return mats
-
-    left_action = descend(m1.left_action, m1.left.dim, True)
-    right_action = descend(m2.right_action, m2.right.dim, False)
-    pointing = [0] * dim
-    for i, v in enumerate(m1.pointing):
-        if not v:
-            continue
-        for j, w in enumerate(m2.pointing):
-            if not w:
-                continue
-            for t, c in proj_cols[i * q + j].items():
-                pointing[t] = pointing[t] + v * w * c
-    return make_bimodule(m1.left, m2.right, left_action, right_action,
-                         pointing, max_dim=max_dim)
+    for rb, lb in zip(m1.right_action, m2.left_action):
+        relations += _relation_rows([rb.col(i) for i in range(m1.dim)],
+                                    [lb.col(j) for j in range(m2.dim)])
+    return _quotient_bimodule(m1.left, m2.right, m1.left_action,
+                              m2.right_action, (m1.pointing, m2.pointing),
+                              relations, max_dim=max_dim)
 
 
 @dataclass(frozen=True)
@@ -266,64 +273,33 @@ def make_bimodule_map(source: PointedBimodule, target: PointedBimodule,
     return PointedBimoduleMap(source, target, matrix)
 
 
-def _intertwiner_equations(m1: PointedBimodule, m2: PointedBimodule):
-    """Sparse rows of the system X L1(a) = L2(a) X, X R1(b) = R2(b) X.
-
-    Unknown X is m2.dim x m1.dim, flattened row-major.
-    """
-    rows = []
-    p, q = m1.dim, m2.dim
-    for acts1, acts2 in ((m1.left_action, m2.left_action),
-                         (m1.right_action, m2.right_action)):
-        for a1, a2 in zip(acts1, acts2):
-            for u in range(q):
-                arow = [a2.entries[u * q + r] for r in range(q)]
-                for v in range(p):
-                    row: dict = {}
-                    for c in range(p):
-                        coeff = a1.entries[c * p + v]
-                        if coeff:
-                            row[u * p + c] = row.get(u * p + c, 0) + coeff
-                    for r in range(q):
-                        coeff = arow[r]
-                        if coeff:
-                            key = r * p + v
-                            nv = row.get(key, 0) - coeff
-                            if nv:
-                                row[key] = nv
-                            elif key in row:
-                                del row[key]
-                    if row:
-                        rows.append(row)
-    return rows
-
-
 def _affine_intertwiner_space(m1, m2, pointed: bool):
     """Particular + directions for intertwiners (optionally pointing-preserving).
 
-    Returns None when the affine system is inconsistent.
+    The unknown X is m2.dim x m1.dim, flattened row-major, and solves
+    X L1(a) = L2(a) X and X R1(b) = R2(b) X: on coordinate e(u, v) these
+    are the relation rows of P = A2^T and Q = A1, negated.  Returns None
+    when the affine system is inconsistent.
     """
     p, q = m1.dim, m2.dim
-    n_unknowns = p * q
-    aug = n_unknowns
     eng = SparseEchelon()
-    for row in _intertwiner_equations(m1, m2):
-        eng.insert(row)
+    for a1, a2 in zip(m1.left_action + m1.right_action,
+                      m2.left_action + m2.right_action):
+        for row in _relation_rows([a2.row(u) for u in range(q)],
+                                  [a1.col(v) for v in range(p)]):
+            eng.insert(row)
     if pointed:
+        # X p1 = p2, with the right-hand side in column p * q
         for u in range(q):
             row = {u * p + c: v for c, v in enumerate(m1.pointing) if v}
-            t = m2.pointing[u]
-            if t:
-                row[aug] = t
+            if m2.pointing[u]:
+                row[p * q] = m2.pointing[u]
             eng.insert(row)
-        if aug in eng.rows:
-            return None
-    x = [0] * n_unknowns
-    for piv, row in eng.rows.items():
-        if piv != aug:
-            x[piv] = row.get(aug, 0)
-    directions = [Matrix(q, p, v) for v in eng.kernel(n_unknowns)]
-    return Matrix(q, p, tuple(x)), directions
+    space = eng.solve(p * q)
+    if space is None:
+        return None
+    particular, kernel = space
+    return Matrix(q, p, particular), [Matrix(q, p, v) for v in kernel]
 
 
 def bimodule_iso_pointed(m1: PointedBimodule, m2: PointedBimodule, *,
@@ -476,9 +452,10 @@ def ideal_quotient_module(alg: Algebra, ideal_basis, side: str, *,
     gens = [tuple(v) for v in ideal_basis]
     if any(len(v) != alg.dim for v in gens):
         raise ContractViolation("ideal vectors must have the algebra dimension")
+    rows = [{i: x for i, x in enumerate(v) if x} for v in gens]
     span = SparseEchelon()
-    for v in gens:
-        span.insert({i: x for i, x in enumerate(v) if x})
+    for row in rows:
+        span.insert(row)
     for i in range(alg.dim):
         ei = tuple(1 if j == i else 0 for j in range(alg.dim))
         for k, x in enumerate(gens):
@@ -487,26 +464,10 @@ def ideal_quotient_module(alg: Algebra, ideal_basis, side: str, *,
                 raise ValidationError(
                     f"not a {side} ideal: basis element {i} times generator {k} "
                     "escapes the span")
-    rows = [{i: x for i, x in enumerate(v) if x} for v in gens]
-    reps, proj_cols = sparse_quotient(alg.dim, rows)
-    dim = len(reps)
-    action_src = alg.left_regular() if side == "left" else alg.right_regular()
-    mats = []
-    for act in action_src:
-        ents = [0] * (dim * dim)
-        for jj, r in enumerate(reps):
-            for k, v in enumerate(act.col(r)):
-                if v:
-                    for t, w in proj_cols[k].items():
-                        ents[t * dim + jj] = ents[t * dim + jj] + v * w
-        mats.append(Matrix(dim, dim, tuple(ents)))
-    pointing = [0] * dim
-    for i, v in enumerate(alg.unit):
-        if v:
-            for t, c in proj_cols[i].items():
-                pointing[t] = pointing[t] + v * c
-    k_alg = field_algebra()
-    ident = [Matrix.identity(dim)]
+    # A/I is A tensor K modulo I tensor K, and J\A is K tensor A modulo K tensor J
+    k_alg, one = field_algebra(), [Matrix.identity(1)]
     if side == "left":
-        return make_bimodule(alg, k_alg, mats, ident, pointing, max_dim=max_dim)
-    return make_bimodule(k_alg, alg, ident, mats, pointing, max_dim=max_dim)
+        return _quotient_bimodule(alg, k_alg, alg.left_regular(), one,
+                                  (alg.unit, (1,)), rows, max_dim=max_dim)
+    return _quotient_bimodule(k_alg, alg, one, alg.right_regular(),
+                              ((1,), alg.unit), rows, max_dim=max_dim)

@@ -106,7 +106,6 @@ def cmd_tl(args, out) -> int:
 
 def cmd_algebra(args, out) -> int:
     seed = _seed(args)
-    base = "."
 
     def load_bimodule(path):
         return bimodule_from_json(load_json(path), os.path.dirname(path) or ".")
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
 
     s = sub.add_parser("selftest", help="run the invariant suites")
-    s.add_argument("--level", choices=["quick", "full"], default="quick")
+    s.add_argument("--level", choices=selftest_mod.LEVELS, default="quick")
     s.add_argument("--seed", type=int, default=0)
     return p
 

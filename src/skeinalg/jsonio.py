@@ -224,9 +224,7 @@ _EVENT_NAMES = {
     "twist+": twist(1), "twist-": twist(-1),
 }
 
-_EVENT_EMIT = {("id", 0): "id", ("cup", 0): "cup", ("cap", 0): "cap",
-               ("cross", 1): "cross+", ("cross", -1): "cross-",
-               ("twist", 1): "twist+", ("twist", -1): "twist-"}
+_EVENT_EMIT = {(e.kind, e.sign): name for name, e in _EVENT_NAMES.items()}
 
 
 def _slice_from_json(spec, width: int, index: int) -> list:

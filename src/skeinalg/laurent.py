@@ -150,22 +150,12 @@ class LaurentPoly:
             return None
         return LaurentPoly.monomial(c, -e, self.var)
 
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by var**k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self.terms), self.var)
-
     def mirrored(self) -> "LaurentPoly":
         """Substitute var -> var**-1."""
         return LaurentPoly(tuple(sorted((-e, c) for e, c in self.terms)), self.var)
 
     def renamed(self, var: str) -> "LaurentPoly":
         return LaurentPoly(self.terms, var)
-
-    def degree(self):
-        return self.terms[-1][0] if self.terms else None
-
-    def valuation(self):
-        return self.terms[0][0] if self.terms else None
 
     def evaluate(self, value: Fraction) -> Fraction:
         if value == 0 and self.terms and self.terms[0][0] < 0:

@@ -65,6 +65,14 @@ class Matrix:
         return Matrix(n, m, tuple(x for r in rows for x in r))
 
     @staticmethod
+    def from_cols(cols, rows: int) -> "Matrix":
+        """The rows x len(cols) matrix whose j-th column is cols[j]."""
+        cols = list(cols)
+        if any(len(c) != rows for c in cols):
+            raise ContractViolation("ragged columns")
+        return Matrix(rows, len(cols), tuple(x for r in zip(*cols) for x in r))
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(1 if i == j else 0
                                   for i in range(n) for j in range(n)))
@@ -187,12 +195,13 @@ class Matrix:
         if not self.is_square:
             raise ContractViolation("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self.row(i)) + [1 if j == i else 0 for j in range(n)]
-               for i in range(n)]
-        red, pivots = _rref_rows(aug)
-        if pivots != list(range(n)):
+        eng = _echelon(self.row(i) + tuple(int(j == i) for j in range(n))
+                       for i in range(n))
+        # [m | I] always has rank n; m is invertible iff no pivot lies in I
+        if eng.pivots() != list(range(n)):
             raise ContractViolation("matrix is singular")
-        return Matrix.from_rows([r[n:] for r in red[:n]])
+        return Matrix(n, n, tuple(eng.rows[i].get(n + j, 0)
+                                  for i in range(n) for j in range(n)))
 
     def tolist(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -305,6 +314,20 @@ class SparseEchelon:
             basis.append(tuple(v))
         return basis
 
+    def solve(self, ncols: int):
+        """Solve the inserted rows as equations in the columns < ncols.
+
+        Column ncols holds the right-hand side.  Returns (particular,
+        kernel basis) with every free variable of the particular solution
+        zero, or None when the equations are inconsistent.
+        """
+        if ncols in self.rows:
+            return None
+        x = [0] * ncols
+        for p, row in self.rows.items():
+            x[p] = row.get(ncols, 0)
+        return tuple(x), self.kernel(ncols)
+
 
 def _row_to_dict(row) -> dict:
     # a row that reduces to zero is never divided, so _div alone would let
@@ -320,22 +343,6 @@ def _echelon(rows) -> SparseEchelon:
     return eng
 
 
-def _rref_rows(rows):
-    """RREF of a list-of-lists; returns (rows as lists, pivot columns)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    eng = _echelon(rows)
-    pivots = eng.pivots()
-    out = []
-    for p in pivots:
-        d = eng.rows[p]
-        out.append([d.get(j, 0) for j in range(ncols)])
-    for _ in range(len(rows) - len(pivots)):
-        out.append([0] * ncols)
-    return out, pivots
-
-
 @dataclass(frozen=True)
 class RrefResult:
     matrix: Matrix
@@ -347,9 +354,11 @@ def rref(m: Matrix) -> RrefResult:
 
     The row space is preserved and pivot columns are strictly increasing.
     """
-    red, pivots = _rref_rows(m.rows_list())
-    flat = tuple(x for row in red for x in row)
-    return RrefResult(Matrix(m.rows, m.cols, flat), tuple(pivots))
+    eng = _echelon(m.rows_list())
+    pivots = eng.pivots()
+    flat = [eng.rows[p].get(j, 0) for p in pivots for j in range(m.cols)]
+    flat += [0] * ((m.rows - len(pivots)) * m.cols)
+    return RrefResult(Matrix(m.rows, m.cols, tuple(flat)), tuple(pivots))
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -373,19 +382,13 @@ def solve_linear(m: Matrix, b):
         raise ContractViolation(
             f"right-hand side of length {len(b)} for {m.rows} equations")
     _check_exact(b)
-    aug = m.cols  # augmented column index
     eng = SparseEchelon()
     for i, bi in enumerate(b):
         row = _row_to_dict(m.row(i))
         if bi:
-            row[aug] = bi
+            row[m.cols] = bi
         eng.insert(row)
-    if aug in eng.rows:
-        return None
-    x = [0] * m.cols
-    for p, row in eng.rows.items():
-        x[p] = row.get(aug, 0)
-    return tuple(x), eng.kernel(m.cols)
+    return eng.solve(m.cols)
 
 
 def quotient_basis(ambient_dim: int, relations):
@@ -396,14 +399,14 @@ def quotient_basis(ambient_dim: int, relations):
     projection sends ambient coordinates to quotient coordinates and
     annihilates exactly span(relations).
     """
+    relations = [tuple(r) for r in relations]
+    if any(len(r) != ambient_dim for r in relations):
+        raise ContractViolation(f"relations must have length {ambient_dim}")
     reps, proj_cols = sparse_quotient(
         ambient_dim, [_row_to_dict(r) for r in relations])
     q = len(reps)
-    ents = [0] * (q * ambient_dim)
-    for j, col in enumerate(proj_cols):
-        for i, v in col.items():
-            ents[i * ambient_dim + j] = v
-    return reps, Matrix(q, ambient_dim, tuple(ents))
+    return reps, Matrix.from_cols(
+        [[col.get(i, 0) for i in range(q)] for col in proj_cols], q)
 
 
 def sparse_quotient(ambient_dim: int, relation_rows):

@@ -27,7 +27,7 @@ from .bimodule import (PointedBimodule, bimodule_iso_pointed, end_morphism,
 from .algebra import Algebra, AlgebraHom, hom_power
 from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
                      ParseError)
-from .linalg import Matrix, matrix_power
+from .linalg import Matrix, _check_exact, matrix_power
 
 PT = "pt"
 EMPTY = "empty"
@@ -62,6 +62,9 @@ def make_system(dim_v: int, step: Matrix, states=None, costates=None,
     for k, m in observables.items():
         if (m.rows, m.cols) != (dim_v, dim_v):
             raise ContractViolation(f"observable {k!r} has wrong shape")
+    for values in (step.entries, *states.values(), *costates.values(),
+                   *(m.entries for m in observables.values())):
+        _check_exact(values)
     return System(dim_v, step, states, costates, observables)
 
 

@@ -3,10 +3,12 @@
 These construct expected values and witnesses by routes that avoid the
 code paths they are checking: explicit basis maps for tensor composites,
 Kronecker products for hom-space actions, cofactor expansion for
-determinants, full-width stacking by a union-find for the tangle fold
-and the diagram products, a fresh walk of every slice per state for the
-state sum, and brute-force enumeration elsewhere.
+determinants and inverses, full-width stacking by a union-find for the
+tangle fold and the diagram products, a fresh walk of every slice per
+state for the state sum, and brute-force enumeration elsewhere.
 """
+
+from fractions import Fraction
 
 from skeinalg.algebra import compose_homs
 from skeinalg.bimodule import end_morphism, modulate, tensor_over
@@ -21,6 +23,18 @@ def laplace_det(rows):
         return 1
     return sum((-1) ** j * a * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
                for j, a in enumerate(rows[0]) if a)
+
+
+def adjugate_inverse(rows):
+    """Inverse as adjugate over determinant, every entry a laplace_det cofactor."""
+    n = len(rows)
+    det = laplace_det(rows)
+
+    def minor(i, j):
+        return [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+
+    return [[Fraction((-1) ** (i + j) * laplace_det(minor(j, i))) / det
+             for j in range(n)] for i in range(n)]
 
 
 def _elementary(n, a, b):

@@ -20,6 +20,23 @@ def test_ground_field():
     assert k.multiply((2,), (3,)) == (6,)
 
 
+def test_make_algebra_rejects_floats():
+    for mult, unit in (([[[1.0]]], [1]), ([[[1]]], [1.0]),
+                       ([[[1.0]]], [1.0])):
+        with pytest.raises(ContractViolation, match="float"):
+            make_algebra(mult, unit)
+
+
+def test_make_hom_rejects_floats():
+    k = field_algebra()
+    with pytest.raises(ContractViolation, match="float"):
+        make_hom(k, k, Matrix(1, 1, (1.0,)))
+    # the same check covers the constructors that build through make_hom
+    qq = product_field_algebra(2)
+    with pytest.raises(ContractViolation, match="float"):
+        hom_from_images(qq, qq, [(1.0, 0), (0, 1)])
+
+
 def test_product_field():
     a = product_field_algebra(2)
     assert a.unit == (1, 1)

@@ -8,15 +8,17 @@ from skeinalg.algebra import (conjugation_hom, field_algebra,
                               flatten_matrix, identity_hom, make_hom,
                               matrix_algebra, product_field_algebra,
                               scalar_inclusion_hom)
-from skeinalg.bimodule import (annihilator_left, annihilator_right,
-                               bimodule_iso_pointed, bimodule_iso_unpointed,
-                               conjugator_between, end_compose_check,
-                               end_morphism, ideal_quotient_module,
-                               make_bimodule, make_bimodule_map, modulate,
-                               regular_bimodule, tensor_over)
+from skeinalg.bimodule import (_affine_intertwiner_space, annihilator_left,
+                               annihilator_right, bimodule_iso_pointed,
+                               bimodule_iso_unpointed, conjugator_between,
+                               end_compose_check, end_morphism,
+                               ideal_quotient_module, make_bimodule,
+                               make_bimodule_map, modulate, regular_bimodule,
+                               tensor_over)
 from skeinalg.errors import ContractViolation, ValidationError
 from skeinalg.linalg import Matrix
-from skeinalg.samples import (random_composable_hom_pair, random_invertible,
+from skeinalg.samples import (random_composable_hom_pair, random_fraction,
+                              random_hom_pair, random_invertible,
                               random_matrix)
 
 
@@ -65,6 +67,18 @@ def test_bad_bimodule_rejected():
     bad = [Matrix.identity(4)] * 3 + [Matrix.zeros(4, 4)]
     with pytest.raises(ValidationError):
         make_bimodule(m2, m2, bad, m2.right_regular(), m2.unit)
+
+
+def test_make_bimodule_rejects_floats():
+    k = field_algebra()
+    ident = Matrix.identity(1)
+    for left, right, point in (([ident], [ident], (0.5,)),
+                               ([Matrix(1, 1, (1.0,))], [ident], (1,)),
+                               ([ident], [Matrix(1, 1, (1.0,))], (1,))):
+        with pytest.raises(ContractViolation, match="float"):
+            make_bimodule(k, k, left, right, point)
+    with pytest.raises(ContractViolation, match="float"):
+        end_morphism(Matrix(1, 1, (0.5,)))
 
 
 def test_bimodule_map_validation():
@@ -141,6 +155,55 @@ def test_iso_unpointed_equal_homs_present():
     got = bimodule_iso_unpointed(modulate(identity_hom(qq)),
                                  modulate(identity_hom(qq)))
     assert got is not None
+
+
+def _intertwines(x, m1, m2):
+    return all(x @ a1 == a2 @ x
+               for a1, a2 in zip(m1.left_action + m1.right_action,
+                                 m2.left_action + m2.right_action))
+
+
+def test_affine_intertwiner_space_solves_its_equations():
+    """Every point the solver returns intertwines, checked by products.
+
+    Hom-space pairs end_morphism(f), end_morphism(g) have only the scalars
+    as intertwiners, so one direction is expected, and a pointed solution
+    exists whenever g is a multiple of f.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def check(seed, hom_space):
+        rng = random.Random(seed)
+        if hom_space:
+            f = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+            parallel = rng.random() < 0.5
+            g = (f.scale(random_fraction(rng)) if parallel
+                 else random_matrix(rng, f.rows, f.cols))
+            m1, m2 = end_morphism(f), end_morphism(g)
+        else:
+            f, g = random_hom_pair(rng, max_dim=3)
+            m1, m2 = modulate(f), modulate(g)
+        for pointed in (False, True):
+            space = _affine_intertwiner_space(m1, m2, pointed)
+            if hom_space and (not pointed or parallel):
+                assert space is not None
+            if space is None:
+                assert pointed
+                continue
+            particular, directions = space
+            assert _intertwines(particular, m1, m2)
+            assert all(_intertwines(d, m1, m2) for d in directions)
+            if hom_space and not pointed:
+                assert len(directions) == 1
+            if pointed:
+                assert particular.apply(m1.pointing) == m2.pointing
+                assert not any(x for d in directions
+                               for x in d.apply(m1.pointing))
+
+    check()
 
 
 def test_end_morphism_identity_is_regular():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import laplace_det
+from oracles import adjugate_inverse, laplace_det
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import (Matrix, find_invertible_in_affine_family,
@@ -101,6 +101,12 @@ def test_quotient_trivial():
     assert proj == Matrix.identity(3)
 
 
+def test_quotient_rejects_wrong_relation_length():
+    for rel in ((1,), (1, 0, 0, 0)):
+        with pytest.raises(ContractViolation, match="length"):
+            quotient_basis(3, [rel])
+
+
 def test_quotient_one_relation():
     reps, proj = quotient_basis(2, [(1, -1)])
     assert len(reps) == 1
@@ -151,6 +157,34 @@ def test_det_matches_laplace_oracle():
     assert Matrix.zeros(0, 0).det() == 1
     with pytest.raises(ContractViolation):
         Matrix.zeros(2, 3).det()
+
+
+def test_inverse_matches_adjugate_oracle():
+    rng = random.Random(31)
+    checked = 0
+    for n in range(1, 6):
+        for _ in range(6):
+            dense = rand_matrix(rng, n, n)
+            sparse = Matrix(n, n, tuple(x if rng.random() < 0.4 else 0
+                                        for x in dense.entries))
+            for m in (dense, sparse):
+                rows = m.rows_list()
+                if not laplace_det(rows):
+                    continue
+                assert m.inverse() == Matrix.from_rows(adjugate_inverse(rows))
+                assert m @ m.inverse() == Matrix.identity(n)
+                checked += 1
+    assert checked >= 40
+    # a zero leading entry forces a pivot from a later row
+    swap = Matrix.from_rows([[0, 2], [3, 1]])
+    assert swap.inverse() == Matrix.from_rows(adjugate_inverse(swap.rows_list()))
+    assert Matrix.zeros(0, 0).inverse() == Matrix.zeros(0, 0)
+    singular = Matrix.from_rows([[1, 2, 3], [0, 1, 1], [1, 3, 4]])
+    assert laplace_det(singular.rows_list()) == 0
+    with pytest.raises(ContractViolation, match="singular"):
+        singular.inverse()
+    with pytest.raises(ContractViolation, match="non-square"):
+        Matrix.zeros(2, 3).inverse()
 
 
 def test_matrix_power_matches_repeated_products():

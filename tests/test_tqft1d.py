@@ -82,6 +82,16 @@ def test_eval_schrodinger_empty_word():
     assert eval_schrodinger(sys, SpacetimeWord((), EMPTY)) == Matrix.identity(1)
 
 
+def test_make_system_rejects_floats():
+    ident, half = Matrix.identity(2), Matrix.from_rows([[0.5, 0], [0, 1]])
+    for step, data in ((half, {}),
+                       (ident, {"states": {"0": (0.5, 1)}}),
+                       (ident, {"costates": {"0": (1, 0.0)}}),
+                       (ident, {"observables": {"0": half}})):
+        with pytest.raises(ContractViolation, match="float"):
+            make_system(2, step, **data)
+
+
 def test_eval_schrodinger_example_scalar():
     sys = example_system()
     m = eval_schrodinger(sys, parse_word("w[0].u(1).v[0]"))
