@@ -353,20 +353,12 @@ def conjugator_between(f: AlgebraHom, g: AlgebraHom, *, trials: int = 32,
         raise ContractViolation("homomorphisms must be parallel")
     b_alg = f.target
     n = b_alg.dim
-    rows = []
-    for i in range(f.source.dim):
-        rf = b_alg.right_mult_matrix(f.matrix.col(i))
-        lg = b_alg.left_mult_matrix(g.matrix.col(i))
-        diff = rf - lg
-        for r in range(n):
-            row = {c: diff.entries[r * n + c]
-                   for c in range(n) if diff.entries[r * n + c]}
-            if row:
-                rows.append(row)
-    eng = SparseEchelon()
-    for row in rows:
-        eng.insert(row)
-    basis = eng.kernel(n)
+    # b f(a) = g(a) b for every basis element a: (R_f(a) - L_g(a)) b = 0
+    diffs = [b_alg.right_mult_matrix(f.matrix.col(i))
+             - b_alg.left_mult_matrix(g.matrix.col(i))
+             for i in range(f.source.dim)]
+    basis = kernel_basis(Matrix(len(diffs) * n, n,
+                                tuple(x for d in diffs for x in d.entries)))
     if not basis:
         return None
     directions = [b_alg.left_mult_matrix(v) for v in basis]

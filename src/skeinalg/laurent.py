@@ -77,6 +77,11 @@ class LaurentPoly:
         return self.terms == other.terms and self.var == other.var
 
     def __hash__(self):
+        # a constant equals its int, so it hashes like it
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and self.terms[0][0] == 0:
+            return hash(self.terms[0][1])
         return hash(self.terms)
 
     def __add__(self, other):

@@ -8,11 +8,13 @@ Conventions (pinned once for the whole package):
     0-crossing unknot evaluates to delta.
 
 Morphisms are Laurent-coefficient combinations of planar matchings.
-All gluing runs through one engine, ``_fold``: it carries a Laurent
-combination of mate tables over the open boundary and lets each
-morphism act on the top points it touches, its caps joining two mates
-(or closing a loop worth delta) and its cups inserting a mated pair.
-``tl_compose``, ``tl_tensor`` and the tangle fold are its three callers.
+All gluing runs through one engine, ``_fold``: it carries a combination
+of mate tables over the open boundary and lets each morphism act on the
+top points it touches, its caps joining two mates (or closing a loop
+worth delta) and its cups inserting a mated pair.  During the fold a
+coefficient is a plain {exponent: int} dict; it becomes a LaurentPoly
+only for the output terms.  ``tl_compose``, ``tl_tensor`` and the tangle
+fold are its three callers.
 """
 
 from __future__ import annotations
@@ -297,30 +299,63 @@ def _rewrite(mate: tuple, at: int, caps: tuple, cups: tuple):
     return tuple(m), loops
 
 
+def _times_delta(factor: LaurentPoly, loops: int, d: tuple) -> tuple:
+    """factor * d**loops as (exp, coeff) pairs, d given by its pairs.
+
+    The fold computes in A, so a factor in another variable raises, as
+    multiplying it into an A coefficient would.
+    """
+    if factor.var != "A":
+        raise ContractViolation(
+            f"mixed Laurent variables 'A' and {factor.var!r}")
+    out = dict(factor.terms)
+    for _ in range(loops):
+        acc: dict = {}
+        for e1, c1 in out.items():
+            for e2, c2 in d:
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        out = acc
+    return tuple((e, c) for e, c in out.items() if c)
+
+
 def _fold(n_in: int, n_out: int, steps) -> TLMorphism:
     """Glue morphisms one by one onto the top of the identity on n_in points.
 
-    The state maps a mate table to its coefficient.  A table indexes the
-    open boundary linearly: the n_in input points left to right, then the
-    current top points left to right.  Each step is (pos, rewrites): the
+    The state maps a mate table to its coefficient, a plain
+    {exponent: int} dict in A.  A table indexes the open boundary
+    linearly: the n_in input points left to right, then the current top
+    points left to right.  Each step is (pos, rewrites): the
     ``_rewrites`` of one morphism, acting on the top points from position
-    pos on.  The result has n_out top points, which an empty state (a
-    zero morphism on the way) cannot tell.
+    pos on.  A rewrite's factor times delta**loops is worked out once per
+    step and multiplied straight into its target table's dict; entries
+    that cancel, and tables left with none, are dropped after the step.
+    Only the final tables get a LaurentPoly.  The result has n_out top
+    points, which an empty state (a zero morphism on the way) cannot tell.
     """
-    d = delta()
-    state = {tuple(range(n_in, 2 * n_in)) + tuple(range(n_in)):
-             LaurentPoly.constant(1)}
+    d = delta().terms
+    state = {tuple(range(n_in, 2 * n_in)) + tuple(range(n_in)): {0: 1}}
     for pos, rewrites in steps:
         at = n_in + pos
+        factors: dict = {}
         out: dict = {}
         for mate, coeff in state.items():
-            for caps, cups, factor in rewrites:
+            for k, (caps, cups, factor) in enumerate(rewrites):
                 m, loops = _rewrite(mate, at, caps, cups)
-                c = coeff * factor
-                for _ in range(loops):
-                    c = c * d
-                out[m] = out[m] + c if m in out else c
-        state = {m: c for m, c in out.items() if c}
+                f = factors.get((k, loops))
+                if f is None:
+                    f = factors[k, loops] = _times_delta(factor, loops, d)
+                acc = out.get(m)
+                if acc is None:
+                    acc = out[m] = {}
+                for e1, c1 in coeff.items():
+                    for e2, c2 in f:
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        state = {}
+        for m, acc in out.items():
+            acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                state[m] = acc
     # linear index x of a top point is circular index top - x
     top = 2 * n_in + n_out - 1
     terms = {}
@@ -328,7 +363,8 @@ def _fold(n_in: int, n_out: int, steps) -> TLMorphism:
         circular = [0] * (n_in + n_out)
         for x, y in enumerate(mate):
             circular[x if x < n_in else top - x] = y if y < n_in else top - y
-        terms[TLDiagram(n_in, n_out, tuple(circular))] = coeff
+        diag = TLDiagram(n_in, n_out, tuple(circular))
+        terms[diag] = LaurentPoly.from_dict(coeff)
     return TLMorphism(n_in, n_out, terms)
 
 

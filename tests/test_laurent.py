@@ -31,6 +31,16 @@ def test_equality_is_coefficientwise():
         {a: 1}[q]
 
 
+def test_constants_hash_like_the_ints_they_equal():
+    for c in (3, -1, 1):
+        assert P({0: c}) == c and hash(P({0: c})) == hash(c)
+    assert P({}) == 0 and hash(P({})) == hash(0)
+    assert len({P({0: 3}), 3}) == 1
+    assert {3: "x"}.get(P({0: 3})) == "x"
+    assert {0: "z"}.get(P({})) == "z"
+    assert {P({}, "q"): "z"}.get(0) == "z"
+
+
 def test_addition_and_cancellation():
     assert P({2: 1}) + P({2: -1}) == 0
     assert P({1: 1}) + 1 == P({0: 1, 1: 1})

@@ -164,6 +164,15 @@ def test_coupon_widths():
     assert interpret_tangle(t) == m
 
 
+def test_coupon_fold_cancels_to_the_zero_morphism():
+    e = tl_e(2, 0)
+    rest = tl_identity(2).scaled(delta()) - e
+    for first, second in ((e, rest), (rest, e)):
+        got = interpret_tangle(tangle(2, [[coupon(first)], [coupon(second)]]))
+        assert got.is_zero
+        assert (got.n_bottom, got.n_top) == (2, 2)
+
+
 def test_coupon_tangles_hash_like_their_equals(monkeypatch):
     e, e_again, twice = tl_e(2, 0), tl_e(2, 0), tl_identity(2).scaled(2)
     t = tangle(2, [[coupon(e)], [coupon(twice)]])

@@ -79,6 +79,24 @@ def test_compose_e_squared():
     assert tl_compose(e, e) == e.scaled(delta())
 
 
+def test_compose_cancels_to_the_zero_morphism():
+    # e e = delta e, so e (delta id - e) = (delta id - e) e = 0: every
+    # coefficient cancels inside the fold and every table is dropped
+    e = tl_e(2, 0)
+    rest = tl_identity(2).scaled(delta()) - e
+    for f, g in ((e, rest), (rest, e)):
+        got = tl_compose(f, g)
+        assert got.is_zero
+        assert (got.n_bottom, got.n_top) == (2, 2)
+
+
+def test_compose_rejects_mixed_variables():
+    q_id = tl_from_diagram(tl_basis(2, 2)[0], LaurentPoly.gen("q"))
+    for f, g in ((q_id, tl_identity(2)), (tl_identity(2), q_id)):
+        with pytest.raises(ContractViolation, match="mixed Laurent variables"):
+            tl_compose(f, g)
+
+
 def _random_morphism(rng, nb, nt):
     """A Laurent combination of up to four basis diagrams; now and then 0."""
     basis = tl_basis(nb, nt)
