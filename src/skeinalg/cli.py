@@ -47,12 +47,10 @@ def _seed(args) -> int:
 
 
 def _print_laurent(p: LaurentPoly, args, out):
-    if args.variable != "A":
-        p = p.renamed(args.variable)
-    if getattr(args, "emit_json", False):
+    if args.emit_json:
         out(json.dumps(laurent_to_json(p)))
     else:
-        out(str(p))
+        out(p.text(args.variable))
 
 
 def _load_bracket_tangle(args):
@@ -100,7 +98,7 @@ def cmd_tl(args, out) -> int:
     if args.emit_json:
         out(json.dumps(annular_to_json(cls)))
     else:
-        out(repr(cls))
+        out(cls.text(args.variable))
     return EXIT_OK
 
 

@@ -70,7 +70,7 @@ def laurent_to_json(p: LaurentPoly) -> dict:
     return {str(e): c for e, c in p.terms}
 
 
-def laurent_from_json(obj: dict, var: str = "A") -> LaurentPoly:
+def laurent_from_json(obj: dict) -> LaurentPoly:
     coeffs = {}
     for e, c in _object(obj, "Laurent polynomial").items():
         if isinstance(c, (bool, float)):
@@ -82,7 +82,7 @@ def laurent_from_json(obj: dict, var: str = "A") -> LaurentPoly:
         if exp in coeffs:
             raise ParseError(f"Laurent exponent {exp} appears twice")
         coeffs[exp] = c
-    return LaurentPoly.from_dict(coeffs, var)
+    return LaurentPoly.from_dict(coeffs)
 
 
 def annular_to_json(a: AnnularClass) -> dict:

@@ -2,9 +2,11 @@
 
 A polynomial is stored as a sorted tuple of (exponent, coefficient) pairs
 with every coefficient nonzero, so equality is coefficient-wise and the
-zero polynomial is the empty tuple.  All arithmetic is exact; there is no
-floating point anywhere in this package.  Composition of diagrams never
-leaves the Laurent ring, so there is no division beyond unit inverses.
+zero polynomial is the empty tuple.  Every diagram value lies in the one
+ring Z[A, A^-1], so the variable is not stored; ``text`` names it when
+printing.  All arithmetic is exact; there is no floating point anywhere
+in this package.  Composition of diagrams never leaves the Laurent ring,
+so there is no division beyond unit inverses.
 """
 
 from __future__ import annotations
@@ -21,60 +23,44 @@ def _trim(coeffs: dict) -> dict:
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """sum of coeff * var**exp over the stored (exp, coeff) pairs."""
+    """sum of coeff * A**exp over the stored (exp, coeff) pairs."""
 
     terms: tuple = ()
-    var: str = "A"
 
     @staticmethod
-    def from_dict(coeffs: dict, var: str = "A") -> "LaurentPoly":
-        return LaurentPoly(tuple(sorted(_trim(coeffs).items())), var)
+    def from_dict(coeffs: dict) -> "LaurentPoly":
+        return LaurentPoly(tuple(sorted(_trim(coeffs).items())))
 
     @staticmethod
-    def monomial(coeff: int, exp: int, var: str = "A") -> "LaurentPoly":
-        return LaurentPoly.from_dict({exp: coeff}, var)
+    def monomial(coeff: int, exp: int) -> "LaurentPoly":
+        return LaurentPoly.from_dict({exp: coeff})
 
     @staticmethod
-    def constant(c: int, var: str = "A") -> "LaurentPoly":
-        return LaurentPoly.from_dict({0: c}, var)
+    def constant(c: int) -> "LaurentPoly":
+        return LaurentPoly.from_dict({0: c})
 
     @staticmethod
-    def gen(var: str = "A") -> "LaurentPoly":
-        return LaurentPoly.monomial(1, 1, var)
+    def gen() -> "LaurentPoly":
+        return LaurentPoly.monomial(1, 1)
 
     def to_dict(self) -> dict:
         return dict(self.terms)
-
-    def _same_var(self, other: "LaurentPoly") -> str:
-        # a polynomial with no terms is variable-agnostic
-        if not self.terms:
-            return other.var
-        if not other.terms:
-            return self.var
-        if self.var != other.var:
-            raise ContractViolation(
-                f"mixed Laurent variables {self.var!r} and {other.var!r}")
-        return self.var
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly.constant(other, self.var)
+            return LaurentPoly.constant(other)
         return None
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        # False across variables rather than raising: same-term polynomials
-        # in two variables hash alike, so dicts and sets compare them
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms and not other.terms:
-            return True
-        return self.terms == other.terms and self.var == other.var
+        return self.terms == other.terms
 
     def __hash__(self):
         # a constant equals its int, so it hashes like it
@@ -88,16 +74,15 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        var = self._same_var(other)
         out = self.to_dict()
         for e, c in other.terms:
             out[e] = out.get(e, 0) + c
-        return LaurentPoly.from_dict(out, var)
+        return LaurentPoly.from_dict(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms), self.var)
+        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -112,20 +97,19 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        var = self._same_var(other)
         # a monomial factor shifts and scales the other factor's terms,
         # which keeps them sorted and nonzero
         big, mono = (other, self) if len(self.terms) == 1 else (self, other)
         if len(mono.terms) == 1:
             (e, c), = mono.terms
             return LaurentPoly(
-                tuple((e1 + e, c1 * c) for e1, c1 in big.terms), var)
+                tuple((e1 + e, c1 * c) for e1, c1 in big.terms))
         out: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 k = e1 + e2
                 out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly.from_dict(out, var)
+        return LaurentPoly.from_dict(out)
 
     __rmul__ = __mul__
 
@@ -136,7 +120,7 @@ class LaurentPoly:
                 raise ContractViolation(
                     "negative power of a non-unit Laurent polynomial")
             return inv ** (-n)
-        out = LaurentPoly.constant(1, self.var)
+        out = LaurentPoly.constant(1)
         base = self
         while n:
             if n & 1:
@@ -153,14 +137,11 @@ class LaurentPoly:
         e, c = self.terms[0]
         if c not in (1, -1):
             return None
-        return LaurentPoly.monomial(c, -e, self.var)
+        return LaurentPoly.monomial(c, -e)
 
     def mirrored(self) -> "LaurentPoly":
-        """Substitute var -> var**-1."""
-        return LaurentPoly(tuple(sorted((-e, c) for e, c in self.terms)), self.var)
-
-    def renamed(self, var: str) -> "LaurentPoly":
-        return LaurentPoly(self.terms, var)
+        """Substitute A -> A**-1."""
+        return LaurentPoly(tuple(sorted((-e, c) for e, c in self.terms)))
 
     def evaluate(self, value: Fraction) -> Fraction:
         if value == 0 and self.terms and self.terms[0][0] < 0:
@@ -171,7 +152,8 @@ class LaurentPoly:
             acc += c * value ** e
         return acc
 
-    def __str__(self) -> str:
+    def text(self, var: str = "A") -> str:
+        """The polynomial written in the variable named ``var``."""
         if not self.terms:
             return "0"
         parts = []
@@ -179,13 +161,15 @@ class LaurentPoly:
             if e == 0:
                 body = str(abs(c))
             else:
-                v = self.var if e == 1 else f"{self.var}^{e}"
+                v = var if e == 1 else f"{var}^{e}"
                 body = v if abs(c) == 1 else f"{abs(c)}*{v}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+    __str__ = text
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)})"

@@ -207,8 +207,27 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
+# 2467 decimal digits: every entry of a power stays printable (Python
+# refuses str() of an int beyond 4300 digits) and each product stays fast
+MATRIX_POWER_MAX_ENTRY_BITS = 1 << 13
+
+
+def _bounded(m: Matrix) -> Matrix:
+    for x in m.entries:
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) \
+                > MATRIX_POWER_MAX_ENTRY_BITS:
+            raise ContractViolation(
+                f"matrix power entries outgrow MATRIX_POWER_MAX_ENTRY_BITS = "
+                f"{MATRIX_POWER_MAX_ENTRY_BITS} bits")
+    return m
+
+
 def matrix_power(m: Matrix, t: int) -> Matrix:
-    """m to the power t >= 0 by repeated squaring, in O(log t) products."""
+    """m to the power t >= 0 by repeated squaring, in O(log t) products.
+
+    Raises ContractViolation once a product has an entry whose numerator or
+    denominator outgrows MATRIX_POWER_MAX_ENTRY_BITS.
+    """
     if not m.is_square:
         raise ContractViolation("power of a non-square matrix")
     if isinstance(t, bool) or not isinstance(t, int) or t < 0:
@@ -216,11 +235,11 @@ def matrix_power(m: Matrix, t: int) -> Matrix:
     out = None
     while True:
         if t & 1:
-            out = m if out is None else out @ m
+            out = m if out is None else _bounded(out @ m)
         t >>= 1
         if not t:
             return Matrix.identity(m.rows) if out is None else out
-        m = m @ m
+        m = _bounded(m @ m)
 
 
 def mat_lincomb(pairs, rows: int, cols: int) -> Matrix:

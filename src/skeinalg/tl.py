@@ -26,9 +26,9 @@ from .errors import ContractViolation, ValidationError
 from .laurent import LaurentPoly
 
 
-def delta(var: str = "A") -> LaurentPoly:
+def delta() -> LaurentPoly:
     """The loop value -A^2 - A^-2."""
-    return LaurentPoly.from_dict({2: -1, -2: -1}, var)
+    return LaurentPoly.from_dict({2: -1, -2: -1})
 
 
 def catalan(n: int) -> int:
@@ -300,14 +300,7 @@ def _rewrite(mate: tuple, at: int, caps: tuple, cups: tuple):
 
 
 def _times_delta(factor: LaurentPoly, loops: int, d: tuple) -> tuple:
-    """factor * d**loops as (exp, coeff) pairs, d given by its pairs.
-
-    The fold computes in A, so a factor in another variable raises, as
-    multiplying it into an A coefficient would.
-    """
-    if factor.var != "A":
-        raise ContractViolation(
-            f"mixed Laurent variables 'A' and {factor.var!r}")
+    """factor * d**loops as (exp, coeff) pairs, d given by its pairs."""
     out = dict(factor.terms)
     for _ in range(loops):
         acc: dict = {}
@@ -385,15 +378,15 @@ def tl_tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
                  [(f.n_bottom, _rewrites(g)), (0, _rewrites(f))])
 
 
-def crossing_resolution(sign: int, var: str = "A") -> TLMorphism:
+def crossing_resolution(sign: int) -> TLMorphism:
     """The Kauffman resolution of a crossing on two strands.
 
     Positive: A * id + A^-1 * e; negative: A^-1 * id + A * e.
     """
     if sign not in (1, -1):
         raise ContractViolation("crossing sign must be +1 or -1")
-    a = LaurentPoly.monomial(1, sign, var)
-    ainv = LaurentPoly.monomial(1, -sign, var)
+    a = LaurentPoly.monomial(1, sign)
+    ainv = LaurentPoly.monomial(1, -sign)
     e = tl_compose(tl_cap(), tl_cup())
     return tl_identity(2).scaled(a) + e.scaled(ainv)
 
@@ -441,11 +434,15 @@ class AnnularClass:
                 out[k] = out.get(k, LaurentPoly()) + c1 * c2
         return AnnularClass(out)
 
-    def __repr__(self):
+    def text(self, var: str = "A") -> str:
+        """The class with its Laurent coefficients written in ``var``."""
         if not self.coeffs:
             return "AnnularClass(0)"
-        parts = [f"({c})*z^{k}" for k, c in sorted(self.coeffs.items())]
+        parts = [f"({c.text(var)})*z^{k}"
+                 for k, c in sorted(self.coeffs.items())]
         return "AnnularClass(" + " + ".join(parts) + ")"
+
+    __repr__ = text
 
 
 def annulus_closure_eval(m: TLMorphism) -> AnnularClass:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -162,10 +163,19 @@ def test_bracket_normalize_writhe():
 
 
 def test_bracket_variable_rename():
-    code, lines = run_cli("bracket", "--braid", "s1", "--strands", "2",
-                          "--variable", "q")
-    assert code == 0
-    assert "q" in lines[0] and "A" not in lines[0]
+    """--variable renames A in printed text only; JSON carries no name."""
+    for argv in (["bracket", "--braid", "s1", "--strands", "2"],
+                 ["bracket", "--braid", "s1 s2^-1 s1", "--strands", "3"],
+                 ["tl", "closure", "--braid", "s1 s1 s1", "--strands", "2"],
+                 ["tl", "annulus", "--braid", "s1", "--strands", "2"],
+                 ["tl", "annulus", "--braid", "s1 s2^-1", "--strands", "3"]):
+        code, plain = run_cli(*argv)
+        assert code == 0 and "A" in plain[0]
+        assert run_cli(*argv, "--variable", "q") == \
+            (0, [re.sub(r"\bA\b", "q", line) for line in plain])
+        emitted = run_cli(*argv, "--emit-json")
+        assert emitted[0] == 0
+        assert run_cli(*argv, "--emit-json", "--variable", "q") == emitted
 
 
 def test_bracket_emit_json_roundtrip():
@@ -331,11 +341,15 @@ def test_selftest_catches_corrupted_loop_value(monkeypatch):
     from skeinalg.selftest import run_selftest
 
     monkeypatch.setattr(tl_mod, "delta",
-                        lambda var="A": LaurentPoly.from_dict({2: -1}, var))
+                        lambda: LaurentPoly.from_dict({2: -1}))
     lines = []
     code = run_selftest("quick", 0, lines.append)
     assert code == 5
-    assert any(line.startswith("FAIL skein.") for line in lines)
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert any(line.startswith("FAIL skein.") for line in fails)
+    # the wrong loop value must be computed with, not fail to be called
+    assert not any("positional argument" in line or "keyword argument" in line
+                   for line in fails), fails
 
 
 # -- the README examples, byte for byte ---------------------------------------

@@ -1,19 +1,26 @@
-"""Property test: the JSON loaders turn any JSON value into an object or a
-SkeinalgError, never into another exception."""
+"""Property tests: the JSON loaders turn any JSON value into an object or a
+SkeinalgError, never into another exception, and the CLI turns any input
+file into one of its documented exit codes."""
 
 import copy
+import json
 import os
 import random
+import tempfile
 
 import pytest
 
-from skeinalg.algebra import product_field_algebra, truncated_poly_algebra
+from skeinalg.algebra import (conjugation_hom, product_field_algebra,
+                              truncated_poly_algebra)
 from skeinalg.bimodule import regular_bimodule
+from skeinalg.cli import main
 from skeinalg.errors import SkeinalgError
 from skeinalg.jsonio import (algebra_from_json, algebra_to_json,
                              bimodule_from_json, bimodule_to_json,
-                             laurent_from_json, system_from_json,
-                             system_to_json, tangle_from_json, tangle_to_json)
+                             hom_from_json, hom_to_json, laurent_from_json,
+                             system_from_json, system_to_json,
+                             tangle_from_json, tangle_to_json)
+from skeinalg.linalg import Matrix
 from skeinalg.samples import random_system
 from skeinalg.tangles import closed_braid_tangle
 
@@ -22,7 +29,7 @@ st = hypothesis.strategies
 
 KEYS = ("dim", "mult", "unit", "left", "right", "left_action", "right_action",
         "point", "step", "states", "costates", "observables", "strands_in",
-        "slices", "at", "1", "-2")
+        "slices", "at", "source", "target", "matrix", "1", "-2")
 SCALARS = (st.none() | st.booleans() | st.integers(-2, 3)
            | st.floats(allow_nan=False, allow_infinity=False, width=16)
            | st.sampled_from(["1", "1/2", "1/0", "x", "cup", "cap", "cross+",
@@ -36,6 +43,7 @@ JSON = st.recursive(
 VALID = (algebra_to_json(truncated_poly_algebra(2)),
          bimodule_to_json(regular_bimodule(product_field_algebra(2))),
          system_to_json(random_system(random.Random(0))),
+         hom_to_json(conjugation_hom(2, Matrix.from_rows([[1, 1], [0, 1]]))),
          tangle_to_json(closed_braid_tangle([1, -1], 2)),
          {"strands_in": 2, "slices": [["cross+", {"at": 0}], ["cap"]]},
          {"2": -1, "-2": -1})
@@ -61,7 +69,8 @@ def mutated(draw):
 # a directory that does not exist: algebra file references never resolve
 NOWHERE = os.path.join(os.path.dirname(__file__), "no-such-directory")
 LOADERS = (tangle_from_json, algebra_from_json, system_from_json,
-           lambda obj: bimodule_from_json(obj, NOWHERE), laurent_from_json)
+           lambda obj: bimodule_from_json(obj, NOWHERE), laurent_from_json,
+           hom_from_json)
 
 
 @hypothesis.settings(max_examples=400, deadline=None)
@@ -72,3 +81,19 @@ def test_loaders_raise_only_skeinalg_errors(value):
             load(value)
         except SkeinalgError:
             pass
+
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(JSON | mutated() | st.sampled_from(VALID))
+def test_cli_exits_with_a_documented_code(value):
+    """Each command gets every document, so most runs end in a parse error
+    (exit 1); the unmutated documents reach the exit-0 paths."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(value, fh)
+        for argv in (["bracket", path], ["algebra", "validate", path],
+                     ["algebra", "modulate", path],
+                     ["tqft1d", path, "w[0] . u(2) . v[0]"]):
+            assert main(argv, out=lambda line: None) in range(6), argv

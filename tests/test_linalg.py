@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from oracles import adjugate_inverse, laplace_det
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
-from skeinalg.linalg import (Matrix, find_invertible_in_affine_family,
-                             kernel_basis, matrix_power, quotient_basis,
-                             rank, rref, solve_linear)
+from skeinalg.linalg import (MATRIX_POWER_MAX_ENTRY_BITS, Matrix,
+                             find_invertible_in_affine_family, kernel_basis,
+                             matrix_power, quotient_basis, rank, rref,
+                             solve_linear)
 
 
 def rand_matrix(rng, rows, cols):
@@ -203,6 +205,22 @@ def test_matrix_power_matches_repeated_products():
             matrix_power(dense, bad)
     with pytest.raises(ContractViolation):
         matrix_power(Matrix.zeros(2, 3), 2)
+
+
+def test_matrix_power_fails_fast_on_exponential_growth():
+    fib = Matrix(2, 2, (2, 1, 1, 1))
+    start = time.perf_counter()
+    with pytest.raises(ContractViolation, match="MATRIX_POWER_MAX_ENTRY_BITS"):
+        matrix_power(fib, 10 ** 9)
+    assert time.perf_counter() - start < 2
+    halves = Matrix(2, 2, (Fraction(1, 2), 0, 0, 1))
+    with pytest.raises(ContractViolation, match="MATRIX_POWER_MAX_ENTRY_BITS"):
+        matrix_power(halves, 10 ** 9)
+    # a denominator of MATRIX_POWER_MAX_ENTRY_BITS bits exactly is fine
+    t = MATRIX_POWER_MAX_ENTRY_BITS - 1
+    assert matrix_power(halves, t)[0, 0] == Fraction(1, 2 ** t)
+    # linear growth never comes near the bound
+    assert matrix_power(Matrix(2, 2, (1, 1, 0, 1)), 10 ** 9)[0, 1] == 10 ** 9
 
 
 def test_find_invertible_identity():

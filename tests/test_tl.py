@@ -90,13 +90,6 @@ def test_compose_cancels_to_the_zero_morphism():
         assert (got.n_bottom, got.n_top) == (2, 2)
 
 
-def test_compose_rejects_mixed_variables():
-    q_id = tl_from_diagram(tl_basis(2, 2)[0], LaurentPoly.gen("q"))
-    for f, g in ((q_id, tl_identity(2)), (tl_identity(2), q_id)):
-        with pytest.raises(ContractViolation, match="mixed Laurent variables"):
-            tl_compose(f, g)
-
-
 def _random_morphism(rng, nb, nt):
     """A Laurent combination of up to four basis diagrams; now and then 0."""
     basis = tl_basis(nb, nt)
