@@ -12,6 +12,11 @@ Conventions used throughout (fixed once, here):
 
 Swapping either choice yields the opposite-algebra variant of everything
 below; all composition orders in this module derive from these two lines.
+
+Every rule that must hold for all elements of an acting algebra is
+checked or imposed on its generators only (see ``algebra``): each such
+rule holds on a subalgebra, or on a set closed under right
+multiplication by the generators, and the docstrings below say which.
 """
 
 from __future__ import annotations
@@ -48,7 +53,19 @@ class PointedBimodule:
 
 def make_bimodule(left: Algebra, right: Algebra, left_action, right_action,
                   pointing, *, max_dim=None) -> PointedBimodule:
-    """Validate actions exhaustively over basis indices and build."""
+    """Validate the actions on basis elements times generators and build.
+
+    With L(1) = R(1) = I, the checks L(e_i) L(e_s) = L(e_i e_s) and
+    R(e_s) R(e_i) = R(e_i e_s), for every basis index i and generator s,
+    make L multiplicative and R anti-multiplicative on all of A: the set
+    of z with L(x) L(z) = L(xz) for all x holds 1, and with z it holds
+    z s, since L(x) L(zs) = L(x) L(z) L(s) = L(xz) L(s) = L(x(zs)); the
+    set of z with R(z) R(x) = R(xz) for all x likewise, since
+    R(zs) R(x) = R(s) R(z) R(x) = R(s) R(xz) = R(xzs).  The elements of
+    the left algebra that commute with a fixed R(b) then form a
+    subalgebra, and so do those of the right algebra that commute with a
+    fixed L(a), so commutation is checked on left times right generators.
+    """
     left_action = tuple(left_action)
     right_action = tuple(right_action)
     pointing = tuple(pointing)
@@ -70,22 +87,22 @@ def make_bimodule(left: Algebra, right: Algebra, left_action, right_action,
     if mat_lincomb(zip(right.unit, right_action), m, m) != ident:
         raise ValidationError("right action of the unit is not the identity")
     for i in range(left.dim):
-        for j in range(left.dim):
-            prod = mat_lincomb(zip(left.basis_product(i, j), left_action), m, m)
-            if left_action[i] @ left_action[j] != prod:
+        for s in left.generators:
+            prod = mat_lincomb(zip(left.basis_product(i, s), left_action), m, m)
+            if left_action[i] @ left_action[s] != prod:
                 raise ValidationError(
-                    f"left action is not multiplicative at basis pair ({i},{j})")
+                    f"left action is not multiplicative at basis pair ({i},{s})")
     for i in range(right.dim):
-        for j in range(right.dim):
-            prod = mat_lincomb(zip(right.basis_product(j, i), right_action), m, m)
-            if right_action[i] @ right_action[j] != prod:
+        for s in right.generators:
+            prod = mat_lincomb(zip(right.basis_product(i, s), right_action), m, m)
+            if right_action[s] @ right_action[i] != prod:
                 raise ValidationError(
-                    f"right action is not anti-multiplicative at basis pair ({i},{j})")
-    for i in range(left.dim):
-        for j in range(right.dim):
-            if left_action[i] @ right_action[j] != right_action[j] @ left_action[i]:
+                    f"right action is not anti-multiplicative at basis pair ({s},{i})")
+    for s in left.generators:
+        for t in right.generators:
+            if left_action[s] @ right_action[t] != right_action[t] @ left_action[s]:
                 raise ValidationError(
-                    f"actions do not commute at basis pair ({i},{j})")
+                    f"actions do not commute at basis pair ({s},{t})")
     return PointedBimodule(left, right, m, left_action, right_action, pointing)
 
 
@@ -231,13 +248,20 @@ def tensor_over(m1: PointedBimodule, m2: PointedBimodule, *,
     """Compose pointed bimodules: (M tensor_B N, class of 1_M tensor 1_N).
 
     The underlying space is the quotient of M tensor N by the middle
-    relations (m <| b) tensor n - m tensor (b |> n) over all basis
-    triples, on the canonical pivot-complement basis.
+    relations (m <| b) tensor n - m tensor (b |> n) for basis vectors m
+    and n and generators b of the middle algebra, on the canonical
+    pivot-complement basis.  These span the relations of every b: the
+    set of b whose relations lie in their span holds 1 and each
+    generator, and with b it holds b s, since
+    m(bs) tensor n - m tensor (bs)n is the relation of s at (mb, n) plus
+    the relation of b at (m, sn).  The reduced echelon basis of a span
+    does not depend on the rows that span it, so neither does the result.
     """
     if m1.right != m2.left:
         raise ContractViolation("middle algebras do not match")
     relations = []
-    for rb, lb in zip(m1.right_action, m2.left_action):
+    for b in m1.right.generators:
+        rb, lb = m1.right_action[b], m2.left_action[b]
         relations += _relation_rows([rb.col(i) for i in range(m1.dim)],
                                     [lb.col(j) for j in range(m2.dim)])
     return _quotient_bimodule(m1.left, m2.right, m1.left_action,
@@ -254,20 +278,29 @@ class PointedBimoduleMap:
     matrix: Matrix
 
 
+def _generator_actions(m1: PointedBimodule, m2: PointedBimodule) -> list:
+    """(side, generator, its action on m1, its action on m2) for both sides."""
+    return ([("left", s, m1.left_action[s], m2.left_action[s])
+             for s in m1.left.generators]
+            + [("right", t, m1.right_action[t], m2.right_action[t])
+               for t in m1.right.generators])
+
+
 def make_bimodule_map(source: PointedBimodule, target: PointedBimodule,
                       matrix: Matrix) -> PointedBimoduleMap:
+    """Validate intertwining on the generators of each side, and the pointing.
+
+    The elements a with X A1(a) = A2(a) X form a subalgebra, so the
+    generators suffice.
+    """
     if source.left != target.left or source.right != target.right:
         raise ContractViolation("bimodule map needs equal acting algebras")
     if (matrix.rows, matrix.cols) != (target.dim, source.dim):
         raise ContractViolation("bimodule map matrix has wrong shape")
-    for i in range(source.left.dim):
-        if matrix @ source.left_action[i] != target.left_action[i] @ matrix:
+    for side, i, a1, a2 in _generator_actions(source, target):
+        if matrix @ a1 != a2 @ matrix:
             raise ValidationError(
-                f"map fails to intertwine the left action at basis index {i}")
-    for j in range(source.right.dim):
-        if matrix @ source.right_action[j] != target.right_action[j] @ matrix:
-            raise ValidationError(
-                f"map fails to intertwine the right action at basis index {j}")
+                f"map fails to intertwine the {side} action at basis index {i}")
     if matrix.apply(source.pointing) != tuple(target.pointing):
         raise ValidationError("map does not send pointing to pointing")
     return PointedBimoduleMap(source, target, matrix)
@@ -277,14 +310,17 @@ def _affine_intertwiner_space(m1, m2, pointed: bool):
     """Particular + directions for intertwiners (optionally pointing-preserving).
 
     The unknown X is m2.dim x m1.dim, flattened row-major, and solves
-    X L1(a) = L2(a) X and X R1(b) = R2(b) X: on coordinate e(u, v) these
-    are the relation rows of P = A2^T and Q = A1, negated.  Returns None
-    when the affine system is inconsistent.
+    X L1(a) = L2(a) X and X R1(b) = R2(b) X for generators a and b: on
+    coordinate e(u, v) these are the relation rows of P = A2^T and
+    Q = A1, negated.  The elements where X intertwines form a subalgebra,
+    so the solutions are those of every a and b, and the reduced echelon
+    form, hence the particular solution and the kernel basis, are those
+    of the full system.  Returns None when the affine system is
+    inconsistent.
     """
     p, q = m1.dim, m2.dim
     eng = SparseEchelon()
-    for a1, a2 in zip(m1.left_action + m1.right_action,
-                      m2.left_action + m2.right_action):
+    for _, _, a1, a2 in _generator_actions(m1, m2):
         for row in _relation_rows([a2.row(u) for u in range(q)],
                                   [a1.col(v) for v in range(p)]):
             eng.insert(row)
@@ -336,9 +372,8 @@ def bimodule_iso_unpointed(m1: PointedBimodule, m2: PointedBimodule, *,
                                            trials=trials, seed=seed)
     if mat is None:
         return None
-    for i in range(m1.left.dim):
-        if mat @ m1.left_action[i] != m2.left_action[i] @ mat:
-            raise InternalCheckError("search returned a non-intertwiner")
+    if any(mat @ a1 != a2 @ mat for _, _, a1, a2 in _generator_actions(m1, m2)):
+        raise InternalCheckError("search returned a non-intertwiner")
     return mat
 
 
@@ -353,10 +388,12 @@ def conjugator_between(f: AlgebraHom, g: AlgebraHom, *, trials: int = 32,
         raise ContractViolation("homomorphisms must be parallel")
     b_alg = f.target
     n = b_alg.dim
-    # b f(a) = g(a) b for every basis element a: (R_f(a) - L_g(a)) b = 0
+    # b f(a) = g(a) b for every generator a: (R_f(a) - L_g(a)) b = 0; the
+    # elements a where it holds form a subalgebra, since f and g are unital
+    # homomorphisms, so the kernel is that of every a
     diffs = [b_alg.right_mult_matrix(f.matrix.col(i))
              - b_alg.left_mult_matrix(g.matrix.col(i))
-             for i in range(f.source.dim)]
+             for i in f.source.generators]
     basis = kernel_basis(Matrix(len(diffs) * n, n,
                                 tuple(x for d in diffs for x in d.entries)))
     if not basis:
@@ -437,7 +474,9 @@ def ideal_quotient_module(alg: Algebra, ideal_basis, side: str, *,
 
     The opposite action is through the ground field.  The basis must span
     an ideal of the claimed side; otherwise a ValidationError reports a
-    witness product escaping the span.
+    witness product escaping the span.  Closure is checked under the
+    algebra's generators: the a with a I in I (for a left ideal) hold 1,
+    and with a they hold a s, since (as) I = a (s I).
     """
     if side not in ("left", "right"):
         raise ContractViolation("side must be 'left' or 'right'")
@@ -448,7 +487,7 @@ def ideal_quotient_module(alg: Algebra, ideal_basis, side: str, *,
     span = SparseEchelon()
     for row in rows:
         span.insert(row)
-    for i in range(alg.dim):
+    for i in alg.generators:
         ei = tuple(1 if j == i else 0 for j in range(alg.dim))
         for k, x in enumerate(gens):
             prod = alg.multiply(ei, x) if side == "left" else alg.multiply(x, ei)

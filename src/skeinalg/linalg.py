@@ -212,13 +212,19 @@ class Matrix:
 MATRIX_POWER_MAX_ENTRY_BITS = 1 << 13
 
 
-def _bounded(m: Matrix) -> Matrix:
-    for x in m.entries:
+def _check_entry_bits(values, what: str):
+    """Raise ContractViolation once a value's numerator or denominator
+    outgrows MATRIX_POWER_MAX_ENTRY_BITS; ``what`` names the values."""
+    for x in values:
         if max(x.numerator.bit_length(), x.denominator.bit_length()) \
                 > MATRIX_POWER_MAX_ENTRY_BITS:
             raise ContractViolation(
-                f"matrix power entries outgrow MATRIX_POWER_MAX_ENTRY_BITS = "
+                f"{what} entries outgrow MATRIX_POWER_MAX_ENTRY_BITS = "
                 f"{MATRIX_POWER_MAX_ENTRY_BITS} bits")
+
+
+def _bounded(m: Matrix, what: str = "matrix power") -> Matrix:
+    _check_entry_bits(m.entries, what)
     return m
 
 

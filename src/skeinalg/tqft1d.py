@@ -10,7 +10,10 @@ are evaluated in two pictures and compared:
 
 Durations are positive integers and u(t) is the t-th power of the step
 matrix, which is exactly what the group law u(s) u(t) = u(s+t) needs; it
-is computed by repeated squaring, in O(log t) matrix products.
+is computed by repeated squaring, in O(log t) matrix products.  Every
+product of a power, of a Schrodinger word and every pointing of a
+Heisenberg composite is held to MATRIX_POWER_MAX_ENTRY_BITS, so a word
+whose values explode fails fast with ContractViolation.
 Words are written left to right in diagram order and evaluated in
 function-composition order: the rightmost generator applies first.
 """
@@ -27,7 +30,8 @@ from .bimodule import (PointedBimodule, bimodule_iso_pointed, end_morphism,
 from .algebra import Algebra, AlgebraHom, hom_power
 from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
                      ParseError)
-from .linalg import Matrix, _check_exact, matrix_power
+from .linalg import (Matrix, _bounded, _check_entry_bits, _check_exact,
+                     matrix_power)
 
 PT = "pt"
 EMPTY = "empty"
@@ -188,7 +192,7 @@ def eval_schrodinger(sys: System, word: SpacetimeWord) -> Matrix:
     out = None
     for gen in word.gens:
         m = _schrodinger_matrix(sys, gen)
-        out = m if out is None else out @ m
+        out = m if out is None else _bounded(out @ m, "word product")
     return out
 
 
@@ -212,7 +216,11 @@ def eval_heisenberg(sys: System, word: SpacetimeWord, *,
     out = None
     for gen in word.gens:
         b = _heisenberg_bimodule(sys, gen)
-        out = b if out is None else tensor_over(out, b, max_dim=cap)
+        if out is None:
+            out = b
+        else:
+            out = tensor_over(out, b, max_dim=cap)
+            _check_entry_bits(out.pointing, "tensor composite pointing")
     return out
 
 

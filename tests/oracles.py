@@ -5,7 +5,8 @@ code paths they are checking: explicit basis maps for tensor composites,
 Kronecker products for hom-space actions, cofactor expansion for
 determinants and inverses, full-width stacking by a union-find for the
 tangle fold and the diagram products, a fresh walk of every slice per
-state for the state sum, and brute-force enumeration elsewhere.
+state for the state sum, the all-pairs loops for the constructors that
+check on generators, and brute-force enumeration elsewhere.
 """
 
 from fractions import Fraction
@@ -13,8 +14,70 @@ from fractions import Fraction
 from skeinalg.algebra import compose_homs
 from skeinalg.bimodule import end_morphism, modulate, tensor_over
 from skeinalg.laurent import LaurentPoly
-from skeinalg.linalg import Matrix, sparse_quotient
+from skeinalg.linalg import Matrix, mat_lincomb, rref, sparse_quotient
 from skeinalg.tl import TLDiagram, TLMorphism
+
+
+def _basis_vec(n, i):
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def word_span_rank(alg, gens):
+    """Dimension of the span of the unit and the left-nested words in gens,
+    grown a word length at a time and re-reduced by rref each time."""
+    rows = [tuple(alg.unit)]
+    while True:
+        grown = rows + [_basis_vec(alg.dim, s) for s in gens]
+        grown += [alg.multiply(w, _basis_vec(alg.dim, s))
+                  for w in rows for s in gens]
+        reduced = rref(Matrix.from_rows(grown))
+        if len(reduced.pivots) == len(rows):
+            return len(rows)
+        rows = [reduced.matrix.row(i) for i in range(len(reduced.pivots))]
+
+
+def all_pairs_algebra_ok(mult, unit):
+    """Associativity on every basis triple and the unit laws, on a raw table."""
+    n = len(mult)
+
+    def times(x, y):
+        out = [0] * n
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                if xi and yj:
+                    for k, c in enumerate(mult[i][j]):
+                        out[k] += xi * yj * c
+        return tuple(out)
+
+    e = [_basis_vec(n, i) for i in range(n)]
+    return (all(times(tuple(mult[i][j]), e[k]) == times(e[i], tuple(mult[j][k]))
+                for i in range(n) for j in range(n) for k in range(n))
+            and all(times(unit, x) == x == times(x, unit) for x in e))
+
+
+def all_pairs_hom_ok(source, target, matrix):
+    """Unitality and multiplicativity on every basis pair."""
+    images = [matrix.col(i) for i in range(source.dim)]
+    return (matrix.apply(source.unit) == tuple(target.unit)
+            and all(matrix.apply(source.basis_product(i, j))
+                    == target.multiply(images[i], images[j])
+                    for i in range(source.dim) for j in range(source.dim)))
+
+
+def all_pairs_bimodule_ok(left, right, left_action, right_action):
+    """Unit actions, (anti-)multiplicativity and commutation on every basis pair."""
+    m = left_action[0].rows
+    ident = Matrix.identity(m)
+    if (mat_lincomb(zip(left.unit, left_action), m, m) != ident
+            or mat_lincomb(zip(right.unit, right_action), m, m) != ident):
+        return False
+    for alg, act, flip in ((left, left_action, False), (right, right_action, True)):
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                prod = alg.basis_product(j, i) if flip else alg.basis_product(i, j)
+                if act[i] @ act[j] != mat_lincomb(zip(prod, act), m, m):
+                    return False
+    return all(a @ b == b @ a for a in left_action for b in right_action)
 
 
 def laplace_det(rows):

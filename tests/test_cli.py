@@ -287,6 +287,21 @@ def test_tqft1d_huge_duration_agrees(tmp_path):
     assert lines[-1] == "scalars: 2000000 vs 2000000: AGREE"
 
 
+@pytest.mark.parametrize("picture", ["schrodinger", "heisenberg"])
+def test_tqft1d_product_past_the_entry_bits_exits_3(tmp_path, picture):
+    # each u(5800) of the Fibonacci step stays under
+    # MATRIX_POWER_MAX_ENTRY_BITS, but their product does not
+    sys = make_system(2, Matrix.from_rows([[2, 1], [1, 1]]),
+                      states={"0": (1, 0)}, costates={"0": (1, 0)})
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(system_to_json(sys)))
+    code, lines = run_cli("tqft1d", str(path),
+                          "w[0] . u(5800) . u(5800) . v[0]",
+                          "--picture", picture)
+    assert code == 3
+    assert lines == []
+
+
 def test_tqft1d_group_law_identical_output(tmp_path):
     sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
                       states={"0": (0, 1)}, costates={"0": (0, 1)})
