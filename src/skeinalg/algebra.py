@@ -13,10 +13,6 @@ every s in S: induction on word length puts every left-nested word in
 T, and linearity puts their span, A, in T.  Each check that runs over S
 says in its docstring why its T is closed that way.  Nothing is skipped
 and nothing is trusted: ``make_algebra`` proves that S generates.
-
-The default dimension cap applies to a make_algebra call without
-max_dim; systematic constructors such as ``matrix_algebra`` pass the
-exact size they need, and the JSON loader passes the declared size.
 """
 
 from __future__ import annotations
@@ -25,8 +21,6 @@ from dataclasses import dataclass, field
 
 from .errors import ContractViolation, ValidationError
 from .linalg import Matrix, SparseEchelon, _check_exact, matrix_power
-
-DEFAULT_ALGEBRA_DIM_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,7 @@ def _generating_indices(mult, unit, candidates=()) -> tuple:
     return tuple(gens)
 
 
-def make_algebra(structure_constants, unit, *, max_dim=None,
-                 candidates=()) -> Algebra:
+def make_algebra(structure_constants, unit, *, candidates=()) -> Algebra:
     """Validate and build an Algebra from raw structure constants.
 
     The generators are found greedily, trying ``candidates`` first; a
@@ -146,10 +139,6 @@ def make_algebra(structure_constants, unit, *, max_dim=None,
     mult = tuple(tuple(tuple(row) for row in plane) for plane in structure_constants)
     unit = tuple(unit)
     n = len(mult)
-    cap = DEFAULT_ALGEBRA_DIM_CAP if max_dim is None else max_dim
-    if n > cap:
-        raise ValidationError(
-            f"algebra dimension {n} exceeds the cap {cap}; pass max_dim to allow")
     if len(unit) != n or any(len(p) != n or any(len(r) != n for r in p)
                              for p in mult):
         raise ContractViolation("structure constant array has inconsistent shape")
@@ -202,7 +191,7 @@ def matrix_algebra(n: int) -> Algebra:
     for i in range(n):
         unit[i * n + i] = 1
     steps = [k for i in range(n - 1) for k in (i * n + i + 1, (i + 1) * n + i)]
-    alg = make_algebra(mult, unit, max_dim=d, candidates=steps)
+    alg = make_algebra(mult, unit, candidates=steps)
     _MATRIX_ALGEBRA_CACHE[n] = alg
     return alg
 
@@ -216,14 +205,14 @@ def product_field_algebra(n: int) -> Algebra:
     """The split commutative algebra Q^n with coordinatewise product."""
     mult = [[[1 if i == j == k else 0 for k in range(n)]
              for j in range(n)] for i in range(n)]
-    return make_algebra(mult, [1] * n, max_dim=n)
+    return make_algebra(mult, [1] * n)
 
 
 def truncated_poly_algebra(n: int) -> Algebra:
     """Q[x] / x^n on the basis 1, x, ..., x^(n-1)."""
     mult = [[[1 if i + j == k else 0 for k in range(n)]
              for j in range(n)] for i in range(n)]
-    return make_algebra(mult, _unit_vec(n, 0), max_dim=n)
+    return make_algebra(mult, _unit_vec(n, 0))
 
 
 def upper_triangular_algebra() -> Algebra:
@@ -237,7 +226,7 @@ def upper_triangular_algebra() -> Algebra:
     mult = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     for (a, b), c in prods.items():
         mult[a][b][c] = 1
-    return make_algebra(mult, (1, 0, 1), max_dim=3)
+    return make_algebra(mult, (1, 0, 1))
 
 
 def algebra_direct_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -252,7 +241,7 @@ def algebra_direct_sum(a: Algebra, b: Algebra) -> Algebra:
             for k in range(b.dim):
                 mult[a.dim + i][a.dim + j][a.dim + k] = b.mult[i][j][k]
     unit = tuple(a.unit) + tuple(b.unit)
-    return make_algebra(mult, unit, max_dim=n)
+    return make_algebra(mult, unit)
 
 
 def transport_algebra(alg: Algebra, s: Matrix) -> Algebra:
@@ -270,7 +259,7 @@ def transport_algebra(alg: Algebra, s: Matrix) -> Algebra:
             plane.append(tuple(sinv.apply(prod)))
         mult.append(tuple(plane))
     unit = tuple(sinv.apply(alg.unit))
-    return make_algebra(mult, unit, max_dim=n)
+    return make_algebra(mult, unit)
 
 
 # ---------------------------------------------------------------------------

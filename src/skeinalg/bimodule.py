@@ -30,7 +30,9 @@ from .linalg import (Matrix, SparseEchelon, _check_exact,
                      find_invertible_in_affine_family, kernel_basis,
                      mat_lincomb, sparse_quotient)
 
-DEFAULT_BIMODULE_DIM_CAP = 16
+# tensor_over refuses factors whose tensor product M tensor N, the space
+# it quotients, is larger: 4096 is hom(V,V) tensor hom(V,V) for dim V = 8
+TENSOR_MAX_AMBIENT_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class PointedBimodule:
 
 
 def make_bimodule(left: Algebra, right: Algebra, left_action, right_action,
-                  pointing, *, max_dim=None) -> PointedBimodule:
+                  pointing) -> PointedBimodule:
     """Validate the actions on basis elements times generators and build.
 
     With L(1) = R(1) = I, the checks L(e_i) L(e_s) = L(e_i e_s) and
@@ -70,10 +72,6 @@ def make_bimodule(left: Algebra, right: Algebra, left_action, right_action,
     right_action = tuple(right_action)
     pointing = tuple(pointing)
     m = len(pointing)
-    cap = DEFAULT_BIMODULE_DIM_CAP if max_dim is None else max_dim
-    if m > cap:
-        raise ValidationError(
-            f"bimodule dimension {m} exceeds the cap {cap}; pass max_dim to allow")
     if len(left_action) != left.dim or len(right_action) != right.dim:
         raise ContractViolation("one action matrix per algebra basis element")
     for mat in left_action + right_action:
@@ -111,7 +109,7 @@ def regular_bimodule(alg: Algebra, pointing=None) -> PointedBimodule:
     if pointing is None:
         pointing = alg.unit
     return make_bimodule(alg, alg, alg.left_regular(), alg.right_regular(),
-                         pointing, max_dim=alg.dim)
+                         pointing)
 
 
 def modulate(f: AlgebraHom) -> PointedBimodule:
@@ -119,8 +117,7 @@ def modulate(f: AlgebraHom) -> PointedBimodule:
     b = f.target
     left_action = [b.left_mult_matrix(f.matrix.col(i))
                    for i in range(f.source.dim)]
-    return make_bimodule(f.source, b, left_action, b.right_regular(),
-                         b.unit, max_dim=b.dim)
+    return make_bimodule(f.source, b, left_action, b.right_regular(), b.unit)
 
 
 _HOM_SPACE_CACHE: dict = {}
@@ -149,7 +146,7 @@ def _hom_space(nw: int, nv: int) -> PointedBimodule:
             right_action.append(Matrix(m, m, tuple(ents)))
     # make_bimodule reads the pointing only for its length
     out = make_bimodule(matrix_algebra(nw), matrix_algebra(nv), left_action,
-                        right_action, (0,) * m, max_dim=m)
+                        right_action, (0,) * m)
     _HOM_SPACE_CACHE[key] = out
     return out
 
@@ -197,8 +194,7 @@ def _relation_rows(pcols, qcols) -> list:
 
 
 def _quotient_bimodule(left: Algebra, right: Algebra, left_action,
-                       right_action, point, relations, *,
-                       max_dim) -> PointedBimodule:
+                       right_action, point, relations) -> PointedBimodule:
     """The bimodule that M tensor N / span(relations) inherits.
 
     left_action holds the p x p matrices by which the left algebra acts on
@@ -239,12 +235,10 @@ def _quotient_bimodule(left: Algebra, right: Algebra, left_action,
                 for t, c in proj_cols[i * q + j].items():
                     pointing[t] = pointing[t] + v * w * c
     return make_bimodule(left, right, descend(left_action, True),
-                         descend(right_action, False), pointing,
-                         max_dim=max_dim)
+                         descend(right_action, False), pointing)
 
 
-def tensor_over(m1: PointedBimodule, m2: PointedBimodule, *,
-                max_dim=None) -> PointedBimodule:
+def tensor_over(m1: PointedBimodule, m2: PointedBimodule) -> PointedBimodule:
     """Compose pointed bimodules: (M tensor_B N, class of 1_M tensor 1_N).
 
     The underlying space is the quotient of M tensor N by the middle
@@ -256,9 +250,16 @@ def tensor_over(m1: PointedBimodule, m2: PointedBimodule, *,
     m(bs) tensor n - m tensor (bs)n is the relation of s at (mb, n) plus
     the relation of b at (m, sn).  The reduced echelon basis of a span
     does not depend on the rows that span it, so neither does the result.
+
+    Factors with m1.dim * m2.dim > TENSOR_MAX_AMBIENT_DIM are refused
+    before any relation is built.
     """
     if m1.right != m2.left:
         raise ContractViolation("middle algebras do not match")
+    if m1.dim * m2.dim > TENSOR_MAX_AMBIENT_DIM:
+        raise ContractViolation(
+            f"tensor of dimensions {m1.dim} and {m2.dim} exceeds "
+            f"TENSOR_MAX_AMBIENT_DIM = {TENSOR_MAX_AMBIENT_DIM}")
     relations = []
     for b in m1.right.generators:
         rb, lb = m1.right_action[b], m2.left_action[b]
@@ -266,7 +267,7 @@ def tensor_over(m1: PointedBimodule, m2: PointedBimodule, *,
                                     [lb.col(j) for j in range(m2.dim)])
     return _quotient_bimodule(m1.left, m2.right, m1.left_action,
                               m2.right_action, (m1.pointing, m2.pointing),
-                              relations, max_dim=max_dim)
+                              relations)
 
 
 @dataclass(frozen=True)
@@ -430,8 +431,7 @@ def end_compose_check(f: Matrix, g: Matrix, *, trials: int = 32,
     """
     if g.cols != f.rows:
         raise ContractViolation("maps are not composable")
-    composite = tensor_over(end_morphism(g), end_morphism(f),
-                            max_dim=g.rows * f.rows * f.cols)
+    composite = tensor_over(end_morphism(g), end_morphism(f))
     direct = end_morphism(g @ f)
     witness = bimodule_iso_pointed(composite, direct, trials=trials, seed=seed)
     if witness is None:
@@ -468,8 +468,8 @@ def annihilator_right(n: int, w) -> list:
     return kernel_basis(Matrix(n, n * n, tuple(ents)))
 
 
-def ideal_quotient_module(alg: Algebra, ideal_basis, side: str, *,
-                          max_dim=None) -> PointedBimodule:
+def ideal_quotient_module(alg: Algebra, ideal_basis,
+                          side: str) -> PointedBimodule:
     """The one-sided module A/I (side 'left') or J\\A (side 'right').
 
     The opposite action is through the ground field.  The basis must span
@@ -499,6 +499,6 @@ def ideal_quotient_module(alg: Algebra, ideal_basis, side: str, *,
     k_alg, one = field_algebra(), [Matrix.identity(1)]
     if side == "left":
         return _quotient_bimodule(alg, k_alg, alg.left_regular(), one,
-                                  (alg.unit, (1,)), rows, max_dim=max_dim)
+                                  (alg.unit, (1,)), rows)
     return _quotient_bimodule(k_alg, alg, one, alg.right_regular(),
-                              ((1,), alg.unit), rows, max_dim=max_dim)
+                              ((1,), alg.unit), rows)

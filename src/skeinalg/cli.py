@@ -126,7 +126,7 @@ def cmd_algebra(args, out) -> int:
     m1 = load_bimodule(args.inputs[0])
     m2 = load_bimodule(args.inputs[1])
     if args.action == "tensor":
-        t = tensor_over(m1, m2, max_dim=args.max_dim)
+        t = tensor_over(m1, m2)
         if args.emit_json:
             out(json.dumps(bimodule_to_json(t)))
         else:
@@ -204,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("inputs", nargs="+")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--trials", type=int, default=32)
-    a.add_argument("--max-dim", type=int, default=None)
     a.add_argument("--emit-json", action="store_true")
 
     q = sub.add_parser("tqft1d", help="evaluate a spacetime word")

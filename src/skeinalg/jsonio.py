@@ -113,7 +113,7 @@ def vector_to_json(v) -> list:
 # -- algebras -----------------------------------------------------------------
 
 
-def algebra_from_json(obj: dict, *, max_dim=None) -> Algebra:
+def algebra_from_json(obj: dict) -> Algebra:
     n = _count(_require(obj, "dim", "algebra"), "algebra dim")
     mult = _require(obj, "mult", "algebra")
     unit = _require(obj, "unit", "algebra")
@@ -123,8 +123,7 @@ def algebra_from_json(obj: dict, *, max_dim=None) -> Algebra:
         raise ParseError("algebra mult must be an [n][n][n] array")
     consts = [[[parse_rational(x) for x in row] for row in plane]
               for plane in mult]
-    return make_algebra(consts, vector_from_json(unit, "algebra unit"),
-                        max_dim=max_dim if max_dim is not None else n)
+    return make_algebra(consts, vector_from_json(unit, "algebra unit"))
 
 
 def algebra_to_json(a: Algebra) -> dict:
@@ -159,8 +158,7 @@ def _algebra_ref(obj, base_dir: str, where: str) -> Algebra:
     return algebra_from_json(obj)
 
 
-def bimodule_from_json(obj: dict, base_dir: str = ".", *,
-                       max_dim=None) -> PointedBimodule:
+def bimodule_from_json(obj: dict, base_dir: str = ".") -> PointedBimodule:
     left = _algebra_ref(_require(obj, "left", "bimodule"), base_dir, "left")
     right = _algebra_ref(_require(obj, "right", "bimodule"), base_dir, "right")
     m = _count(_require(obj, "dim", "bimodule"), "bimodule dim")
@@ -172,8 +170,7 @@ def bimodule_from_json(obj: dict, base_dir: str = ".", *,
     point = vector_from_json(_require(obj, "point", "bimodule"), "point")
     if len(point) != m:
         raise ParseError("bimodule point length disagrees with dim")
-    return make_bimodule(left, right, la, ra, point,
-                         max_dim=max_dim if max_dim is not None else m)
+    return make_bimodule(left, right, la, ra, point)
 
 
 def bimodule_to_json(b: PointedBimodule) -> dict:

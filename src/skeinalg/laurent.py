@@ -143,7 +143,13 @@ class LaurentPoly:
         """Substitute A -> A**-1."""
         return LaurentPoly(tuple(sorted((-e, c) for e, c in self.terms)))
 
-    def evaluate(self, value: Fraction) -> Fraction:
+    def evaluate(self, value) -> Fraction:
+        """The exact value at an int or Fraction ``value``."""
+        if not isinstance(value, (int, Fraction)):
+            raise ContractViolation(
+                f"evaluate takes an int or a Fraction, not {type(value).__name__}")
+        # an int to a negative power would be a float
+        value = Fraction(value)
         if value == 0 and self.terms and self.terms[0][0] < 0:
             raise ContractViolation(
                 f"cannot evaluate {self} at 0: it has negative exponents")

@@ -458,19 +458,27 @@ def sparse_quotient(ambient_dim: int, relation_rows):
     return reps, cols
 
 
+# find_invertible_in_affine_family draws each coefficient from
+# [-SEARCH_COEFF_BOUND, SEARCH_COEFF_BOUND]
+SEARCH_COEFF_BOUND = 10**6
+
+
 def find_invertible_in_affine_family(particular: Matrix, directions,
-                                     *, trials: int = 32, seed: int = 0,
-                                     coeff_bound: int = 10**6):
+                                     *, trials: int = 32, seed: int = 0):
     """Search particular + span(directions) for an invertible matrix.
 
     The positive direction is exact: any returned matrix has nonzero
     determinant, certified by exact elimination.  The negative direction
     is randomized-complete: if some point of the family is invertible,
-    each random trial misses with probability at most n / (2*coeff_bound+1)
-    (Schwartz-Zippel, since det is a polynomial of degree <= n in the
-    coefficients), so None after the default 32 trials is wrong with
-    probability below 1e-160 for the sizes used here.
+    each random trial misses with probability at most
+    n / (2*SEARCH_COEFF_BOUND+1) (Schwartz-Zippel, since det is a
+    polynomial of degree <= n in the coefficients), so None after the
+    default 32 trials is wrong with probability below 1e-160 for the
+    sizes used here.  Fewer than one trial raises ContractViolation.
     """
+    if trials < 1:
+        raise ContractViolation(
+            f"the search needs at least one trial, not {trials}")
     directions = list(directions)
     n = particular.rows
     if not particular.is_square or any(
@@ -482,7 +490,8 @@ def find_invertible_in_affine_family(particular: Matrix, directions,
         return None
     rng = random.Random(seed)
     for _ in range(trials):
-        coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in directions]
+        coeffs = [rng.randint(-SEARCH_COEFF_BOUND, SEARCH_COEFF_BOUND)
+                  for _ in directions]
         cand = mat_lincomb([(1, particular)] + list(zip(coeffs, directions)),
                            n, n)
         if cand.det():

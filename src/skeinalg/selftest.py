@@ -197,8 +197,7 @@ def check_split_functoriality(rng, *, systems, dim):
         whole = eval_schrodinger(sys, word)
         if whole != eval_schrodinger(sys, left) @ eval_schrodinger(sys, right):
             _fail("Schrodinger evaluation is not functorial under splits")
-        h = tensor_over(eval_heisenberg(sys, left), eval_heisenberg(sys, right),
-                        max_dim=sys.dim_v ** 2)
+        h = tensor_over(eval_heisenberg(sys, left), eval_heisenberg(sys, right))
         if bimodule_iso_pointed(h, eval_heisenberg(sys, word)) is None:
             _fail("Heisenberg evaluation is not functorial under splits")
 

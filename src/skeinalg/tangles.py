@@ -76,9 +76,12 @@ def coupon(m: TLMorphism) -> Event:
 class SliceTangle:
     strands_in: int
     slices: tuple  # tuple of tuples of Event
+    # wire counts below, between and above the slices; they follow from
+    # the slices, so == and hash ignore them
+    widths: tuple = field(init=False, compare=False, repr=False)
 
-    def widths(self) -> list:
-        """Wire counts between slices; raises if the slices do not chain."""
+    def __post_init__(self):
+        """Compute the widths; raises if the slices do not chain."""
         w = self.strands_in
         out = [w]
         for k, sl in enumerate(self.slices):
@@ -88,16 +91,15 @@ class SliceTangle:
                     f"slice {k} consumes {win} strands but {w} are available")
             w = sum(e.widths()[1] for e in sl)
             out.append(w)
-        return out
+        object.__setattr__(self, "widths", tuple(out))
 
     @property
     def strands_out(self) -> int:
-        return self.widths()[-1]
+        return self.widths[-1]
 
     @property
     def is_closed(self) -> bool:
-        w = self.widths()
-        return w[0] == 0 and w[-1] == 0
+        return self.widths[0] == 0 and self.widths[-1] == 0
 
     def crossing_count(self) -> int:
         return sum(1 for sl in self.slices for e in sl if e.kind == "cross")
@@ -107,9 +109,7 @@ class SliceTangle:
 
 
 def tangle(strands_in: int, slices) -> SliceTangle:
-    t = SliceTangle(strands_in, tuple(tuple(s) for s in slices))
-    t.widths()  # validate now
-    return t
+    return SliceTangle(strands_in, tuple(tuple(s) for s in slices))
 
 
 def _event_morphism(e: Event) -> TLMorphism:
@@ -132,7 +132,7 @@ def interpret_tangle(t: SliceTangle) -> TLMorphism:
     points of the events still to come; identity events do nothing.  The
     rewrites of each distinct event are computed once per fold.
     """
-    widths = t.widths()
+    widths = t.widths
     rewrites: dict = {}
 
     def steps():
@@ -179,8 +179,7 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
     """
     if t.has_coupons():
         raise ContractViolation("state sum does not evaluate coupons")
-    widths = t.widths()
-    if widths[0] != 0 or widths[-1] != 0:
+    if not t.is_closed:
         raise TangleShapeError("state sum needs a closed tangle")
     c = t.crossing_count()
     if c > STATE_SUM_MAX_CROSSINGS:
@@ -287,8 +286,7 @@ def kauffman_bracket(t: SliceTangle, *, verify=None) -> LaurentPoly:
     ``STATE_SUM_VERIFY_MAX_CROSSINGS`` crossings, and disagreement raises
     InternalCheckError.
     """
-    widths = t.widths()
-    if widths[0] != 0 or widths[-1] != 0:
+    if not t.is_closed:
         raise TangleShapeError("the Kauffman bracket needs a closed tangle")
     if verify is None:
         verify = (not t.has_coupons()

@@ -13,7 +13,9 @@ matrix, which is exactly what the group law u(s) u(t) = u(s+t) needs; it
 is computed by repeated squaring, in O(log t) matrix products.  Every
 product of a power, of a Schrodinger word and every pointing of a
 Heisenberg composite is held to MATRIX_POWER_MAX_ENTRY_BITS, so a word
-whose values explode fails fast with ContractViolation.
+whose values explode fails fast with ContractViolation.  So does a
+Heisenberg tensor past TENSOR_MAX_AMBIENT_DIM, as in a word on dim V >= 9
+that starts with two intervals or observables.
 Words are written left to right in diagram order and evaluated in
 function-composition order: the rightmost generator applies first.
 """
@@ -200,8 +202,7 @@ def _heisenberg_bimodule(sys: System, gen) -> PointedBimodule:
     return end_morphism(_schrodinger_matrix(sys, gen))
 
 
-def eval_heisenberg(sys: System, word: SpacetimeWord, *,
-                    max_dim=None) -> PointedBimodule:
+def eval_heisenberg(sys: System, word: SpacetimeWord) -> PointedBimodule:
     """The pointed bimodule of the word under the endomorphism picture.
 
     Every generator passes through the hom-space construction (intervals
@@ -209,7 +210,6 @@ def eval_heisenberg(sys: System, word: SpacetimeWord, *,
     states give hom(K, V), costates hom(V, K)); the word is the tensor
     composite in diagram order.
     """
-    cap = max_dim if max_dim is not None else max(sys.dim_v ** 2, 1)
     if not word.gens:
         n = sys.dim_v if word.at == PT else 1
         return end_morphism(Matrix.identity(n))
@@ -219,7 +219,7 @@ def eval_heisenberg(sys: System, word: SpacetimeWord, *,
         if out is None:
             out = b
         else:
-            out = tensor_over(out, b, max_dim=cap)
+            out = tensor_over(out, b)
             _check_entry_bits(out.pointing, "tensor composite pointing")
     return out
 
@@ -260,7 +260,7 @@ def system_from_heisenberg_data(alg: Algebra, f: AlgebraHom, *,
     power = m1
     for t in range(1, t_max + 1):
         if t > 1:
-            power = tensor_over(power, m1, max_dim=alg.dim)
+            power = tensor_over(power, m1)
         expected = modulate(hom_power(f, t))
         if bimodule_iso_pointed(power, expected, trials=trials, seed=seed) is None:
             raise InternalCheckError(

@@ -178,7 +178,8 @@ def end_composition_witness(f, g):
     witness matrix) with the witness again search-free.
     """
     ef, eg = end_morphism(f), end_morphism(g)
-    composite = tensor_over(eg, ef, max_dim=g.rows * f.cols)
+    composite = tensor_over(eg, ef)
+    assert composite.dim == g.rows * f.cols
     direct = end_morphism(g @ f)
     nv, nw, nx = f.cols, f.rows, g.rows
     cols = []

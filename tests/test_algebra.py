@@ -72,13 +72,6 @@ def test_validation_error_names_indices():
         assert "i,j,k" in str(exc)
 
 
-def test_dimension_cap():
-    big = product_field_algebra(4)
-    with pytest.raises(ValidationError, match="cap"):
-        make_algebra(big.mult, big.unit, max_dim=3)
-    assert make_algebra(big.mult, big.unit, max_dim=4).dim == 4
-
-
 def test_matrix_algebra_small():
     assert matrix_algebra(1).dim == 1
     m2 = matrix_algebra(2)

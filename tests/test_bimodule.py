@@ -8,7 +8,9 @@ from skeinalg.algebra import (conjugation_hom, field_algebra,
                               flatten_matrix, identity_hom, make_hom,
                               matrix_algebra, product_field_algebra,
                               scalar_inclusion_hom)
-from skeinalg.bimodule import (_affine_intertwiner_space, annihilator_left,
+from skeinalg import bimodule
+from skeinalg.bimodule import (TENSOR_MAX_AMBIENT_DIM,
+                               _affine_intertwiner_space, annihilator_left,
                                annihilator_right, bimodule_iso_pointed,
                                bimodule_iso_unpointed, conjugator_between,
                                end_compose_check, end_morphism,
@@ -105,6 +107,31 @@ def test_tensor_over_field():
     t = tensor_over(m, n)
     assert t.dim == 6
     assert t.pointing == (0, 1, 0, 0, 0, 0)
+
+
+def test_tensor_past_the_ambient_cap_fails_before_any_relation(monkeypatch):
+    k, qq = field_algebra(), product_field_algebra(2)
+    assert qq.generators  # so tensor_over over qq builds relation rows
+
+    def over_qq(n, side):
+        """K-Q^2 (side 'right') or Q^2-K bimodule of dim n; e0 acts as 1."""
+        ident = Matrix.identity(n)
+        acts = [ident, Matrix.zeros(n, n)]
+        if side == "right":
+            return make_bimodule(k, qq, [ident], acts, (0,) * n)
+        return make_bimodule(qq, k, acts, [ident], (0,) * n)
+
+    def no_relations(pcols, qcols):
+        raise AssertionError("relation rows built")
+
+    monkeypatch.setattr(bimodule, "_relation_rows", no_relations)
+    with pytest.raises(AssertionError, match="relation rows built"):
+        tensor_over(over_qq(8, "right"), over_qq(8, "left"))
+    assert 64 * 64 == TENSOR_MAX_AMBIENT_DIM
+    for m, n in ((64, 65), (65, 64)):
+        with pytest.raises(ContractViolation,
+                           match="TENSOR_MAX_AMBIENT_DIM = 4096"):
+            tensor_over(over_qq(m, "right"), over_qq(n, "left"))
 
 
 def test_modulation_functoriality_explicit_witness():
@@ -237,7 +264,7 @@ def test_end_morphism_actions_pass_validation(nw, nv):
     f = random_matrix(random.Random(5), nw, nv)
     m = end_morphism(f)
     again = make_bimodule(m.left, m.right, m.left_action, m.right_action,
-                          m.pointing, max_dim=m.dim)
+                          m.pointing)
     assert again == m
 
 

@@ -40,7 +40,7 @@ def run_cli(*argv):
 
 def test_algebra_roundtrip():
     a = matrix_algebra(2)
-    assert algebra_from_json(algebra_to_json(a), max_dim=4) == a
+    assert algebra_from_json(algebra_to_json(a)) == a
 
 
 def test_hom_roundtrip():
@@ -248,6 +248,29 @@ def test_algebra_modulate_and_tensor(tmp_path):
     code, lines = run_cli("algebra", "tensor", str(bpath), str(bpath))
     assert code == 0
     assert lines == ["tensor bimodule of dim 4"]
+
+
+def test_algebra_tensor_past_dim_16_needs_no_flag(tmp_path):
+    path = tmp_path / "reg5.json"
+    path.write_text(json.dumps(bimodule_to_json(
+        regular_bimodule(matrix_algebra(5)))))
+    code, lines = run_cli("algebra", "tensor", str(path), str(path))
+    assert code == 0
+    assert lines == ["tensor bimodule of dim 25"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("algebra", "tensor", str(path), str(path), "--max-dim", "25")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_algebra_iso_without_trials_exits_3(tmp_path, trials):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(bimodule_to_json(
+        modulate(identity_hom(matrix_algebra(2))))))
+    for action in ("iso-unpointed", "iso"):
+        code, lines = run_cli("algebra", action, str(path), str(path),
+                              "--trials", trials)
+        assert (code, lines) == (3, [])
 
 
 def test_algebra_iso_unpointed_swap_absent(tmp_path):

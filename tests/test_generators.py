@@ -65,7 +65,7 @@ def test_matrix_algebra_generators_are_the_steps():
 def test_generators_ignored_by_eq_and_hash():
     m2 = matrix_algebra(2)
     # the default order keeps E(0,0) as well: three generators, not two
-    plain = make_algebra(m2.mult, m2.unit, max_dim=4)
+    plain = make_algebra(m2.mult, m2.unit)
     assert plain.generators != m2.generators
     assert plain == m2 and hash(plain) == hash(m2)
     assert replace(m2, generators=(0, 1, 2, 3)) == m2
@@ -76,7 +76,7 @@ def test_generators_ignored_by_eq_and_hash():
 def test_candidates_are_not_trusted():
     q3 = product_field_algebra(3)
     # index 0 alone does not generate Q^3; the greedy adds what is missing
-    alg = make_algebra(q3.mult, q3.unit, max_dim=3, candidates=(0, 0))
+    alg = make_algebra(q3.mult, q3.unit, candidates=(0, 0))
     assert alg.generators[0] == 0
     assert word_span_rank(alg, alg.generators) == 3
 
@@ -107,7 +107,7 @@ def test_corrupt_non_generator_product_is_rejected():
     mult[2][6][0] = 0
     assert not all_pairs_algebra_ok(mult, m3.unit)
     with pytest.raises(ValidationError, match=r"\(i,j,k\)"):
-        make_algebra(mult, m3.unit, max_dim=9, candidates=(1, 3, 5, 7))
+        make_algebra(mult, m3.unit, candidates=(1, 3, 5, 7))
 
 
 def test_corrupt_non_generator_image_is_rejected():
@@ -167,10 +167,9 @@ def _corrupt_table(rng, alg, corruptions, unit_laws=True):
 def test_algebra_routes_agree(rng, corruptions, unit_laws):
     mult, unit = _corrupt_table(rng, random_algebra(rng, 4, disguise=False),
                                 corruptions, unit_laws)
-    n = len(unit)
     if not unit_laws and rng.random() < 0.3:
-        unit[rng.randrange(n)] = _nudge(rng, 0)
-    assert _accepts(lambda: make_algebra(mult, unit, max_dim=n)) == \
+        unit[rng.randrange(len(unit))] = _nudge(rng, 0)
+    assert _accepts(lambda: make_algebra(mult, unit)) == \
         all_pairs_algebra_ok(mult, unit)
 
 
@@ -233,7 +232,7 @@ def test_bimodule_routes_agree(rng, corrupt):
     if corrupt in ("right", "both"):
         right = _corrupt_actions(rng, mod.right, right)
     assert _accepts(lambda: make_bimodule(mod.left, mod.right, left, right,
-                                          mod.pointing, max_dim=mod.dim)) == \
+                                          mod.pointing)) == \
         all_pairs_bimodule_ok(mod.left, mod.right, left, right)
 
 

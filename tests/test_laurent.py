@@ -5,6 +5,7 @@ import pytest
 
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
+from skeinalg.tl import delta
 
 
 def P(d):
@@ -83,6 +84,16 @@ def test_evaluate_at_zero_needs_no_negative_exponent():
             p.evaluate(Fraction(0))
         with pytest.raises(ContractViolation, match="negative exponents"):
             p.evaluate(0)
+
+
+def test_evaluate_is_exact_at_ints():
+    got = delta().evaluate(2)
+    assert got == Fraction(-17, 4) and type(got) is Fraction
+    got = P({-1: 3}).evaluate(True)
+    assert got == 3 and type(got) is Fraction
+    for bad in (2.0, "2", None):
+        with pytest.raises(ContractViolation, match="int or a Fraction"):
+            P({-1: 3}).evaluate(bad)
 
 
 def test_powers_and_unit_inverse():

@@ -240,6 +240,15 @@ def test_find_invertible_scalar_line():
     assert got[0, 1] == 0 and got[0, 0] == got[1, 1]
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_find_invertible_needs_a_trial(trials):
+    # even where no trial would be drawn: the particular point is invertible
+    for particular in (Matrix.zeros(2, 2), Matrix.identity(2)):
+        with pytest.raises(ContractViolation, match="at least one trial"):
+            find_invertible_in_affine_family(
+                particular, [Matrix.identity(2)], trials=trials)
+
+
 def test_find_invertible_deterministic():
     dirs = [Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows([[0, 0], [0, 1]])]
     a = find_invertible_in_affine_family(Matrix.zeros(2, 2), dirs, seed=3)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from oracles import literal_fold, literal_state_sum
@@ -7,8 +8,9 @@ from skeinalg import tangles
 from skeinalg.errors import ContractViolation, TangleShapeError
 from skeinalg.laurent import LaurentPoly
 from skeinalg.samples import random_braid
-from skeinalg.tangles import (CAP, CUP, ID, bracket_state_sum, braid_to_slices,
-                              cable_double, closed_braid_tangle, coupon, cross,
+from skeinalg.tangles import (CAP, CUP, ID, SliceTangle, bracket_state_sum,
+                              braid_to_slices, cable_double,
+                              closed_braid_tangle, coupon, cross,
                               insert_slices, interpret_tangle, kauffman_bracket,
                               kink_slices, mirror_tangle, ribbon_axiom_checks,
                               tangle, twist, writhe)
@@ -60,6 +62,18 @@ def test_kink_matches_twist_scalar():
 def test_width_mismatch_reports_slice():
     with pytest.raises(TangleShapeError, match="slice 1"):
         tangle(0, [[CUP], [CAP, CAP]])
+    with pytest.raises(TangleShapeError, match="slice 1"):
+        SliceTangle(0, ((CUP,), (CAP, CAP)))
+
+
+def test_widths_are_stored_and_ignored_by_eq_and_hash():
+    t = tangle(0, [[CUP], [ID, CUP, ID], [ID, CAP, ID]])
+    assert t.widths == (0, 2, 4, 2)
+    assert (t.strands_out, t.is_closed) == (2, False)
+    again = SliceTangle(0, t.slices)
+    assert again == t and hash(again) == hash(t)
+    assert "widths" not in repr(t)
+    assert replace(t, slices=t.slices + ((CAP,),)).widths == (0, 2, 4, 2, 0)
 
 
 def test_braid_to_slices():

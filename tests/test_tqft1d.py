@@ -169,8 +169,7 @@ def test_heisenberg_functoriality_under_splits():
         left = SpacetimeWord(word.gens[:k])
         right = SpacetimeWord(word.gens[k:])
         glued = tensor_over(eval_heisenberg(sys, left),
-                            eval_heisenberg(sys, right),
-                            max_dim=sys.dim_v ** 2)
+                            eval_heisenberg(sys, right))
         assert bimodule_iso_pointed(glued, eval_heisenberg(sys, word)) \
             is not None
 
@@ -208,3 +207,14 @@ def test_system_from_heisenberg_data_ideals_and_elements():
     assert q.dim == 2
     assert any(q.pointing)
     assert table[("a", "0")] == regular_bimodule(m2)
+
+
+def test_system_from_heisenberg_data_ideal_quotient_past_dim_16():
+    m5 = matrix_algebra(5)
+    # E(i,0) for i < 5 span the left ideal of matrices supported on column 0
+    column0 = [tuple(int(k == i * 5) for k in range(25)) for i in range(5)]
+    table = system_from_heisenberg_data(m5, identity_hom(m5), t_max=1,
+                                        left_ideals={"c": column0})
+    q = table[("v", "c")]
+    assert q.dim == 20
+    assert q.left == m5 and any(q.pointing)
