@@ -26,8 +26,8 @@ from .linalg import (Matrix, find_invertible_in_affine_family, kernel_basis,
 from .tangles import (CAP, CUP, ID, Event, SliceTangle, bracket_state_sum,
                       braid_to_slices, cable_double, closed_braid_tangle,
                       coupon, cross, insert_slices, interpret_tangle,
-                      kauffman_bracket, kink_slices, mirror_tangle,
-                      ribbon_axiom_checks, tangle, twist, writhe)
+                      kauffman_bracket, kink_slices, mirror_tangle, tangle,
+                      twist, writhe)
 from .tl import (AnnularClass, TLDiagram, TLMorphism, annulus_closure_eval,
                  catalan, crossing_resolution, delta, plane_closure, tl_basis,
                  tl_cap, tl_compose, tl_cup, tl_e, tl_from_diagram,

@@ -120,6 +120,7 @@ def modulate(f: AlgebraHom) -> PointedBimodule:
     return make_bimodule(f.source, b, left_action, b.right_regular(), b.unit)
 
 
+# re-validating each shape per call runs heisenberg-words at a third of the rate
 _HOM_SPACE_CACHE: dict = {}
 
 

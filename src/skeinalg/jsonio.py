@@ -254,10 +254,6 @@ def tangle_from_json(obj: dict) -> SliceTangle:
     slices = []
     for k, spec in enumerate(raw):
         sl = _slice_from_json(spec, width, k)
-        win = sum(e.widths()[0] for e in sl)
-        if win != width:
-            raise ParseError(f"slice {k} consumes {win} strands but {width} "
-                             "are available")
         width = sum(e.widths()[1] for e in sl)
         slices.append(sl)
     return tangle(strands_in, slices)

@@ -122,6 +122,15 @@ def test_bracket_open_tangle_exits_2(tmp_path):
     assert code == 2
 
 
+def test_bracket_unchained_slices_exit_2(tmp_path, capsys):
+    path = tmp_path / "unchained.json"
+    path.write_text(json.dumps({"strands_in": 0, "slices": [["cap"]]}))
+    code, _ = run_cli("bracket", str(path))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: slice 0 consumes 2 strands but 0 are available\n"
+
+
 def test_bracket_parse_error_exits_1(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -3,7 +3,7 @@ import random
 import pytest
 import test_acceptance
 
-from skeinalg import tqft1d
+from skeinalg import tangles, tqft1d
 from skeinalg.errors import ContractViolation
 from skeinalg.selftest import ALL_CHECKS, SelfTestFailure, run_selftest
 
@@ -71,3 +71,20 @@ def test_one_corrupted_picture_fails_selftest_and_criterion_01(monkeypatch):
                for line in lines)
     with pytest.raises(SelfTestFailure, match="pictures disagree"):
         test_acceptance.test_criterion_01_picture_equivalence()
+
+
+def test_a_wrong_twist_sign_fails_the_ribbon_axioms(monkeypatch):
+    """Mutation check on the diagram side: a twist event scales by
+    +A^(3 sign) instead of -A^(3 sign), which squaring hides."""
+    event_morphism = tangles._event_morphism
+
+    def positive_twist(e):
+        m = event_morphism(e)
+        return m.scaled(-1) if e.kind == "twist" else m
+
+    monkeypatch.setattr(tangles, "_event_morphism", positive_twist)
+    lines = []
+    assert run_selftest("quick", 0, lines.append) == 5
+    assert [line.split(" fails: ")[0] for line in lines
+            if line.startswith("FAIL")] == [
+        "FAIL skein.ribbon-axioms: ribbon identity twist-is-curl[sign=1]"]

@@ -12,8 +12,8 @@ from skeinalg.tangles import (CAP, CUP, ID, SliceTangle, bracket_state_sum,
                               braid_to_slices, cable_double,
                               closed_braid_tangle, coupon, cross,
                               insert_slices, interpret_tangle, kauffman_bracket,
-                              kink_slices, mirror_tangle, ribbon_axiom_checks,
-                              tangle, twist, writhe)
+                              kink_slices, mirror_tangle, tangle, twist,
+                              writhe)
 from skeinalg.tl import (TLMorphism, crossing_resolution, delta, plane_closure,
                          tl_basis, tl_compose, tl_e, tl_identity)
 
@@ -125,11 +125,11 @@ def test_state_sum_agrees_on_corpus():
     ]
     for t in corpus:
         assert t.crossing_count() <= 8
-        assert kauffman_bracket(t, verify=False) == bracket_state_sum(t)
+        assert plane_closure(interpret_tangle(t)) == bracket_state_sum(t)
 
 
 def test_bracket_runtime_crosscheck_is_on_by_default():
-    # verify=None recomputes small brackets through the state sum
+    # the bracket recomputes small brackets through the state sum
     t = closed_braid_tangle([1, -1], 2)
     assert kauffman_bracket(t) == delta() * delta()
 
@@ -140,12 +140,12 @@ def test_r1_scales_bracket():
     for _ in range(10):
         word, n = random_braid(rng, 4, 3)
         base_tangle = closed_braid_tangle(word, n)
-        base = kauffman_bracket(base_tangle, verify=False)
+        base = kauffman_bracket(base_tangle)
         for sign in (1, -1):
             wire = rng.randrange(2 * n)
             t2 = insert_slices(base_tangle, n + len(word),
                                kink_slices(2 * n, wire, sign))
-            got = kauffman_bracket(t2, verify=False)
+            got = kauffman_bracket(t2)
             assert got == (minus_a3 ** sign) * base
 
 
@@ -153,18 +153,18 @@ def test_r2_r3_invariance_small():
     rng = random.Random(79)
     for _ in range(15):
         word, n = random_braid(rng, 5, 4)
-        base = kauffman_bracket(closed_braid_tangle(word, n), verify=False)
+        base = kauffman_bracket(closed_braid_tangle(word, n))
         pos = rng.randint(0, len(word))
         g = rng.randint(1, n - 1)
         w2 = word[:pos] + [g, -g] + word[pos:]
-        assert kauffman_bracket(closed_braid_tangle(w2, n), verify=False) == base
+        assert kauffman_bracket(closed_braid_tangle(w2, n)) == base
         if n >= 3:
             g = rng.randint(1, n - 2)
             s = rng.choice([1, -1])
             wa = word[:pos] + [s * g, s * (g + 1), s * g] + word[pos:]
             wb = word[:pos] + [s * (g + 1), s * g, s * (g + 1)] + word[pos:]
-            assert kauffman_bracket(closed_braid_tangle(wa, n), verify=False) \
-                == kauffman_bracket(closed_braid_tangle(wb, n), verify=False)
+            assert kauffman_bracket(closed_braid_tangle(wa, n)) \
+                == kauffman_bracket(closed_braid_tangle(wb, n))
 
 
 def test_writhe():
@@ -211,24 +211,6 @@ def test_cable_double_widths():
     assert c.strands_in == 4
     assert c.strands_out == 4
     assert interpret_tangle(c) == tl_identity(4)
-
-
-def test_ribbon_axiom_checks_pass():
-    report = ribbon_axiom_checks()
-    assert report.passed
-    names = [c.name for c in report.checks]
-    assert any(n.startswith("yang-baxter") for n in names)
-    assert any(n.startswith("reidemeister-2") for n in names)
-    assert "full-twist-naturality" in names
-    assert "twist-quadratic-equation" in names
-
-
-def test_ribbon_axiom_checks_bounds():
-    with pytest.raises(ContractViolation):
-        ribbon_axiom_checks(2)
-    with pytest.raises(ContractViolation):
-        ribbon_axiom_checks(99)
-    assert ribbon_axiom_checks(6).passed
 
 
 def test_full_twist_value():
@@ -305,7 +287,7 @@ def test_state_sum_agrees_with_fold_on_random_closed_tangles():
         t = random_morse_tangle(rng, 0, rng.randint(1, 8), closed=True)
         if t.crossing_count() > 10:
             continue
-        value = kauffman_bracket(t, verify=False)
+        value = plane_closure(interpret_tangle(t))
         assert bracket_state_sum(t) == value
         assert literal_fold(t) == tl_identity(0).scaled(value)
 
@@ -340,8 +322,6 @@ def test_state_sum_refuses_too_many_crossings_at_once():
         # 2^30 states would never finish; the cap is checked first
         with pytest.raises(ContractViolation, match="exceeds the cap"):
             bracket_state_sum(t)
-        with pytest.raises(ContractViolation, match="exceeds the cap"):
-            kauffman_bracket(t, verify=True)
 
 
 def test_default_verify_bound_is_ten_crossings(monkeypatch):
