@@ -288,23 +288,31 @@ def _generator_actions(m1: PointedBimodule, m2: PointedBimodule) -> list:
                for t in m1.right.generators])
 
 
-def make_bimodule_map(source: PointedBimodule, target: PointedBimodule,
-                      matrix: Matrix) -> PointedBimoduleMap:
-    """Validate intertwining on the generators of each side, and the pointing.
+def _map_failure(source: PointedBimodule, target: PointedBimodule,
+                 matrix: Matrix, pointed: bool):
+    """Why matrix is no bimodule map (pointing to pointing if pointed), or None.
 
     The elements a with X A1(a) = A2(a) X form a subalgebra, so the
-    generators suffice.
+    generators of each side suffice.
     """
+    for side, i, a1, a2 in _generator_actions(source, target):
+        if matrix @ a1 != a2 @ matrix:
+            return f"map fails to intertwine the {side} action at basis index {i}"
+    if pointed and matrix.apply(source.pointing) != tuple(target.pointing):
+        return "map does not send pointing to pointing"
+    return None
+
+
+def make_bimodule_map(source: PointedBimodule, target: PointedBimodule,
+                      matrix: Matrix) -> PointedBimoduleMap:
+    """Validate intertwining on the generators of each side, and the pointing."""
     if source.left != target.left or source.right != target.right:
         raise ContractViolation("bimodule map needs equal acting algebras")
     if (matrix.rows, matrix.cols) != (target.dim, source.dim):
         raise ContractViolation("bimodule map matrix has wrong shape")
-    for side, i, a1, a2 in _generator_actions(source, target):
-        if matrix @ a1 != a2 @ matrix:
-            raise ValidationError(
-                f"map fails to intertwine the {side} action at basis index {i}")
-    if matrix.apply(source.pointing) != tuple(target.pointing):
-        raise ValidationError("map does not send pointing to pointing")
+    failure = _map_failure(source, target, matrix, pointed=True)
+    if failure is not None:
+        raise ValidationError(failure)
     return PointedBimoduleMap(source, target, matrix)
 
 
@@ -340,47 +348,44 @@ def _affine_intertwiner_space(m1, m2, pointed: bool):
     return Matrix(q, p, particular), [Matrix(q, p, v) for v in kernel]
 
 
-def bimodule_iso_pointed(m1: PointedBimodule, m2: PointedBimodule, *,
-                         trials: int = 32, seed: int = 0):
-    """An invertible intertwiner sending pointing to pointing, or None.
+def _iso_search(m1: PointedBimodule, m2: PointedBimodule, pointed: bool,
+                seed: int):
+    """A certified invertible intertwiner m1 -> m2, or None.
 
-    Presence is certified exactly; absence holds at the randomized
-    completeness level documented on find_invertible_in_affine_family.
+    With pointed it must also send pointing to pointing.  A search result
+    failing that certification raises InternalCheckError; absence holds
+    at the randomized level documented on find_invertible_in_affine_family.
     """
-    if m1.left != m2.left or m1.right != m2.right:
-        raise ContractViolation("pointed iso needs equal acting algebras")
-    if m1.dim != m2.dim:
-        return None
-    space = _affine_intertwiner_space(m1, m2, pointed=True)
-    if space is None:
-        return None
-    particular, directions = space
-    mat = find_invertible_in_affine_family(particular, directions,
-                                           trials=trials, seed=seed)
-    if mat is None:
-        return None
-    return make_bimodule_map(m1, m2, mat)
-
-
-def bimodule_iso_unpointed(m1: PointedBimodule, m2: PointedBimodule, *,
-                           trials: int = 32, seed: int = 0):
-    """An invertible intertwiner ignoring pointings, or None."""
     if m1.left != m2.left or m1.right != m2.right:
         raise ContractViolation("iso test needs equal acting algebras")
     if m1.dim != m2.dim:
         return None
-    particular, directions = _affine_intertwiner_space(m1, m2, pointed=False)
-    mat = find_invertible_in_affine_family(particular, directions,
-                                           trials=trials, seed=seed)
+    space = _affine_intertwiner_space(m1, m2, pointed)
+    if space is None:
+        return None
+    mat = find_invertible_in_affine_family(*space, seed=seed)
     if mat is None:
         return None
-    if any(mat @ a1 != a2 @ mat for _, _, a1, a2 in _generator_actions(m1, m2)):
-        raise InternalCheckError("search returned a non-intertwiner")
+    failure = _map_failure(m1, m2, mat, pointed)
+    if failure is not None:
+        raise InternalCheckError(f"search returned a non-witness: {failure}")
     return mat
 
 
-def conjugator_between(f: AlgebraHom, g: AlgebraHom, *, trials: int = 32,
-                       seed: int = 0):
+def bimodule_iso_pointed(m1: PointedBimodule, m2: PointedBimodule, *,
+                         seed: int = 0):
+    """An invertible intertwiner sending pointing to pointing, or None."""
+    mat = _iso_search(m1, m2, True, seed)
+    return None if mat is None else PointedBimoduleMap(m1, m2, mat)
+
+
+def bimodule_iso_unpointed(m1: PointedBimodule, m2: PointedBimodule, *,
+                           seed: int = 0):
+    """An invertible intertwiner ignoring pointings, or None."""
+    return _iso_search(m1, m2, False, seed)
+
+
+def conjugator_between(f: AlgebraHom, g: AlgebraHom, *, seed: int = 0):
     """An invertible b with b f(a) = g(a) b for all a, or None.
 
     This is the direct criterion for the modulations of f and g to be
@@ -402,7 +407,7 @@ def conjugator_between(f: AlgebraHom, g: AlgebraHom, *, trials: int = 32,
         return None
     directions = [b_alg.left_mult_matrix(v) for v in basis]
     mat = find_invertible_in_affine_family(Matrix.zeros(n, n), directions,
-                                           trials=trials, seed=seed)
+                                           seed=seed)
     if mat is None:
         return None
     b = mat.apply(b_alg.unit)  # mat is L_b, and L_b(1) = b
@@ -419,11 +424,9 @@ def conjugator_between(f: AlgebraHom, g: AlgebraHom, *, trials: int = 32,
 class ComposeReport:
     passed: bool
     witness: object
-    detail: str
 
 
-def end_compose_check(f: Matrix, g: Matrix, *, trials: int = 32,
-                      seed: int = 0) -> ComposeReport:
+def end_compose_check(f: Matrix, g: Matrix, *, seed: int = 0) -> ComposeReport:
     """Check hom(V,X) pointed by g f against hom(W,X) tensor hom(V,W).
 
     f : V -> W and g : W -> X; the composite bimodule carries a left
@@ -434,12 +437,8 @@ def end_compose_check(f: Matrix, g: Matrix, *, trials: int = 32,
         raise ContractViolation("maps are not composable")
     composite = tensor_over(end_morphism(g), end_morphism(f))
     direct = end_morphism(g @ f)
-    witness = bimodule_iso_pointed(composite, direct, trials=trials, seed=seed)
-    if witness is None:
-        return ComposeReport(False, None,
-                             "no pointed isomorphism found between the "
-                             "composite and the direct image")
-    return ComposeReport(True, witness, "pointed isomorphism exhibited")
+    witness = bimodule_iso_pointed(composite, direct, seed=seed)
+    return ComposeReport(witness is not None, witness)
 
 
 def annihilator_left(n: int, v) -> list:

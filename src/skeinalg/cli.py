@@ -26,7 +26,7 @@ from .laurent import LaurentPoly
 from .tangles import (braid_to_slices, closed_braid_tangle, interpret_tangle,
                       kauffman_bracket, writhe)
 from .tl import annulus_closure_eval, plane_closure, tl_basis
-from .tqft1d import compare_pictures, eval_heisenberg, eval_schrodinger, parse_word
+from .tqft1d import eval_heisenberg, eval_schrodinger, parse_word, picture_report
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -132,21 +132,15 @@ def cmd_algebra(args, out) -> int:
         else:
             out(f"tensor bimodule of dim {t.dim}")
         return EXIT_OK
-    if args.action == "iso":
-        w = bimodule_iso_pointed(m1, m2, trials=args.trials, seed=seed)
-        if w is None:
-            out("absent")
+    if args.action in ("iso", "iso-unpointed"):
+        if args.action == "iso":
+            w = bimodule_iso_pointed(m1, m2, seed=seed)
+            mat = None if w is None else w.matrix
         else:
-            out("present")
-            out(json.dumps(matrix_to_json(w.matrix)))
-        return EXIT_OK
-    if args.action == "iso-unpointed":
-        w = bimodule_iso_unpointed(m1, m2, trials=args.trials, seed=seed)
-        if w is None:
-            out("absent")
-        else:
-            out("present")
-            out(json.dumps(matrix_to_json(w)))
+            mat = bimodule_iso_unpointed(m1, m2, seed=seed)
+        out("absent" if mat is None else "present")
+        if mat is not None:
+            out(json.dumps(matrix_to_json(mat)))
         return EXIT_OK
     raise ParseError(f"unknown algebra action {args.action!r}")
 
@@ -162,7 +156,7 @@ def cmd_tqft1d(args, out) -> int:
         out(f"heisenberg: bimodule of dim {h.dim}, pointing "
             + json.dumps([str(x) for x in h.pointing]))
     if args.picture == "both" and word.is_closed:
-        rep = compare_pictures(sys_obj, word)
+        rep = picture_report(m, h)
         out(f"scalars: {rep.schrodinger_value} vs {rep.heisenberg_value}: "
             + ("AGREE" if rep.agree else "DISAGREE"))
         if not rep.agree:
@@ -203,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "iso-unpointed"])
     a.add_argument("inputs", nargs="+")
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--trials", type=int, default=32)
     a.add_argument("--emit-json", action="store_true")
 
     q = sub.add_parser("tqft1d", help="evaluate a spacetime word")

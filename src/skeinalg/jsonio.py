@@ -232,6 +232,9 @@ def _slice_from_json(spec, width: int, index: int) -> list:
         name, opts = spec
         if name not in _EVENT_NAMES:
             raise ParseError(f"slice {index}: unknown event {name!r}")
+        for key in opts:
+            if key != "at":
+                raise ParseError(f"slice {index}: unknown option {key!r}")
         ev = _EVENT_NAMES[name]
         at = opts.get("at", 0)
         win, _ = ev.widths()

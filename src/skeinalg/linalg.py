@@ -459,12 +459,13 @@ def sparse_quotient(ambient_dim: int, relation_rows):
 
 
 # find_invertible_in_affine_family draws each coefficient from
-# [-SEARCH_COEFF_BOUND, SEARCH_COEFF_BOUND]
+# [-SEARCH_COEFF_BOUND, SEARCH_COEFF_BOUND], in at most SEARCH_TRIALS trials
 SEARCH_COEFF_BOUND = 10**6
+SEARCH_TRIALS = 32
 
 
 def find_invertible_in_affine_family(particular: Matrix, directions,
-                                     *, trials: int = 32, seed: int = 0):
+                                     *, seed: int = 0):
     """Search particular + span(directions) for an invertible matrix.
 
     The positive direction is exact: any returned matrix has nonzero
@@ -472,13 +473,11 @@ def find_invertible_in_affine_family(particular: Matrix, directions,
     is randomized-complete: if some point of the family is invertible,
     each random trial misses with probability at most
     n / (2*SEARCH_COEFF_BOUND+1) (Schwartz-Zippel, since det is a
-    polynomial of degree <= n in the coefficients), so None after the
-    default 32 trials is wrong with probability below 1e-160 for the
-    sizes used here.  Fewer than one trial raises ContractViolation.
+    polynomial of degree <= n in the coefficients), so None after
+    SEARCH_TRIALS trials is wrong with probability at most
+    (n / (2*SEARCH_COEFF_BOUND+1))**SEARCH_TRIALS, below 1e-160 for the
+    sizes used here.
     """
-    if trials < 1:
-        raise ContractViolation(
-            f"the search needs at least one trial, not {trials}")
     directions = list(directions)
     n = particular.rows
     if not particular.is_square or any(
@@ -489,7 +488,7 @@ def find_invertible_in_affine_family(particular: Matrix, directions,
     if not directions:
         return None
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(SEARCH_TRIALS):
         coeffs = [rng.randint(-SEARCH_COEFF_BOUND, SEARCH_COEFF_BOUND)
                   for _ in directions]
         cand = mat_lincomb([(1, particular)] + list(zip(coeffs, directions)),

@@ -231,21 +231,25 @@ class PictureReport:
     agree: bool
 
 
-def compare_pictures(sys: System, word: SpacetimeWord) -> PictureReport:
-    """Compare the closed-word scalar in both pictures (exact equality)."""
-    if not word.is_closed:
-        raise ContractViolation("picture comparison needs a closed word")
-    s = eval_schrodinger(sys, word)[0, 0]
-    h = eval_heisenberg(sys, word)
+def picture_report(s: Matrix, h: PointedBimodule) -> PictureReport:
+    """Compare a closed word's Schrodinger and Heisenberg values exactly."""
     if h.dim != 1 or h.left != field_algebra() or h.right != field_algebra():
         raise InternalCheckError("closed word did not evaluate to a scalar bimodule")
-    return PictureReport(s, h.pointing[0], s == h.pointing[0])
+    return PictureReport(s[0, 0], h.pointing[0], s[0, 0] == h.pointing[0])
+
+
+def compare_pictures(sys: System, word: SpacetimeWord) -> PictureReport:
+    """Evaluate a closed word in both pictures and compare the scalars."""
+    if not word.is_closed:
+        raise ContractViolation("picture comparison needs a closed word")
+    return picture_report(eval_schrodinger(sys, word),
+                          eval_heisenberg(sys, word))
 
 
 def system_from_heisenberg_data(alg: Algebra, f: AlgebraHom, *,
                                 left_ideals=None, right_ideals=None,
                                 elements=None, t_max: int = 3,
-                                trials: int = 32, seed: int = 0) -> dict:
+                                seed: int = 0) -> dict:
     """Generator-to-bimodule table for an algebra-first system description.
 
     u-entries are t-fold tensor powers of the modulation of f (checked
@@ -262,7 +266,7 @@ def system_from_heisenberg_data(alg: Algebra, f: AlgebraHom, *,
         if t > 1:
             power = tensor_over(power, m1)
         expected = modulate(hom_power(f, t))
-        if bimodule_iso_pointed(power, expected, trials=trials, seed=seed) is None:
+        if bimodule_iso_pointed(power, expected, seed=seed) is None:
             raise InternalCheckError(
                 f"tensor power {t} of the modulation is not isomorphic to the "
                 "modulation of the power")

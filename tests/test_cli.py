@@ -9,6 +9,9 @@ import pytest
 
 from skeinalg.algebra import (conjugation_hom, matrix_algebra,
                               product_field_algebra, identity_hom, make_hom)
+from skeinalg import bimodule as bimodule_mod
+from skeinalg import cli as cli_mod
+from skeinalg import tqft1d as tqft1d_mod
 from skeinalg.bimodule import modulate, regular_bimodule
 from skeinalg.cli import main
 from skeinalg.errors import ParseError
@@ -87,6 +90,24 @@ def test_tangle_json_positional_form():
 def test_tangle_json_bad_event():
     with pytest.raises(ParseError):
         tangle_from_json({"strands_in": 0, "slices": [["cupp"]]})
+
+
+def test_bracket_misspelled_slice_option_exits_1(tmp_path):
+    # with the crossing at 1 this is a 2-component link; at the default
+    # position 0 it is another link, with another bracket
+    doc = {"strands_in": 0,
+           "slices": [["cup"], ["cup", {"at": 2}], ["cross+", {"at": 1}],
+                      ["cap", {"at": 2}], ["cap"]]}
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("bracket", str(path)) == (0, ["A^5 + A"])
+    for bad in ({"At": 1}, {"pos": 1}, {"at": 1, "pos": 1}):
+        doc["slices"][2][1] = bad
+        path.write_text(json.dumps(doc))
+        assert run_cli("bracket", str(path)) == (1, [])
+    doc["slices"] = [["cup"], ["cross+", {}], ["cap"]]
+    path.write_text(json.dumps(doc))
+    assert run_cli("bracket", str(path))[0] == 0
 
 
 def test_braid_string():
@@ -271,15 +292,27 @@ def test_algebra_tensor_past_dim_16_needs_no_flag(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_algebra_iso_without_trials_exits_3(tmp_path, trials):
+def test_algebra_trials_flag_is_gone(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(bimodule_to_json(
         modulate(identity_hom(matrix_algebra(2))))))
-    for action in ("iso-unpointed", "iso"):
-        code, lines = run_cli("algebra", action, str(path), str(path),
-                              "--trials", trials)
-        assert (code, lines) == (3, [])
+    with pytest.raises(SystemExit) as exc:
+        run_cli("algebra", "iso", str(path), str(path), "--trials", "32")
+    assert exc.value.code == 2
+
+
+def test_algebra_iso_non_witness_exits_5(tmp_path, monkeypatch):
+    # an invertible matrix that intertwines no action of M_2 on itself
+    swap = Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0],
+                             [0, 0, 1, 0], [0, 0, 0, 1]])
+    monkeypatch.setattr(bimodule_mod, "find_invertible_in_affine_family",
+                        lambda *args, **kwargs: swap)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(bimodule_to_json(
+        modulate(identity_hom(matrix_algebra(2))))))
+    for action in ("iso", "iso-unpointed"):
+        code, lines = run_cli("algebra", action, str(path), str(path))
+        assert (code, lines) == (5, [])
 
 
 def test_algebra_iso_unpointed_swap_absent(tmp_path):
@@ -306,6 +339,30 @@ def test_tqft1d_both_agree(tmp_path):
     assert code == 0
     assert lines[-1].endswith("AGREE")
     assert "1 vs 1" in lines[-1]
+
+
+def test_tqft1d_both_evaluates_each_picture_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(name):
+        f = getattr(tqft1d_mod, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    for name in ("eval_schrodinger", "eval_heisenberg"):
+        wrapper = counting(name)
+        monkeypatch.setattr(tqft1d_mod, name, wrapper)
+        monkeypatch.setattr(cli_mod, name, wrapper)
+    sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
+                      states={"0": (0, 1)}, costates={"0": (0, 1)})
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(system_to_json(sys)))
+    code, lines = run_cli("tqft1d", str(path), "w[0] . u(1) . v[0]")
+    assert (code, lines[-1]) == (0, "scalars: 1 vs 1: AGREE")
+    assert sorted(calls) == ["eval_heisenberg", "eval_schrodinger"]
 
 
 def test_tqft1d_huge_duration_agrees(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from oracles import adjugate_inverse, laplace_det
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
-from skeinalg.linalg import (MATRIX_POWER_MAX_ENTRY_BITS, Matrix,
+from skeinalg.linalg import (MATRIX_POWER_MAX_ENTRY_BITS, SEARCH_TRIALS, Matrix,
                              find_invertible_in_affine_family, kernel_basis,
                              matrix_power, quotient_basis, rank, rref,
                              solve_linear)
@@ -240,13 +240,20 @@ def test_find_invertible_scalar_line():
     assert got[0, 1] == 0 and got[0, 0] == got[1, 1]
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-def test_find_invertible_needs_a_trial(trials):
-    # even where no trial would be drawn: the particular point is invertible
-    for particular in (Matrix.zeros(2, 2), Matrix.identity(2)):
-        with pytest.raises(ContractViolation, match="at least one trial"):
-            find_invertible_in_affine_family(
-                particular, [Matrix.identity(2)], trials=trials)
+def test_find_invertible_runs_search_trials_determinants(monkeypatch):
+    # rank-1 directions: no point of the family is invertible
+    calls = []
+    det = Matrix.det
+
+    def counted(self):
+        calls.append(self)
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counted)
+    dirs = [Matrix.from_rows([[1, 0], [0, 0]]), Matrix.from_rows([[0, 1], [0, 0]])]
+    assert find_invertible_in_affine_family(Matrix.zeros(2, 2), dirs) is None
+    # the particular point, then one candidate per trial
+    assert len(calls) == 1 + SEARCH_TRIALS
 
 
 def test_find_invertible_deterministic():
