@@ -22,6 +22,7 @@ multiplication by the generators, and the docstrings below say which.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .algebra import (Algebra, AlgebraHom, field_algebra, flatten_matrix,
                       matrix_algebra)
@@ -194,19 +195,18 @@ def _relation_rows(pcols, qcols) -> list:
     return rows
 
 
-def _quotient_bimodule(left: Algebra, right: Algebra, left_action,
-                       right_action, point, relations) -> PointedBimodule:
-    """The bimodule that M tensor N / span(relations) inherits.
+def _quotient_shape(left: Algebra, right: Algebra, left_action,
+                    right_action, p: int, q: int, relations):
+    """The bimodule that M tensor N / span(relations) inherits, unpointed.
 
     left_action holds the p x p matrices by which the left algebra acts on
     the factor M, right_action the q x q ones by which the right algebra
-    acts on N, and point = (x, y) gives the pointing x tensor y.  Ambient
-    coordinate i * q + j is e(i) tensor e(j); the relations must span a
-    sub-bimodule.  The result lives on the canonical pivot-complement basis
-    and is checked by make_bimodule.
+    acts on N.  Ambient coordinate i * q + j is e(i) tensor e(j); the
+    relations must span a sub-bimodule.  Returns the bimodule on the
+    canonical pivot-complement basis, pointed by zero and checked by
+    make_bimodule, with the projection columns: entry i * q + j lists the
+    (quotient coordinate, value) pairs of the class of e(i) tensor e(j).
     """
-    x, y = point
-    p, q = len(x), len(y)
     reps, proj_cols = sparse_quotient(p * q, relations)
     dim = len(reps)
 
@@ -229,14 +229,44 @@ def _quotient_bimodule(left: Algebra, right: Algebra, left_action,
             mats.append(Matrix.from_cols(cols, dim))
         return mats
 
+    # make_bimodule reads the pointing only for its length and exactness
+    shape = make_bimodule(left, right, descend(left_action, True),
+                          descend(right_action, False), (0,) * dim)
+    return shape, tuple(tuple(col.items()) for col in proj_cols)
+
+
+def _quotient_pointing(dim: int, proj_cols, x, y) -> tuple:
+    """The class of x tensor y in the quotient of _quotient_shape."""
+    q = len(y)
     pointing = [0] * dim
     for i, v in enumerate(x):
         for j, w in enumerate(y):
             if v and w:
-                for t, c in proj_cols[i * q + j].items():
+                for t, c in proj_cols[i * q + j]:
                     pointing[t] = pointing[t] + v * w * c
-    return make_bimodule(left, right, descend(left_action, True),
-                         descend(right_action, False), pointing)
+    _check_exact(pointing)
+    return tuple(pointing)
+
+
+# One quotient per pair of unpointed factors: rebuilding and revalidating
+# it on every call was most of heisenberg-words.  Over the first 180
+# seed-0 operations of that workload, the 660 tensor_over calls hit the
+# memo 651 times and miss it 9 times; cleared before every operation it
+# still hits 336 times, since one word repeats its factor shapes.  The
+# memo alone took the workload from 175 to 373 ops/s (benchmarks/run.py,
+# 8 s, 2 vCPUs).  In a Heisenberg word the keys depend only on the factor
+# shapes, so 64 entries hold every pair such a run uses, and they bound
+# the memory held for any other caller.
+@lru_cache(maxsize=64)
+def _tensor_shape(m1: PointedBimodule, m2: PointedBimodule):
+    """_quotient_shape of tensor_over on factors with blank pointings."""
+    relations = []
+    for b in m1.right.generators:
+        rb, lb = m1.right_action[b], m2.left_action[b]
+        relations += _relation_rows([rb.col(i) for i in range(m1.dim)],
+                                    [lb.col(j) for j in range(m2.dim)])
+    return _quotient_shape(m1.left, m2.right, m1.left_action,
+                           m2.right_action, m1.dim, m2.dim, relations)
 
 
 def tensor_over(m1: PointedBimodule, m2: PointedBimodule) -> PointedBimodule:
@@ -252,8 +282,20 @@ def tensor_over(m1: PointedBimodule, m2: PointedBimodule) -> PointedBimodule:
     the relation of b at (m, sn).  The reduced echelon basis of a span
     does not depend on the rows that span it, so neither does the result.
 
+    The quotient, its actions and their make_bimodule check depend only
+    on the factors with their pointings blanked, so they are built once
+    per such pair and kept in a bounded memo (_tensor_shape); each call
+    then only descends x tensor y through the stored projection columns.
+    This skips no check: make_bimodule reads the pointing only for its
+    length and exactness, the exactness of the new pointing is checked
+    here, and each distinct action pair is still validated once, as each
+    hom-space shape is in _hom_space.  A hit hands back the stored
+    actions, equal in value to a rebuild's (an entry may be Fraction(1)
+    where a rebuild has 1).  Algebra equality ignores the generators, so
+    the result carries the caller's m1.left and m2.right.
+
     Factors with m1.dim * m2.dim > TENSOR_MAX_AMBIENT_DIM are refused
-    before any relation is built.
+    before any relation is built or the memo is consulted.
     """
     if m1.right != m2.left:
         raise ContractViolation("middle algebras do not match")
@@ -261,14 +303,11 @@ def tensor_over(m1: PointedBimodule, m2: PointedBimodule) -> PointedBimodule:
         raise ContractViolation(
             f"tensor of dimensions {m1.dim} and {m2.dim} exceeds "
             f"TENSOR_MAX_AMBIENT_DIM = {TENSOR_MAX_AMBIENT_DIM}")
-    relations = []
-    for b in m1.right.generators:
-        rb, lb = m1.right_action[b], m2.left_action[b]
-        relations += _relation_rows([rb.col(i) for i in range(m1.dim)],
-                                    [lb.col(j) for j in range(m2.dim)])
-    return _quotient_bimodule(m1.left, m2.right, m1.left_action,
-                              m2.right_action, (m1.pointing, m2.pointing),
-                              relations)
+    shape, proj_cols = _tensor_shape(replace(m1, pointing=()),
+                                     replace(m2, pointing=()))
+    pointing = _quotient_pointing(shape.dim, proj_cols, m1.pointing,
+                                  m2.pointing)
+    return replace(shape, left=m1.left, right=m2.right, pointing=pointing)
 
 
 @dataclass(frozen=True)
@@ -498,7 +537,13 @@ def ideal_quotient_module(alg: Algebra, ideal_basis,
     # A/I is A tensor K modulo I tensor K, and J\A is K tensor A modulo K tensor J
     k_alg, one = field_algebra(), [Matrix.identity(1)]
     if side == "left":
-        return _quotient_bimodule(alg, k_alg, alg.left_regular(), one,
-                                  (alg.unit, (1,)), rows)
-    return _quotient_bimodule(k_alg, alg, one, alg.right_regular(),
-                              ((1,), alg.unit), rows)
+        shape, proj_cols = _quotient_shape(alg, k_alg, alg.left_regular(),
+                                           one, alg.dim, 1, rows)
+        x, y = alg.unit, (1,)
+    else:
+        shape, proj_cols = _quotient_shape(k_alg, alg, one,
+                                           alg.right_regular(), 1, alg.dim,
+                                           rows)
+        x, y = (1,), alg.unit
+    return replace(shape, pointing=_quotient_pointing(shape.dim, proj_cols,
+                                                      x, y))

@@ -10,10 +10,12 @@ are evaluated in two pictures and compared:
 
 Durations are positive integers and u(t) is the t-th power of the step
 matrix, which is exactly what the group law u(s) u(t) = u(s+t) needs; it
-is computed by repeated squaring, in O(log t) matrix products.  Every
-product of a power, of a Schrodinger word and every pointing of a
-Heisenberg composite is held to MATRIX_POWER_MAX_ENTRY_BITS, so a word
-whose values explode fails fast with ContractViolation.  So does a
+is computed by repeated squaring, in O(log t) matrix products, once per
+distinct t in an evaluation; compare_pictures shares each power between
+the two pictures, never across calls.  Every product of a power, of a
+Schrodinger word and every pointing of a Heisenberg composite is held
+to MATRIX_POWER_MAX_ENTRY_BITS, so a word whose values explode fails
+fast with ContractViolation.  So does a
 Heisenberg tensor past TENSOR_MAX_AMBIENT_DIM, as in a word on dim V >= 9
 that starts with two intervals or observables.
 Words are written left to right in diagram order and evaluated in
@@ -52,8 +54,10 @@ class System:
 
 def make_system(dim_v: int, step: Matrix, states=None, costates=None,
                 observables=None) -> System:
-    if dim_v < 1:
-        raise ContractViolation("the space of states must be positive-dimensional")
+    # bool is an int subclass, and True would pass as dimension 1
+    if isinstance(dim_v, bool) or not isinstance(dim_v, int) or dim_v < 1:
+        raise ContractViolation(
+            f"the space of states needs an int dimension >= 1, got {dim_v!r}")
     if (step.rows, step.cols) != (dim_v, dim_v):
         raise ContractViolation("step matrix shape does not match dim")
     states = {k: tuple(v) for k, v in (states or {}).items()}
@@ -187,19 +191,53 @@ def _schrodinger_matrix(sys: System, gen) -> Matrix:
     return Matrix.row_vector(_lookup(sys.costates, "costate", arg))
 
 
-def eval_schrodinger(sys: System, word: SpacetimeWord) -> Matrix:
-    """The matrix of the word; a closed word yields a 1x1 matrix."""
+def _generator_matrices(sys: System):
+    """gen -> its Schrodinger matrix, each distinct generator computed once.
+
+    The table lives for one evaluation or comparison, never across calls.
+    """
+    table: dict = {}
+
+    def matrix_of(gen) -> Matrix:
+        if gen not in table:
+            table[gen] = _schrodinger_matrix(sys, gen)
+        return table[gen]
+    return matrix_of
+
+
+def _schrodinger_word(sys: System, word: SpacetimeWord, matrix_of) -> Matrix:
     if not word.gens:
         return Matrix.identity(sys.dim_v if word.at == PT else 1)
     out = None
     for gen in word.gens:
-        m = _schrodinger_matrix(sys, gen)
+        m = matrix_of(gen)
         out = m if out is None else _bounded(out @ m, "word product")
     return out
 
 
-def _heisenberg_bimodule(sys: System, gen) -> PointedBimodule:
-    return end_morphism(_schrodinger_matrix(sys, gen))
+def eval_schrodinger(sys: System, word: SpacetimeWord) -> Matrix:
+    """The matrix of the word; a closed word yields a 1x1 matrix."""
+    return _schrodinger_word(sys, word, _generator_matrices(sys))
+
+
+def _heisenberg_bimodule(gen, matrix_of) -> PointedBimodule:
+    return end_morphism(matrix_of(gen))
+
+
+def _heisenberg_word(sys: System, word: SpacetimeWord,
+                     matrix_of) -> PointedBimodule:
+    if not word.gens:
+        n = sys.dim_v if word.at == PT else 1
+        return end_morphism(Matrix.identity(n))
+    out = None
+    for gen in word.gens:
+        b = _heisenberg_bimodule(gen, matrix_of)
+        if out is None:
+            out = b
+        else:
+            out = tensor_over(out, b)
+            _check_entry_bits(out.pointing, "tensor composite pointing")
+    return out
 
 
 def eval_heisenberg(sys: System, word: SpacetimeWord) -> PointedBimodule:
@@ -210,18 +248,7 @@ def eval_heisenberg(sys: System, word: SpacetimeWord) -> PointedBimodule:
     states give hom(K, V), costates hom(V, K)); the word is the tensor
     composite in diagram order.
     """
-    if not word.gens:
-        n = sys.dim_v if word.at == PT else 1
-        return end_morphism(Matrix.identity(n))
-    out = None
-    for gen in word.gens:
-        b = _heisenberg_bimodule(sys, gen)
-        if out is None:
-            out = b
-        else:
-            out = tensor_over(out, b)
-            _check_entry_bits(out.pointing, "tensor composite pointing")
-    return out
+    return _heisenberg_word(sys, word, _generator_matrices(sys))
 
 
 @dataclass(frozen=True)
@@ -239,11 +266,19 @@ def picture_report(s: Matrix, h: PointedBimodule) -> PictureReport:
 
 
 def compare_pictures(sys: System, word: SpacetimeWord) -> PictureReport:
-    """Evaluate a closed word in both pictures and compare the scalars."""
+    """Evaluate a closed word in both pictures and compare the scalars.
+
+    Each distinct generator's matrix, u(t) powers included, is computed
+    once and shared: the Schrodinger picture multiplies the matrices, the
+    Heisenberg picture builds end_morphism of each and tensors them over
+    the endomorphism algebras, so the routes still part after the
+    generators.
+    """
     if not word.is_closed:
         raise ContractViolation("picture comparison needs a closed word")
-    return picture_report(eval_schrodinger(sys, word),
-                          eval_heisenberg(sys, word))
+    matrix_of = _generator_matrices(sys)
+    return picture_report(_schrodinger_word(sys, word, matrix_of),
+                          _heisenberg_word(sys, word, matrix_of))
 
 
 def system_from_heisenberg_data(alg: Algebra, f: AlgebraHom, *,

@@ -6,13 +6,17 @@ Kronecker products for hom-space actions, cofactor expansion for
 determinants and inverses, full-width stacking by a union-find for the
 tangle fold and the diagram products, a fresh walk of every slice per
 state for the state sum, the all-pairs loops for the constructors that
-check on generators, and brute-force enumeration elsewhere.
+check on generators, a tensor_over that rebuilds and revalidates its
+quotient on every call, and brute-force enumeration elsewhere.
 """
 
 from fractions import Fraction
 
 from skeinalg.algebra import compose_homs
-from skeinalg.bimodule import end_morphism, modulate, tensor_over
+from skeinalg.bimodule import (TENSOR_MAX_AMBIENT_DIM, _relation_rows,
+                               end_morphism, make_bimodule, modulate,
+                               tensor_over)
+from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import Matrix, mat_lincomb, rref, sparse_quotient
 from skeinalg.tl import TLDiagram, TLMorphism
@@ -149,6 +153,71 @@ def _tensor_reps(m1, m2):
                     relations.append(row)
     reps, _ = sparse_quotient(p * q, relations)
     return [divmod(r, q) for r in reps]
+
+
+def _uncached_quotient_bimodule(left, right, left_action, right_action, point,
+                                 relations):
+    """The bimodule that M tensor N / span(relations) inherits.
+
+    left_action holds the p x p matrices by which the left algebra acts on
+    the factor M, right_action the q x q ones by which the right algebra
+    acts on N, and point = (x, y) gives the pointing x tensor y.  Ambient
+    coordinate i * q + j is e(i) tensor e(j); the relations must span a
+    sub-bimodule.  The result lives on the canonical pivot-complement basis
+    and is checked by make_bimodule.
+    """
+    x, y = point
+    p, q = len(x), len(y)
+    reps, proj_cols = sparse_quotient(p * q, relations)
+    dim = len(reps)
+
+    def descend(action, on_left):
+        mats = []
+        for act in action:
+            cols = []
+            for r in reps:
+                i, j = divmod(r, q)
+                # the left action moves the first factor, the right the second
+                start, stride, c = (j, q, i) if on_left else (i * q, 1, j)
+                col = [0] * dim
+                for k, v in enumerate(act.col(c)):
+                    if v:
+                        for t, w in proj_cols[start + k * stride].items():
+                            col[t] = col[t] + v * w
+                # a sum that cancels is Fraction(0); store it as int 0, like
+                # every entry no term reached
+                cols.append([e or 0 for e in col])
+            mats.append(Matrix.from_cols(cols, dim))
+        return mats
+
+    pointing = [0] * dim
+    for i, v in enumerate(x):
+        for j, w in enumerate(y):
+            if v and w:
+                for t, c in proj_cols[i * q + j].items():
+                    pointing[t] = pointing[t] + v * w * c
+    return make_bimodule(left, right, descend(left_action, True),
+                         descend(right_action, False), pointing)
+
+
+def uncached_tensor_over(m1, m2):
+    """tensor_over before its memo, body verbatim: every call builds the
+    middle relations and the quotient and runs make_bimodule on the
+    pointed result."""
+    if m1.right != m2.left:
+        raise ContractViolation("middle algebras do not match")
+    if m1.dim * m2.dim > TENSOR_MAX_AMBIENT_DIM:
+        raise ContractViolation(
+            f"tensor of dimensions {m1.dim} and {m2.dim} exceeds "
+            f"TENSOR_MAX_AMBIENT_DIM = {TENSOR_MAX_AMBIENT_DIM}")
+    relations = []
+    for b in m1.right.generators:
+        rb, lb = m1.right_action[b], m2.left_action[b]
+        relations += _relation_rows([rb.col(i) for i in range(m1.dim)],
+                                    [lb.col(j) for j in range(m2.dim)])
+    return _uncached_quotient_bimodule(m1.left, m2.right, m1.left_action,
+                                        m2.right_action,
+                                        (m1.pointing, m2.pointing), relations)
 
 
 def modulation_witness(f, g):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -129,9 +130,11 @@ def test_tensor_past_the_ambient_cap_fails_before_any_relation(monkeypatch):
         tensor_over(over_qq(8, "right"), over_qq(8, "left"))
     assert 64 * 64 == TENSOR_MAX_AMBIENT_DIM
     for m, n in ((64, 65), (65, 64)):
+        memo = bimodule._tensor_shape.cache_info()
         with pytest.raises(ContractViolation,
                            match="TENSOR_MAX_AMBIENT_DIM = 4096"):
             tensor_over(over_qq(m, "right"), over_qq(n, "left"))
+        assert bimodule._tensor_shape.cache_info() == memo  # not consulted
 
 
 def test_modulation_functoriality_explicit_witness():
@@ -409,3 +412,90 @@ def test_modulate_projectivity():
         lam = Fraction(rng.choice([-3, -2, 2, 5]))
         assert modulate(conjugation_hom(n, u)) == \
             modulate(conjugation_hom(n, u.scale(lam)))
+
+
+# -- the tensor_over memo ----------------------------------------------------
+
+
+def _same_tensor(m1, m2):
+    """tensor_over(m1, m2) equals the memo-free oracle field for field and
+    carries the caller's algebras; returns it."""
+    from oracles import uncached_tensor_over
+
+    out, ref = tensor_over(m1, m2), uncached_tensor_over(m1, m2)
+    # a hit may hand back Fraction(1) where the oracle builds 1: equal values
+    for f in fields(out):
+        assert getattr(out, f.name) == getattr(ref, f.name)
+    assert out.left is m1.left and out.right is m2.right
+    assert out.left.generators == m1.left.generators
+    assert out.right.generators == m2.right.generators
+    return out
+
+
+def _tensor_memo_cases(rng):
+    """Pairs of factors: same-shape end_morphism chains, modulations, ideal
+    quotient modules, and algebras equal up to their generators."""
+    pairs = []
+    for n in (1, 2, 3):
+        # a costate, n x n factors, a state: one shape each, new pointings
+        chain = ([end_morphism(random_matrix(rng, 1, n))]
+                 + [end_morphism(random_matrix(rng, n, n)) for _ in range(3)]
+                 + [end_morphism(random_matrix(rng, n, 1))])
+        left = chain[0]
+        for f in chain[1:]:
+            pairs.append((left, f))
+            left = tensor_over(left, f)
+        right = chain[-1]
+        for f in reversed(chain[:-1]):
+            pairs.append((f, right))
+            right = tensor_over(f, right)
+        a, b = chain[1], chain[2]
+        pairs += [(a, b), (b, a)]
+    for _ in range(4):
+        f, g = random_composable_hom_pair(rng, max_dim=3)
+        pairs.append((modulate(f), modulate(g)))
+    m2 = matrix_algebra(2)
+    v = (rng.randint(1, 3), rng.randint(-3, 3))
+    pairs.append((regular_bimodule(m2, flatten_matrix(random_matrix(rng, 2, 2))),
+                  ideal_quotient_module(m2, annihilator_left(2, v), "left")))
+    pairs.append((ideal_quotient_module(m2, annihilator_right(2, v), "right"),
+                  end_morphism(random_matrix(rng, 2, 2))))
+    # M_2 generated by its whole basis: equal to m2, other generators
+    wide = replace(m2, generators=tuple(range(m2.dim)))
+    assert wide == m2 and wide.generators != m2.generators
+    x, y = (end_morphism(random_matrix(rng, 2, 2)) for _ in range(2))
+    pairs += [(x, y), (replace(x, left=wide), replace(y, right=wide)),
+              (replace(x, right=wide), replace(y, left=wide))]
+    return pairs
+
+
+def test_tensor_memo_matches_the_uncached_oracle_cold_and_warm():
+    pairs = _tensor_memo_cases(random.Random(41))
+    bimodule._tensor_shape.cache_clear()
+    for m1, m2 in pairs:
+        _same_tensor(m1, m2)
+    cold = bimodule._tensor_shape.cache_info()
+    assert cold.hits > 0  # same-shape factors share one entry even when cold
+    for m1, m2 in pairs:
+        _same_tensor(m1, m2)
+    warm = bimodule._tensor_shape.cache_info()
+    assert warm.misses == cold.misses
+    assert warm.hits == cold.hits + len(pairs)
+
+
+def test_tensor_memo_stays_at_its_size_and_recomputes_an_evicted_pair():
+    size = bimodule._tensor_shape.cache_parameters()["maxsize"]
+    assert size is not None
+    m2 = regular_bimodule(matrix_algebra(2))
+    # conjugation by [[1, k], [0, 1]]: a distinct left action for each k
+    mods = [modulate(conjugation_hom(2, Matrix.from_rows([[1, k], [0, 1]])))
+            for k in range(size + 3)]
+    bimodule._tensor_shape.cache_clear()
+    first = _same_tensor(mods[0], m2)
+    for mod in mods[1:]:
+        tensor_over(mod, m2)
+    info = bimodule._tensor_shape.cache_info()
+    assert (info.misses, info.currsize) == (size + 3, size)
+    assert _same_tensor(mods[0], m2) == first
+    info = bimodule._tensor_shape.cache_info()
+    assert (info.misses, info.currsize) == (size + 4, size)

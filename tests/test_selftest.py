@@ -60,9 +60,9 @@ def test_one_corrupted_picture_fails_selftest_and_criterion_01(monkeypatch):
     step too far while the Schrodinger picture stays exact."""
     heisenberg = tqft1d._heisenberg_bimodule
 
-    def one_step_too_far(sys, gen):
+    def one_step_too_far(gen, matrix_of):
         kind, arg = gen
-        return heisenberg(sys, ("u", arg + 1) if kind == "u" else gen)
+        return heisenberg(("u", arg + 1) if kind == "u" else gen, matrix_of)
 
     monkeypatch.setattr(tqft1d, "_heisenberg_bimodule", one_step_too_far)
     lines = []

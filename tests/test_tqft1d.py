@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,8 @@ from skeinalg.algebra import (conjugation_hom, identity_hom, matrix_algebra)
 from skeinalg.bimodule import (annihilator_left, bimodule_iso_pointed,
                                end_morphism, regular_bimodule)
 from skeinalg.errors import ContractViolation, LabelNotFound, ParseError
-from skeinalg.linalg import Matrix
+from skeinalg import tqft1d
+from skeinalg.linalg import Matrix, matrix_power
 from skeinalg.samples import (random_closed_word, random_invertible,
                               random_system)
 from skeinalg.tqft1d import (EMPTY, PT, SpacetimeWord, compare_pictures,
@@ -218,3 +220,32 @@ def test_system_from_heisenberg_data_ideal_quotient_past_dim_16():
     q = table[("v", "c")]
     assert q.dim == 20
     assert q.left == m5 and any(q.pointing)
+
+
+def test_compare_pictures_computes_each_power_once(monkeypatch):
+    calls = []
+
+    def counted(m, t):
+        calls.append(t)
+        return matrix_power(m, t)
+
+    monkeypatch.setattr(tqft1d, "matrix_power", counted)
+    sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
+                      states={"x": (0, 1)}, costates={"y": (1, 0)},
+                      observables={"b": Matrix.from_rows([[2, 0], [1, 1]])})
+    word = parse_word("w[y] . u(3) . a[b] . u(3) . a[b] . u(5) . v[x]")
+    rep = compare_pictures(sys, word)
+    assert rep.agree
+    assert sorted(calls) == [3, 5]
+    # each picture on its own still computes its own powers
+    calls.clear()
+    assert eval_schrodinger(sys, word)[0, 0] == rep.schrodinger_value
+    assert eval_heisenberg(sys, word).pointing == (rep.heisenberg_value,)
+    assert sorted(calls) == [3, 3, 5, 5]
+
+
+def test_make_system_needs_an_int_dimension():
+    for dim_v in (True, False, "2", 2.0, Fraction(2), None, 0, -1):
+        with pytest.raises(ContractViolation, match="int dimension >= 1"):
+            make_system(dim_v, Matrix.identity(2 if dim_v == 2 else 1))
+    assert make_system(2, Matrix.identity(2)).dim_v == 2
