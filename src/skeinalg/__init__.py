@@ -6,8 +6,8 @@ layer, Laurent polynomials in one variable for the diagram layer.
 
 from .algebra import (Algebra, AlgebraHom, algebra_direct_sum, compose_homs,
                       conjugation_hom, field_algebra, flatten_matrix,
-                      hom_from_images, hom_power, identity_hom, make_algebra,
-                      make_hom, matrix_algebra, product_field_algebra,
+                      hom_from_images, identity_hom, make_algebra, make_hom,
+                      matrix_algebra, product_field_algebra,
                       scalar_inclusion_hom, transport_algebra,
                       truncated_poly_algebra, upper_triangular_algebra)
 from .bimodule import (PointedBimodule, PointedBimoduleMap, annihilator_left,
@@ -33,7 +33,7 @@ from .tl import (AnnularClass, TLDiagram, TLMorphism, annulus_closure_eval,
                  tl_cap, tl_compose, tl_cup, tl_e, tl_from_diagram,
                  tl_identity, tl_tensor, tl_zero)
 from .tqft1d import (SpacetimeWord, System, compare_pictures, eval_heisenberg,
-                     eval_schrodinger, make_system, make_word, parse_word,
-                     system_from_heisenberg_data)
+                     eval_pictures, eval_schrodinger, make_system, make_word,
+                     parse_word)
 
 __version__ = "0.1.0"

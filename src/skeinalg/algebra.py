@@ -18,9 +18,10 @@ and nothing is trusted: ``make_algebra`` proves that S generates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ContractViolation, ValidationError
-from .linalg import Matrix, SparseEchelon, _check_exact, matrix_power
+from .linalg import Matrix, SparseEchelon, _check_exact
 
 
 @dataclass(frozen=True)
@@ -164,9 +165,7 @@ def make_algebra(structure_constants, unit, *, candidates=()) -> Algebra:
     return alg
 
 
-_MATRIX_ALGEBRA_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def matrix_algebra(n: int) -> Algebra:
     """The algebra of n x n matrices on the elementary-matrix basis.
 
@@ -177,8 +176,6 @@ def matrix_algebra(n: int) -> Algebra:
     """
     if n < 1:
         raise ContractViolation("matrix_algebra needs n >= 1")
-    if n in _MATRIX_ALGEBRA_CACHE:
-        return _MATRIX_ALGEBRA_CACHE[n]
     d = n * n
     mult = [[[0] * d for _ in range(d)] for _ in range(d)]
     for i in range(n):
@@ -191,9 +188,7 @@ def matrix_algebra(n: int) -> Algebra:
     for i in range(n):
         unit[i * n + i] = 1
     steps = [k for i in range(n - 1) for k in (i * n + i + 1, (i + 1) * n + i)]
-    alg = make_algebra(mult, unit, candidates=steps)
-    _MATRIX_ALGEBRA_CACHE[n] = alg
-    return alg
+    return make_algebra(mult, unit, candidates=steps)
 
 
 def field_algebra() -> Algebra:
@@ -315,13 +310,6 @@ def compose_homs(g: AlgebraHom, f: AlgebraHom) -> AlgebraHom:
     if f.target != g.source:
         raise ContractViolation("homomorphisms are not composable")
     return AlgebraHom(f.source, g.target, g.matrix @ f.matrix)
-
-
-def hom_power(f: AlgebraHom, t: int) -> AlgebraHom:
-    """f composed with itself t times; the matrix of f^t is f.matrix^t."""
-    if f.source != f.target:
-        raise ContractViolation("powers need an endomorphism")
-    return AlgebraHom(f.source, f.source, matrix_power(f.matrix, t))
 
 
 def flatten_matrix(m: Matrix) -> tuple:

@@ -122,14 +122,9 @@ def modulate(f: AlgebraHom) -> PointedBimodule:
 
 
 # re-validating each shape per call runs heisenberg-words at a third of the rate
-_HOM_SPACE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _hom_space(nw: int, nv: int) -> PointedBimodule:
     """hom(V, W) with its End(W)-End(V) actions, validated once per shape."""
-    key = (nw, nv)
-    if key in _HOM_SPACE_CACHE:
-        return _HOM_SPACE_CACHE[key]
     m = nv * nw
     # E(a,b) o E(p,q) = delta(b,p) E(a,q): post-composition on flat (p, q)
     left_action = []
@@ -147,10 +142,8 @@ def _hom_space(nw: int, nv: int) -> PointedBimodule:
                 ents[(p * nv + b) * m + (p * nv + a)] = 1
             right_action.append(Matrix(m, m, tuple(ents)))
     # make_bimodule reads the pointing only for its length
-    out = make_bimodule(matrix_algebra(nw), matrix_algebra(nv), left_action,
-                        right_action, (0,) * m)
-    _HOM_SPACE_CACHE[key] = out
-    return out
+    return make_bimodule(matrix_algebra(nw), matrix_algebra(nv), left_action,
+                         right_action, (0,) * m)
 
 
 def end_morphism(f: Matrix) -> PointedBimodule:

@@ -1,8 +1,7 @@
 """Batch command-line front end.
 
 Exit codes: 0 ok, 1 parse error, 2 tangle shape, 3 algebra validation,
-4 unknown label, 5 internal invariant failure.  The environment variable
-SKEINALG_SEED overrides --seed wherever randomized searches run.
+4 unknown label, 5 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ from .laurent import LaurentPoly
 from .tangles import (braid_to_slices, closed_braid_tangle, interpret_tangle,
                       kauffman_bracket, writhe)
 from .tl import annulus_closure_eval, plane_closure, tl_basis
-from .tqft1d import eval_heisenberg, eval_schrodinger, parse_word, picture_report
+from .tqft1d import (eval_heisenberg, eval_pictures, eval_schrodinger,
+                     parse_word, picture_report)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -34,16 +34,6 @@ EXIT_TANGLE = 2
 EXIT_VALIDATION = 3
 EXIT_LABEL = 4
 EXIT_INTERNAL = 5
-
-
-def _seed(args) -> int:
-    env = os.environ.get("SKEINALG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"SKEINALG_SEED must be an integer, got {env!r}")
-    return args.seed
 
 
 def _print_laurent(p: LaurentPoly, args, out):
@@ -103,8 +93,6 @@ def cmd_tl(args, out) -> int:
 
 
 def cmd_algebra(args, out) -> int:
-    seed = _seed(args)
-
     def load_bimodule(path):
         return bimodule_from_json(load_json(path), os.path.dirname(path) or ".")
 
@@ -134,10 +122,10 @@ def cmd_algebra(args, out) -> int:
         return EXIT_OK
     if args.action in ("iso", "iso-unpointed"):
         if args.action == "iso":
-            w = bimodule_iso_pointed(m1, m2, seed=seed)
+            w = bimodule_iso_pointed(m1, m2, seed=args.seed)
             mat = None if w is None else w.matrix
         else:
-            mat = bimodule_iso_unpointed(m1, m2, seed=seed)
+            mat = bimodule_iso_unpointed(m1, m2, seed=args.seed)
         out("absent" if mat is None else "present")
         if mat is not None:
             out(json.dumps(matrix_to_json(mat)))
@@ -148,11 +136,15 @@ def cmd_algebra(args, out) -> int:
 def cmd_tqft1d(args, out) -> int:
     sys_obj = system_from_json(load_json(args.system))
     word = parse_word(args.word)
-    if args.picture in ("schrodinger", "both"):
+    if args.picture == "both":
+        m, h = eval_pictures(sys_obj, word)
+    elif args.picture == "schrodinger":
         m = eval_schrodinger(sys_obj, word)
+    else:
+        h = eval_heisenberg(sys_obj, word)
+    if args.picture in ("schrodinger", "both"):
         out("schrodinger: " + json.dumps(matrix_to_json(m)))
     if args.picture in ("heisenberg", "both"):
-        h = eval_heisenberg(sys_obj, word)
         out(f"heisenberg: bimodule of dim {h.dim}, pointing "
             + json.dumps([str(x) for x in h.pointing]))
     if args.picture == "both" and word.is_closed:
@@ -165,7 +157,7 @@ def cmd_tqft1d(args, out) -> int:
 
 
 def cmd_selftest(args, out) -> int:
-    return selftest_mod.run_selftest(args.level, _seed(args), out)
+    return selftest_mod.run_selftest(args.level, args.seed, out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, AlgebraHom, make_algebra, make_hom
 from .bimodule import PointedBimodule, make_bimodule
-from .errors import ParseError
+from .errors import ContractViolation, ParseError
 from .laurent import LaurentPoly
 from .linalg import Matrix
 from .tangles import CAP, CUP, ID, SliceTangle, cross, tangle, twist
@@ -117,10 +117,12 @@ def algebra_from_json(obj: dict) -> Algebra:
     n = _count(_require(obj, "dim", "algebra"), "algebra dim")
     mult = _require(obj, "mult", "algebra")
     unit = _require(obj, "unit", "algebra")
-    if (not isinstance(mult, list) or len(mult) != n
+    if (not isinstance(mult, list)
             or any(not isinstance(p, list)
                    or any(not isinstance(r, list) for r in p) for p in mult)):
         raise ParseError("algebra mult must be an [n][n][n] array")
+    if len(mult) != n:
+        raise ContractViolation("algebra mult length disagrees with dim")
     consts = [[[parse_rational(x) for x in row] for row in plane]
               for plane in mult]
     return make_algebra(consts, vector_from_json(unit, "algebra unit"))
@@ -169,7 +171,7 @@ def bimodule_from_json(obj: dict, base_dir: str = ".") -> PointedBimodule:
                          "right_action")]
     point = vector_from_json(_require(obj, "point", "bimodule"), "point")
     if len(point) != m:
-        raise ParseError("bimodule point length disagrees with dim")
+        raise ContractViolation("bimodule point length disagrees with dim")
     return make_bimodule(left, right, la, ra, point)
 
 

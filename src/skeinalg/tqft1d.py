@@ -11,13 +11,15 @@ are evaluated in two pictures and compared:
 Durations are positive integers and u(t) is the t-th power of the step
 matrix, which is exactly what the group law u(s) u(t) = u(s+t) needs; it
 is computed by repeated squaring, in O(log t) matrix products, once per
-distinct t in an evaluation; compare_pictures shares each power between
-the two pictures, never across calls.  Every product of a power, of a
-Schrodinger word and every pointing of a Heisenberg composite is held
-to MATRIX_POWER_MAX_ENTRY_BITS, so a word whose values explode fails
-fast with ContractViolation.  So does a
-Heisenberg tensor past TENSOR_MAX_AMBIENT_DIM, as in a word on dim V >= 9
-that starts with two intervals or observables.
+distinct t in an evaluation.  eval_pictures builds one table of generator
+matrices per call and gives it to both pictures, so compare_pictures and
+`skeinalg tqft1d --picture both` compute each power once; no table is
+kept across calls.  Every product of a power, of a Schrodinger word and
+every pointing of a Heisenberg composite is held to
+MATRIX_POWER_MAX_ENTRY_BITS, so a word whose values explode fails fast
+with ContractViolation.  So does a Heisenberg tensor past
+TENSOR_MAX_AMBIENT_DIM, as in a word on dim V >= 9 that starts with two
+intervals or observables.
 Words are written left to right in diagram order and evaluated in
 function-composition order: the rightmost generator applies first.
 """
@@ -28,10 +30,7 @@ import re
 from dataclasses import dataclass, field
 
 from .algebra import field_algebra
-from .bimodule import (PointedBimodule, bimodule_iso_pointed, end_morphism,
-                       ideal_quotient_module, modulate, regular_bimodule,
-                       tensor_over)
-from .algebra import Algebra, AlgebraHom, hom_power
+from .bimodule import PointedBimodule, end_morphism, tensor_over
 from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
                      ParseError)
 from .linalg import (Matrix, _bounded, _check_entry_bits, _check_exact,
@@ -265,8 +264,9 @@ def picture_report(s: Matrix, h: PointedBimodule) -> PictureReport:
     return PictureReport(s[0, 0], h.pointing[0], s[0, 0] == h.pointing[0])
 
 
-def compare_pictures(sys: System, word: SpacetimeWord) -> PictureReport:
-    """Evaluate a closed word in both pictures and compare the scalars.
+def eval_pictures(sys: System,
+                  word: SpacetimeWord) -> tuple[Matrix, PointedBimodule]:
+    """The word in both pictures, from one table of generator matrices.
 
     Each distinct generator's matrix, u(t) powers included, is computed
     once and shared: the Schrodinger picture multiplies the matrices, the
@@ -274,42 +274,13 @@ def compare_pictures(sys: System, word: SpacetimeWord) -> PictureReport:
     the endomorphism algebras, so the routes still part after the
     generators.
     """
+    matrix_of = _generator_matrices(sys)
+    return (_schrodinger_word(sys, word, matrix_of),
+            _heisenberg_word(sys, word, matrix_of))
+
+
+def compare_pictures(sys: System, word: SpacetimeWord) -> PictureReport:
+    """Evaluate a closed word in both pictures and compare the scalars."""
     if not word.is_closed:
         raise ContractViolation("picture comparison needs a closed word")
-    matrix_of = _generator_matrices(sys)
-    return picture_report(_schrodinger_word(sys, word, matrix_of),
-                          _heisenberg_word(sys, word, matrix_of))
-
-
-def system_from_heisenberg_data(alg: Algebra, f: AlgebraHom, *,
-                                left_ideals=None, right_ideals=None,
-                                elements=None, t_max: int = 3,
-                                seed: int = 0) -> dict:
-    """Generator-to-bimodule table for an algebra-first system description.
-
-    u-entries are t-fold tensor powers of the modulation of f (checked
-    pointed-isomorphic to the modulation of f^t); element labels give the
-    regular bimodule pointed by the element; ideals give the one-sided
-    quotient modules pointed by the class of the unit.
-    """
-    if f.source != alg or f.target != alg:
-        raise ContractViolation("time evolution must be an endomorphism of the algebra")
-    table: dict = {}
-    m1 = modulate(f)
-    power = m1
-    for t in range(1, t_max + 1):
-        if t > 1:
-            power = tensor_over(power, m1)
-        expected = modulate(hom_power(f, t))
-        if bimodule_iso_pointed(power, expected, seed=seed) is None:
-            raise InternalCheckError(
-                f"tensor power {t} of the modulation is not isomorphic to the "
-                "modulation of the power")
-        table[("u", t)] = power
-    for label, vec in (elements or {}).items():
-        table[("a", label)] = regular_bimodule(alg, pointing=tuple(vec))
-    for label, gens in (left_ideals or {}).items():
-        table[("v", label)] = ideal_quotient_module(alg, gens, "left")
-    for label, gens in (right_ideals or {}).items():
-        table[("w", label)] = ideal_quotient_module(alg, gens, "right")
-    return table
+    return picture_report(*eval_pictures(sys, word))

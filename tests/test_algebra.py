@@ -4,9 +4,8 @@ import pytest
 
 from skeinalg.algebra import (algebra_direct_sum, compose_homs,
                               conjugation_hom, field_algebra, flatten_matrix,
-                              hom_from_images, hom_power, identity_hom,
-                              make_algebra, make_hom, matrix_algebra,
-                              product_field_algebra, scalar_inclusion_hom,
+                              hom_from_images, identity_hom, make_algebra,
+                              make_hom, matrix_algebra, product_field_algebra,
                               transport_algebra, truncated_poly_algebra,
                               upper_triangular_algebra)
 from skeinalg.errors import ContractViolation, ValidationError
@@ -131,18 +130,6 @@ def test_hom_validation_rejects_non_unital():
     qq = product_field_algebra(2)
     with pytest.raises(ValidationError, match="unit"):
         make_hom(qq, qq, Matrix.from_rows([[1, 0], [0, 0]]))
-
-
-def test_hom_power_matches_repeated_composition():
-    f = conjugation_hom(2, Matrix.from_rows([[2, 1], [1, 1]]))
-    naive = identity_hom(f.source)
-    for t in range(10):
-        assert hom_power(f, t) == naive
-        naive = compose_homs(f, naive)
-    with pytest.raises(ContractViolation):
-        hom_power(f, -1)
-    with pytest.raises(ContractViolation):
-        hom_power(scalar_inclusion_hom(matrix_algebra(2)), 2)
 
 
 def test_swap_hom_valid():

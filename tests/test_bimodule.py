@@ -404,6 +404,15 @@ def test_ideal_quotient_right_side():
     assert q.left == field_algebra()
 
 
+def test_ideal_quotient_past_dim_16():
+    m5 = matrix_algebra(5)
+    # E(i,0) for i < 5 span the left ideal of matrices supported on column 0
+    column0 = [tuple(int(k == i * 5) for k in range(25)) for i in range(5)]
+    q = ideal_quotient_module(m5, column0, "left")
+    assert q.dim == 20
+    assert q.left == m5 and any(q.pointing)
+
+
 def test_modulate_projectivity():
     rng = random.Random(47)
     for _ in range(8):

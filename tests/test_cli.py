@@ -10,7 +10,6 @@ import pytest
 from skeinalg.algebra import (conjugation_hom, matrix_algebra,
                               product_field_algebra, identity_hom, make_hom)
 from skeinalg import bimodule as bimodule_mod
-from skeinalg import cli as cli_mod
 from skeinalg import tqft1d as tqft1d_mod
 from skeinalg.bimodule import modulate, regular_bimodule
 from skeinalg.cli import main
@@ -22,7 +21,7 @@ from skeinalg.jsonio import (algebra_from_json, algebra_to_json,
                              system_from_json, system_to_json,
                              tangle_from_json, tangle_to_json)
 from skeinalg.laurent import LaurentPoly
-from skeinalg.linalg import Matrix
+from skeinalg.linalg import Matrix, matrix_power
 from skeinalg.samples import random_system
 from skeinalg.tangles import closed_braid_tangle
 from skeinalg.tqft1d import make_system
@@ -180,6 +179,23 @@ def test_malformed_json_exits_1_without_traceback(tmp_path, argv, doc):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+FIELD_JSON = {"dim": 1, "mult": [[["1"]]], "unit": ["1"]}
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["algebra", "validate", "{0}"], dict(FIELD_JSON, dim=2)),
+    (["algebra", "tensor", "{0}", "{0}"],
+     {"left": FIELD_JSON, "right": FIELD_JSON, "dim": 2,
+      "left_action": [[["1"]]], "right_action": [[["1"]]], "point": ["1"]}),
+    (["tqft1d", "{0}", "u(1)"], {"dim": 2, "step": [["1"]]}),
+], ids=["algebra", "bimodule", "system"])
+def test_declared_dim_that_disagrees_with_the_file_exits_3(tmp_path, argv, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, lines = run_cli(*[a.format(path) for a in argv])
+    assert (code, lines) == (3, [])
 
 
 def test_bracket_normalize_writhe():
@@ -342,27 +358,23 @@ def test_tqft1d_both_agree(tmp_path):
 
 
 def test_tqft1d_both_evaluates_each_picture_once(tmp_path, monkeypatch):
+    # both pictures share one table, so each distinct u(t) is powered once
     calls = []
 
-    def counting(name):
-        f = getattr(tqft1d_mod, name)
+    def counted(m, t):
+        calls.append(t)
+        return matrix_power(m, t)
 
-        def wrapper(*args):
-            calls.append(name)
-            return f(*args)
-        return wrapper
-
-    for name in ("eval_schrodinger", "eval_heisenberg"):
-        wrapper = counting(name)
-        monkeypatch.setattr(tqft1d_mod, name, wrapper)
-        monkeypatch.setattr(cli_mod, name, wrapper)
+    monkeypatch.setattr(tqft1d_mod, "matrix_power", counted)
     sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
-                      states={"0": (0, 1)}, costates={"0": (0, 1)})
+                      states={"0": (0, 1)}, costates={"0": (1, 0)},
+                      observables={"b": Matrix.from_rows([[2, 0], [1, 1]])})
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(system_to_json(sys)))
-    code, lines = run_cli("tqft1d", str(path), "w[0] . u(1) . v[0]")
-    assert (code, lines[-1]) == (0, "scalars: 1 vs 1: AGREE")
-    assert sorted(calls) == ["eval_heisenberg", "eval_schrodinger"]
+    code, lines = run_cli("tqft1d", str(path),
+                          "w[0] . u(3) . a[b] . u(3) . a[b] . u(5) . v[0]")
+    assert (code, lines[-1]) == (0, "scalars: 158 vs 158: AGREE")
+    assert sorted(calls) == [3, 5]
 
 
 def test_tqft1d_huge_duration_agrees(tmp_path):
@@ -414,15 +426,6 @@ def test_selftest_quick_exit_zero():
     code, lines = run_cli("selftest", "--level", "quick")
     assert code == 0
     assert lines[-1].startswith("all ")
-
-
-def test_seed_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("SKEINALG_SEED", "12345")
-    code, _ = run_cli("selftest", "--level", "quick")
-    assert code == 0
-    monkeypatch.setenv("SKEINALG_SEED", "not-a-number")
-    code, _ = run_cli("selftest", "--level", "quick")
-    assert code == 1
 
 
 def test_cli_deterministic(tmp_path):

@@ -3,18 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from skeinalg.algebra import (conjugation_hom, identity_hom, matrix_algebra)
-from skeinalg.bimodule import (annihilator_left, bimodule_iso_pointed,
-                               end_morphism, regular_bimodule)
+from skeinalg.algebra import matrix_algebra
+from skeinalg.bimodule import bimodule_iso_pointed, regular_bimodule
 from skeinalg.errors import ContractViolation, LabelNotFound, ParseError
 from skeinalg import tqft1d
 from skeinalg.linalg import Matrix, matrix_power
-from skeinalg.samples import (random_closed_word, random_invertible,
-                              random_system)
+from skeinalg.samples import random_closed_word, random_system
 from skeinalg.tqft1d import (EMPTY, PT, SpacetimeWord, compare_pictures,
-                             eval_heisenberg, eval_schrodinger, make_word,
-                             parse_word, system_from_heisenberg_data,
-                             make_system)
+                             eval_heisenberg, eval_pictures, eval_schrodinger,
+                             make_word, make_system, parse_word)
 
 
 def example_system():
@@ -183,43 +180,16 @@ def test_group_law_heisenberg_pointed_iso():
     assert bimodule_iso_pointed(h1, h2) is not None
 
 
-def test_system_from_heisenberg_data_identity():
-    m2 = matrix_algebra(2)
-    table = system_from_heisenberg_data(m2, identity_hom(m2), t_max=3)
-    for t in (1, 2, 3):
-        assert bimodule_iso_pointed(table[("u", t)],
-                                    regular_bimodule(m2)) is not None
-
-
-def test_system_from_heisenberg_data_conjugation():
-    rng = random.Random(109)
-    u = random_invertible(rng, 2)
-    m2 = matrix_algebra(2)
-    table = system_from_heisenberg_data(m2, conjugation_hom(2, u), t_max=2)
-    assert bimodule_iso_pointed(table[("u", 1)], end_morphism(u)) is not None
-
-
-def test_system_from_heisenberg_data_ideals_and_elements():
-    m2 = matrix_algebra(2)
-    ideal = annihilator_left(2, (1, 0))
-    table = system_from_heisenberg_data(
-        m2, identity_hom(m2), t_max=1,
-        left_ideals={"0": ideal}, elements={"0": (1, 0, 0, 1)})
-    q = table[("v", "0")]
-    assert q.dim == 2
-    assert any(q.pointing)
-    assert table[("a", "0")] == regular_bimodule(m2)
-
-
-def test_system_from_heisenberg_data_ideal_quotient_past_dim_16():
-    m5 = matrix_algebra(5)
-    # E(i,0) for i < 5 span the left ideal of matrices supported on column 0
-    column0 = [tuple(int(k == i * 5) for k in range(25)) for i in range(5)]
-    table = system_from_heisenberg_data(m5, identity_hom(m5), t_max=1,
-                                        left_ideals={"c": column0})
-    q = table[("v", "c")]
-    assert q.dim == 20
-    assert q.left == m5 and any(q.pointing)
+def test_eval_pictures_matches_each_picture_alone():
+    rng = random.Random(1616)
+    for k in range(20):
+        sys = random_system(rng)
+        gens = random_closed_word(rng).gens
+        # closed, then without the state, the costate or both
+        start, stop = [(0, None), (0, -1), (1, None), (1, -1)][k % 4]
+        word = make_word(gens[start:stop])
+        assert eval_pictures(sys, word) == (eval_schrodinger(sys, word),
+                                            eval_heisenberg(sys, word))
 
 
 def test_compare_pictures_computes_each_power_once(monkeypatch):
