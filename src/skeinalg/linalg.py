@@ -1,12 +1,15 @@
 """Dense exact matrices and row reduction over the rationals.
 
 Entries are ints and Fractions, mixed freely; any other entry in a
-Matrix row or right-hand side that enters elimination, or that reaches
-a division, raises ContractViolation, with no floating-point or
-fraction-field fallback.  ``SparseEchelon`` is the one elimination
-engine: rref, rank, kernels, solving, quotients and the determinant all
-run through it.  Pivoting always takes the first nonzero entry in column
-order, so every result here is deterministic.
+Matrix row or right-hand side that enters elimination or a product, or
+that reaches a division, raises ContractViolation, with no
+floating-point or fraction-field fallback.  A product runs on integers
+over one common denominator per factor and returns normalised entries:
+an int where the value is integral, a reduced Fraction otherwise.
+``SparseEchelon`` is the one elimination engine: rref, rank, kernels,
+solving, quotients and the determinant all run through it.  Pivoting
+always takes the first nonzero entry in column order, so every result
+here is deterministic.
 
 All values are immutable after construction and every operation is a
 pure function, so callers may parallelize independent calls freely.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ContractViolation
 
@@ -27,6 +31,29 @@ def _check_exact(values):
             raise ContractViolation(
                 f"exact linear algebra takes int and Fraction entries, not "
                 f"{type(v).__name__}")
+
+
+def _scaled(values):
+    """(D, ints): the lcm D of the denominators of values, and values times D.
+
+    Raises ContractViolation on any entry that is neither an int nor a
+    Fraction.  Values that are all ints come back uncopied, with D = 1.
+    """
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return 1, values
+    if not kinds <= {int, Fraction}:
+        _check_exact(values)  # lets int and Fraction subclasses through
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
+
+
+def _unscaled(den: int, ints) -> tuple:
+    """The ints divided by den, each an int if integral, else a reduced Fraction."""
+    if den == 1:
+        return tuple(ints)
+    return tuple(Fraction(x, den) if x % den else x // den for x in ints)
 
 
 def _div(a, b):
@@ -133,20 +160,22 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
+        da, left = _scaled(self.entries)
+        db, right = _scaled(other.entries)
         out = [0] * (n * m)
         for i in range(n):
             base = i * k
             obase = i * m
             for t in range(k):
-                a = self.entries[base + t]
+                a = left[base + t]
                 if not a:
                     continue
                 rb = t * m
                 for j in range(m):
-                    b = other.entries[rb + j]
+                    b = right[rb + j]
                     if b:
-                        out[obase + j] = out[obase + j] + a * b
-        return Matrix(n, m, tuple(out))
+                        out[obase + j] += a * b
+        return Matrix(n, m, _unscaled(da * db, out))
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product as a tuple."""

@@ -3,11 +3,12 @@
 These construct expected values and witnesses by routes that avoid the
 code paths they are checking: explicit basis maps for tensor composites,
 Kronecker products for hom-space actions, cofactor expansion for
-determinants and inverses, full-width stacking by a union-find for the
-tangle fold and the diagram products, a fresh walk of every slice per
-state for the state sum, the all-pairs loops for the constructors that
-check on generators, a tensor_over that rebuilds and revalidates its
-quotient on every call, and brute-force enumeration elsewhere.
+determinants and inverses, Fraction arithmetic entry by entry for matrix
+products, full-width stacking by a union-find for the tangle fold and
+the diagram products, a fresh walk of every slice per state for the
+state sum, the all-pairs loops for the constructors that check on
+generators, a tensor_over that rebuilds and revalidates its quotient on
+every call, and brute-force enumeration elsewhere.
 """
 
 from fractions import Fraction
@@ -82,6 +83,24 @@ def all_pairs_bimodule_ok(left, right, left_action, right_action):
                 if act[i] @ act[j] != mat_lincomb(zip(prod, act), m, m):
                     return False
     return all(a @ b == b @ a for a in left_action for b in right_action)
+
+
+def fraction_matmul(a, b):
+    """a @ b by the schoolbook loop on the entries as given, no common
+    denominator: an integral entry may come out as a Fraction."""
+    assert a.cols == b.rows
+    n, k, m = a.rows, a.cols, b.cols
+    out = [0] * (n * m)
+    for i in range(n):
+        for t in range(k):
+            x = a.entries[i * k + t]
+            if not x:
+                continue
+            for j in range(m):
+                y = b.entries[t * m + j]
+                if y:
+                    out[i * m + j] = out[i * m + j] + x * y
+    return Matrix(n, m, tuple(out))
 
 
 def laplace_det(rows):

@@ -110,6 +110,22 @@ def test_tensor_over_field():
     assert t.pointing == (0, 1, 0, 0, 0, 0)
 
 
+def test_tensor_over_rejects_an_inexact_pointing():
+    # the memo builds the quotient from blank pointings, so only the
+    # pointing step sees these; a float zero was once skipped there
+    k = field_algebra()
+    ident = Matrix.identity(2)
+    m = make_bimodule(k, k, [ident], [ident], (1, Fraction(1, 2)))
+    for point in ((0.5, 1), (1, 0.0), (Fraction(1, 3), 2.5)):
+        bad = replace(m, pointing=point)
+        for m1, m2 in ((bad, m), (m, bad)):
+            with pytest.raises(ContractViolation, match="float"):
+                tensor_over(m1, m2)
+    # the exact pointing still goes through: (1, 1/2) tensor (1, 1/2)
+    assert tensor_over(m, m).pointing == (1, Fraction(1, 2), Fraction(1, 2),
+                                          Fraction(1, 4))
+
+
 def test_tensor_past_the_ambient_cap_fails_before_any_relation(monkeypatch):
     k, qq = field_algebra(), product_field_algebra(2)
     assert qq.generators  # so tensor_over over qq builds relation rows

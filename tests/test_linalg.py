@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import adjugate_inverse, laplace_det
+from oracles import adjugate_inverse, fraction_matmul, laplace_det
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import (MATRIX_POWER_MAX_ENTRY_BITS, SEARCH_TRIALS, Matrix,
@@ -189,6 +189,54 @@ def test_inverse_matches_adjugate_oracle():
         Matrix.zeros(2, 3).inverse()
 
 
+def _mixed_entry(rng, kind):
+    """An int, a Fraction, or either at random, with small values."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "fraction"))
+    if kind == "int":
+        return rng.randint(-4, 4)
+    # integral Fractions such as Fraction(4, 2) included
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+
+
+def test_matmul_matches_the_fraction_oracle():
+    rng = random.Random(1701)
+    shapes = [(0, 3, 2), (2, 3, 0), (3, 0, 2), (0, 0, 0)]
+    shapes += [tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(60)]
+    for n, k, m in shapes:
+        for kind in ("int", "fraction", "mixed"):
+            a = Matrix(n, k, tuple(_mixed_entry(rng, kind) for _ in range(n * k)))
+            b = Matrix(k, m, tuple(_mixed_entry(rng, kind) for _ in range(k * m)))
+            # [a | a] times [b ; -b]: every entry is a sum that cancels to zero
+            aa = Matrix(n, 2 * k, tuple(x for i in range(n)
+                                        for x in a.row(i) + a.row(i)))
+            bb = Matrix(2 * k, m, b.entries + b.scale(-1).entries)
+            for x, y in ((a, b), (aa, bb)):
+                got = x @ y
+                assert got == fraction_matmul(x, y)
+                assert (got.rows, got.cols) == (n, m)
+                for v in got.entries:
+                    assert type(v) is (int if v.denominator == 1 else Fraction)
+            assert (aa @ bb).entries == (0,) * (n * m)
+    # all-int factors come back as ints, large ones included
+    big = Matrix(2, 2, (10 ** 40, -3, 7, 10 ** 30))
+    assert big @ big == fraction_matmul(big, big)
+    assert all(type(v) is int for v in (big @ big).entries)
+
+
+def test_matmul_rejects_inexact_entries():
+    # a float entry once gave a float product: Matrix(2, 2, (1.5, 0, 0, 1))
+    # squared had 2.25 at (0, 0)
+    a = LaurentPoly.gen()
+    ident = Matrix.identity(2)
+    for bad in (Matrix(2, 2, (1.5, 0, 0, 1)), Matrix(2, 2, (1, 0.0, 0, 1)),
+                Matrix(2, 2, (Fraction(1, 2), 0, 0, 1.0)),
+                Matrix(2, 2, (a, 0, 0, 1))):
+        for x, y in ((bad, bad), (bad, ident), (ident, bad)):
+            with pytest.raises(ContractViolation, match="int and Fraction"):
+                x @ y
+
+
 def test_matrix_power_matches_repeated_products():
     rng = random.Random(21)
     dense = rand_matrix(rng, 4, 4)
@@ -221,6 +269,33 @@ def test_matrix_power_fails_fast_on_exponential_growth():
     assert matrix_power(halves, t)[0, 0] == Fraction(1, 2 ** t)
     # linear growth never comes near the bound
     assert matrix_power(Matrix(2, 2, (1, 1, 0, 1)), 10 ** 9)[0, 1] == 10 ** 9
+
+
+def test_matrix_power_bounds_the_reduced_entries():
+    """The bound falls at the same t as on repeated Fraction products.
+
+    The 25 denominators are distinct primes, so the common denominator of
+    a power is larger than any one reduced entry's, by about 90 bits near
+    the bound: a bound checked on the integers over that denominator
+    would trip at a smaller t.
+    """
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    rng = random.Random(17)
+    m = Matrix(5, 5, tuple(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), p)
+                           for p in primes))
+
+    def bits(power):
+        return max(max(x.numerator.bit_length(), x.denominator.bit_length())
+                   for x in power.entries)
+
+    power, t = m, 1
+    while bits(power) <= MATRIX_POWER_MAX_ENTRY_BITS:
+        below, power, t = power, fraction_matmul(power, m), t + 1
+    start = time.perf_counter()
+    assert matrix_power(m, t - 1) == below
+    with pytest.raises(ContractViolation, match="MATRIX_POWER_MAX_ENTRY_BITS"):
+        matrix_power(m, t)
+    assert time.perf_counter() - start < 2
 
 
 def test_find_invertible_identity():

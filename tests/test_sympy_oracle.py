@@ -1,4 +1,5 @@
-"""sympy as an independent oracle for the elimination engine and Laurent products."""
+"""sympy as an independent oracle for matrix products, the elimination
+engine and Laurent products."""
 
 import random
 from fractions import Fraction
@@ -32,6 +33,18 @@ def _to_sympy(rows):
 
 def _from_sympy(x):
     return Fraction(int(x.p), int(x.q))
+
+
+def test_products_agree_with_sympy():
+    rng = random.Random(1303)
+    for _ in range(60):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a = _random_rational_matrix(rng, n, k)
+        b = _random_rational_matrix(rng, k, m)
+        got = Matrix.from_rows(a) @ Matrix.from_rows(b)
+        want = _to_sympy(a) * _to_sympy(b)
+        assert got.tolist() == [[_from_sympy(x) for x in want.row(i)]
+                                for i in range(n)]
 
 
 def test_elimination_agrees_with_sympy():
