@@ -1,9 +1,13 @@
 """Finite-dimensional associative unital algebras over the rationals.
 
-An algebra is given by structure constants c[i][j][k] (the coefficient of
+An algebra is given by its structure constants (the coefficient c of
 basis vector k in the product e_i * e_j) together with the coordinate
-vector of the unit.  Construction checks the unit laws on every basis
-index and associativity on every basis pair times each generator.
+vector of the unit.  Only this module reads how they are stored:
+mult[i][j] holds the nonzero (k, c) pairs of e_i e_j, k ascending, so
+equal tables compare and hash equal; other modules read dense
+coordinates from ``basis_product``.  Construction checks the unit laws
+on every basis index and associativity on every basis pair times each
+generator.
 
 The generators of an algebra are basis indices S such that the unit and
 the left-nested words ((e_s1 e_s2) ...) e_sk in S span it.  A rule that
@@ -23,32 +27,34 @@ from functools import lru_cache
 from .errors import ContractViolation, ValidationError
 from .linalg import Matrix, SparseEchelon, _check_exact
 
+# algebras past this dimension are refused before any table is built:
+# 64 is End(V) for dim V = 8, as for TENSOR_MAX_AMBIENT_DIM
+ALGEBRA_MAX_DIM = 64
+
 
 @dataclass(frozen=True)
 class Algebra:
     dim: int
-    mult: tuple   # mult[i][j][k] = coefficient of e_k in e_i e_j
+    mult: tuple   # mult[i][j] = nonzero (k, c) pairs of e_i e_j, k ascending
     unit: tuple
     # basis indices that generate the algebra (see the module docstring);
     # they follow from mult and unit, so == and hash ignore them
     generators: tuple = field(compare=False, repr=False)
 
     def basis_product(self, i: int, j: int) -> tuple:
-        return self.mult[i][j]
+        """Coordinates of e_i e_j."""
+        return self.multiply(_unit_vec(self.dim, i), _unit_vec(self.dim, j))
 
     def multiply(self, x, y) -> tuple:
         """Product of two coordinate vectors."""
         out = [0] * self.dim
         for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = xi * yj
-                for k, c in enumerate(self.mult[i][j]):
-                    if c:
-                        out[k] = out[k] + f * c
+            if xi:
+                for j, yj in enumerate(y):
+                    if yj:
+                        f = xi * yj
+                        for k, c in self.mult[i][j]:
+                            out[k] = out[k] + f * c
         return tuple(out)
 
     def left_mult_matrix(self, x) -> Matrix:
@@ -80,18 +86,16 @@ def _unit_vec(n: int, i: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _right_times(mult, x, s: int) -> tuple:
-    """x e_s for a coordinate vector x."""
-    out = [0] * len(mult)
-    for k, xk in enumerate(x):
-        if xk:
-            for t, c in enumerate(mult[k][s]):
-                if c:
-                    out[t] = out[t] + xk * c
-    return tuple(out)
+def _combine(terms) -> dict:
+    """Sum of c * p over the (c, pairs p) in terms, as {k: c} without zeros."""
+    out = {}
+    for c, pairs in terms:
+        for k, d in pairs:
+            out[k] = out.get(k, 0) + c * d
+    return {k: v for k, v in out.items() if v}
 
 
-def _generating_indices(mult, unit, candidates=()) -> tuple:
+def _generating_indices(mult, unit: dict, candidates) -> tuple:
     """Greedy generators: the candidates first, then every index in order.
 
     An index is kept when e_i is not yet in the span of the unit and the
@@ -100,29 +104,69 @@ def _generating_indices(mult, unit, candidates=()) -> tuple:
     associativity is never assumed.  Every e_i ends up in the span, so
     the kept indices always generate.
     """
-    n = len(mult)
     span = SparseEchelon()
     words = []   # a spanning set of words, each multiplied by every generator
     gens = []
 
+    def times(w, s):   # w e_s, for w as {k: coefficient}
+        return _combine((v, mult[k][s]) for k, v in w.items())
+
     def close(queue):
         while queue:
             w = queue.pop()
-            if span.insert({k: v for k, v in enumerate(w) if v}) is not None:
+            if span.insert(w) is not None:
                 words.append(w)
-                queue.extend(_right_times(mult, w, s) for s in gens)
+                queue.extend(times(w, s) for s in gens)
 
-    close([tuple(unit)])
-    for i in list(candidates) + [i for i in range(n) if i not in candidates]:
+    close([unit])
+    for i in list(candidates) + [i for i in range(len(mult)) if i not in candidates]:
         if span.contains({i: 1}):
             continue
         gens.append(i)
-        close([_unit_vec(n, i)] + [_right_times(mult, w, i) for w in words])
+        close([{i: 1}] + [times(w, i) for w in words])
     return tuple(gens)
 
 
+def _build_algebra(n: int, products, unit, candidates=()) -> Algebra:
+    """make_algebra for the algebra of dimension n whose nonzero structure
+    constants are the (i, j, k, c) in products, each (i, j, k) once.
+
+    Nothing is read from products, unit or candidates before n passes
+    ALGEBRA_MAX_DIM, so callers may pass them lazily.
+    """
+    if n > ALGEBRA_MAX_DIM:
+        raise ContractViolation(
+            f"algebra dimension {n} exceeds ALGEBRA_MAX_DIM = {ALGEBRA_MAX_DIM}")
+    unit, candidates = tuple(unit), tuple(candidates)
+    # type, not isinstance, turns bools away; negatives would index from the end
+    if any(type(s) is not int or not 0 <= s < n for s in candidates):
+        raise ContractViolation(f"generator candidates must lie in range({n})")
+    table = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in products:
+        table[i][j][k] = c
+    mult = tuple(tuple(tuple(sorted(p.items())) for p in row) for row in table)
+    unit_pairs = tuple((k, u) for k, u in enumerate(unit) if u)
+    gens = _generating_indices(mult, dict(unit_pairs), candidates)
+    # associativity: (e_i e_j) e_s == e_i (e_j e_s)
+    for i, row in enumerate(mult):
+        for j, eij in enumerate(row):
+            for s in gens:
+                ejs = mult[j][s]
+                if (eij or ejs) and (_combine((c, mult[k][s]) for k, c in eij)
+                                     != _combine((c, row[k]) for k, c in ejs)):
+                    raise ValidationError(
+                        f"associativity fails at basis indices (i,j,k)=({i},{j},{s})")
+    for j in range(n):
+        if _combine((u, mult[k][j]) for k, u in unit_pairs) != {j: 1}:
+            raise ValidationError(f"left unit law fails at basis index {j}")
+        if _combine((u, mult[j][k]) for k, u in unit_pairs) != {j: 1}:
+            raise ValidationError(f"right unit law fails at basis index {j}")
+    return Algebra(n, mult, unit, gens)
+
+
 def make_algebra(structure_constants, unit, *, candidates=()) -> Algebra:
-    """Validate and build an Algebra from raw structure constants.
+    """Validate and build an Algebra from a dense [n][n][n] array of
+    structure constants, [i][j][k] the coefficient of e_k in e_i e_j.
 
     The generators are found greedily, trying ``candidates`` first; a
     candidate is kept only where the greedy would keep it.  Associativity
@@ -134,35 +178,24 @@ def make_algebra(structure_constants, unit, *, candidates=()) -> Algebra:
     x(y(zs)), each step the check for s or z in T.  The words are
     left-nested, so the argument does not assume associativity.
 
-    Raises ValidationError naming the offending index tuple when
+    Raises ContractViolation past ALGEBRA_MAX_DIM before the array is
+    read, and ValidationError naming the offending index tuple when
     associativity or a unit law fails.
     """
-    mult = tuple(tuple(tuple(row) for row in plane) for plane in structure_constants)
-    unit = tuple(unit)
-    n = len(mult)
-    if len(unit) != n or any(len(p) != n or any(len(r) != n for r in p)
-                             for p in mult):
-        raise ContractViolation("structure constant array has inconsistent shape")
-    _check_exact(c for plane in mult for row in plane for c in row)
-    _check_exact(unit)
-    alg = Algebra(n, mult, unit, _generating_indices(mult, unit, candidates))
-    # associativity: (e_i e_j) e_s == e_i (e_j e_s)
-    for i in range(n):
-        for j in range(n):
-            eij = mult[i][j]
-            for s in alg.generators:
-                left = _right_times(mult, eij, s)
-                right = alg.multiply(_unit_vec(n, i), mult[j][s])
-                if left != right:
-                    raise ValidationError(
-                        f"associativity fails at basis indices (i,j,k)=({i},{j},{s})")
-    for j in range(n):
-        ej = _unit_vec(n, j)
-        if alg.multiply(unit, ej) != ej:
-            raise ValidationError(f"left unit law fails at basis index {j}")
-        if alg.multiply(ej, unit) != ej:
-            raise ValidationError(f"right unit law fails at basis index {j}")
-    return alg
+    planes, unit = list(structure_constants), tuple(unit)
+    n = len(planes)
+
+    def products():   # read by _build_algebra once n has passed the cap
+        if len(unit) != n or any(len(p) != n or any(len(r) != n for r in p)
+                                 for p in planes):
+            raise ContractViolation("structure constant array has inconsistent shape")
+        _check_exact(unit)
+        for i, plane in enumerate(planes):
+            for j, row in enumerate(plane):
+                _check_exact(row)
+                yield from ((i, j, k, c) for k, c in enumerate(row) if c)
+
+    return _build_algebra(n, products(), unit, candidates)
 
 
 @lru_cache(maxsize=None)
@@ -172,23 +205,16 @@ def matrix_algebra(n: int) -> Algebra:
     Basis index (i, j) is flattened to i * n + j, and
     E(i,j) E(k,l) = delta(j,k) E(i,l); the unit is the identity matrix.
     E(i,i+1) and E(i+1,i) are the first generator candidates, and the
-    greedy keeps all 2(n-1) of them.
+    greedy keeps all 2(n-1) of them.  Past ALGEBRA_MAX_DIM, for n >= 9,
+    it raises before it builds anything.
     """
     if n < 1:
         raise ContractViolation("matrix_algebra needs n >= 1")
-    d = n * n
-    mult = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        mult[i * n + j][k * n + l][i * n + l] = 1
-    unit = [0] * d
-    for i in range(n):
-        unit[i * n + i] = 1
-    steps = [k for i in range(n - 1) for k in (i * n + i + 1, (i + 1) * n + i)]
-    return make_algebra(mult, unit, candidates=steps)
+    products = ((i * n + j, j * n + l, i * n + l, 1)
+                for i in range(n) for j in range(n) for l in range(n))
+    unit = (1 if k // n == k % n else 0 for k in range(n * n))
+    steps = (k for i in range(n - 1) for k in (i * n + i + 1, (i + 1) * n + i))
+    return _build_algebra(n * n, products, unit, steps)
 
 
 def field_algebra() -> Algebra:
@@ -198,16 +224,13 @@ def field_algebra() -> Algebra:
 
 def product_field_algebra(n: int) -> Algebra:
     """The split commutative algebra Q^n with coordinatewise product."""
-    mult = [[[1 if i == j == k else 0 for k in range(n)]
-             for j in range(n)] for i in range(n)]
-    return make_algebra(mult, [1] * n)
+    return _build_algebra(n, ((i, i, i, 1) for i in range(n)), [1] * n)
 
 
 def truncated_poly_algebra(n: int) -> Algebra:
     """Q[x] / x^n on the basis 1, x, ..., x^(n-1)."""
-    mult = [[[1 if i + j == k else 0 for k in range(n)]
-             for j in range(n)] for i in range(n)]
-    return make_algebra(mult, _unit_vec(n, 0))
+    products = ((i, j, i + j, 1) for i in range(n) for j in range(n - i))
+    return _build_algebra(n, products, _unit_vec(n, 0))
 
 
 def upper_triangular_algebra() -> Algebra:
@@ -215,28 +238,16 @@ def upper_triangular_algebra() -> Algebra:
 
     Basis: E(0,0), E(0,1), E(1,1) in that order.
     """
-    prods = {  # (a, b) -> c for nonzero products of basis elements
-        (0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2,
-    }
-    mult = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for (a, b), c in prods.items():
-        mult[a][b][c] = 1
-    return make_algebra(mult, (1, 0, 1))
+    # the nonzero products of basis elements, each a basis element
+    products = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 2, 1, 1), (2, 2, 2, 1)]
+    return _build_algebra(3, products, (1, 0, 1))
 
 
 def algebra_direct_sum(a: Algebra, b: Algebra) -> Algebra:
-    n = a.dim + b.dim
-    mult = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                mult[i][j][k] = a.mult[i][j][k]
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k in range(b.dim):
-                mult[a.dim + i][a.dim + j][a.dim + k] = b.mult[i][j][k]
-    unit = tuple(a.unit) + tuple(b.unit)
-    return make_algebra(mult, unit)
+    products = ((i + d, j + d, k + d, c) for alg, d in ((a, 0), (b, a.dim))
+                for i, row in enumerate(alg.mult)
+                for j, pairs in enumerate(row) for k, c in pairs)
+    return _build_algebra(a.dim + b.dim, products, a.unit + b.unit)
 
 
 def transport_algebra(alg: Algebra, s: Matrix) -> Algebra:
@@ -244,17 +255,10 @@ def transport_algebra(alg: Algebra, s: Matrix) -> Algebra:
     if not s.is_square or s.rows != alg.dim:
         raise ContractViolation("change of basis must be square of the algebra dimension")
     sinv = s.inverse()
-    n = alg.dim
-    mult = []
-    for i in range(n):
-        plane = []
-        fi = s.col(i)
-        for j in range(n):
-            prod = alg.multiply(fi, s.col(j))
-            plane.append(tuple(sinv.apply(prod)))
-        mult.append(tuple(plane))
-    unit = tuple(sinv.apply(alg.unit))
-    return make_algebra(mult, unit)
+    cols = [s.col(i) for i in range(alg.dim)]
+    products = ((i, j, k, c) for i, x in enumerate(cols) for j, y in enumerate(cols)
+                for k, c in enumerate(sinv.apply(alg.multiply(x, y))) if c)
+    return _build_algebra(alg.dim, products, sinv.apply(alg.unit))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +334,8 @@ def conjugation_hom(n: int, u: Matrix) -> AlgebraHom:
         raise ContractViolation("conjugating element has wrong shape")
     uinv = u.inverse()
     alg = matrix_algebra(n)
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            e = Matrix(n, n, tuple(1 if (r, c) == (i, j) else 0
-                                   for r in range(n) for c in range(n)))
-            cols.append(flatten_matrix(uinv @ e @ u))
+    cols = [flatten_matrix(uinv @ Matrix(n, n, _unit_vec(n * n, k)) @ u)
+            for k in range(n * n)]
     return make_hom(alg, alg, Matrix.from_cols(cols, n * n))
 
 

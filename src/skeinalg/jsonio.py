@@ -131,8 +131,8 @@ def algebra_from_json(obj: dict) -> Algebra:
 def algebra_to_json(a: Algebra) -> dict:
     return {
         "dim": a.dim,
-        "mult": [[[emit_rational(x) for x in row] for row in plane]
-                 for plane in a.mult],
+        "mult": [[[emit_rational(x) for x in a.basis_product(i, j)]
+                  for j in range(a.dim)] for i in range(a.dim)],
         "unit": vector_to_json(a.unit),
     }
 

@@ -17,9 +17,9 @@ matrices per call and gives it to both pictures, so compare_pictures and
 kept across calls.  Every product of a power, of a Schrodinger word and
 every pointing of a Heisenberg composite is held to
 MATRIX_POWER_MAX_ENTRY_BITS, so a word whose values explode fails fast
-with ContractViolation.  So does a Heisenberg tensor past
-TENSOR_MAX_AMBIENT_DIM, as in a word on dim V >= 9 that starts with two
-intervals or observables.
+with ContractViolation.  So does every Heisenberg word on dim V >= 9,
+before it tensors anything: its bimodules act through End(V), which is
+past ALGEBRA_MAX_DIM.
 Words are written left to right in diagram order and evaluated in
 function-composition order: the rightmost generator applies first.
 """

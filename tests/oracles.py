@@ -41,18 +41,30 @@ def word_span_rank(alg, gens):
         rows = [reduced.matrix.row(i) for i in range(len(reduced.pivots))]
 
 
+def dense_table(alg):
+    """alg's structure constants as a dense [n][n][n] list, read through
+    basis_product."""
+    return [[list(alg.basis_product(i, j)) for j in range(alg.dim)]
+            for i in range(alg.dim)]
+
+
+def dense_multiply(mult, x, y):
+    """Product of coordinate vectors by the triple loop over a dense table."""
+    out = [0] * len(mult)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                for k, c in enumerate(mult[i][j]):
+                    out[k] += xi * yj * c
+    return tuple(out)
+
+
 def all_pairs_algebra_ok(mult, unit):
     """Associativity on every basis triple and the unit laws, on a raw table."""
     n = len(mult)
 
     def times(x, y):
-        out = [0] * n
-        for i, xi in enumerate(x):
-            for j, yj in enumerate(y):
-                if xi and yj:
-                    for k, c in enumerate(mult[i][j]):
-                        out[k] += xi * yj * c
-        return tuple(out)
+        return dense_multiply(mult, x, y)
 
     e = [_basis_vec(n, i) for i in range(n)]
     return (all(times(tuple(mult[i][j]), e[k]) == times(e[i], tuple(mult[j][k]))

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from skeinalg.algebra import (algebra_direct_sum, compose_homs,
+from skeinalg.algebra import (ALGEBRA_MAX_DIM, algebra_direct_sum, compose_homs,
                               conjugation_hom, field_algebra, flatten_matrix,
                               hom_from_images, identity_hom, make_algebra,
                               make_hom, matrix_algebra, product_field_algebra,
@@ -45,6 +46,26 @@ def test_product_field():
 def test_bad_unit_rejected():
     with pytest.raises(ValidationError, match="unit law"):
         make_algebra([[[1]]], [2])
+
+
+def test_dimension_cap_fails_before_the_shape_check():
+    n = ALGEBRA_MAX_DIM + 1
+    with pytest.raises(ContractViolation, match="ALGEBRA_MAX_DIM"):
+        make_algebra([[]] * n, [0] * n)
+    n = ALGEBRA_MAX_DIM
+    with pytest.raises(ContractViolation, match="inconsistent shape"):
+        make_algebra([[]] * n, [0] * n)
+
+
+def test_constructors_past_the_cap_raise_at_once():
+    assert matrix_algebra(8).dim == ALGEBRA_MAX_DIM
+    start = time.perf_counter()
+    for build in (lambda: matrix_algebra(9), lambda: matrix_algebra(10 ** 6),
+                  lambda: algebra_direct_sum(matrix_algebra(8),
+                                             field_algebra())):
+        with pytest.raises(ContractViolation, match="ALGEBRA_MAX_DIM"):
+            build()
+    assert time.perf_counter() - start < 0.5
 
 
 def _nonassociative_table():

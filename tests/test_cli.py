@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from skeinalg.algebra import (conjugation_hom, matrix_algebra,
-                              product_field_algebra, identity_hom, make_hom)
+from skeinalg.algebra import (ALGEBRA_MAX_DIM, conjugation_hom,
+                              matrix_algebra, product_field_algebra,
+                              identity_hom, make_hom)
 from skeinalg import bimodule as bimodule_mod
 from skeinalg import tqft1d as tqft1d_mod
 from skeinalg.bimodule import modulate, regular_bimodule
@@ -279,6 +280,14 @@ def test_algebra_validate_bad_exits_3(tmp_path):
     assert code == 3
 
 
+def test_algebra_validate_past_the_cap_exits_3(tmp_path):
+    n = ALGEBRA_MAX_DIM + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": n, "mult": [[[0] * n] * n] * n,
+                                "unit": [0] * n}))
+    assert run_cli("algebra", "validate", str(path)) == (3, [])
+
+
 def test_algebra_modulate_and_tensor(tmp_path):
     u = Matrix.from_rows([[1, 1], [0, 1]])
     hom_path = tmp_path / "conj.json"
@@ -401,6 +410,28 @@ def test_tqft1d_product_past_the_entry_bits_exits_3(tmp_path, picture):
                           "--picture", picture)
     assert code == 3
     assert lines == []
+
+
+def _identity_step_system(tmp_path, n):
+    e0 = tuple(int(i == 0) for i in range(n))
+    path = tmp_path / f"sys{n}.json"
+    path.write_text(json.dumps(system_to_json(make_system(
+        n, Matrix.identity(n), states={"0": e0}, costates={"0": e0}))))
+    return str(path)
+
+
+def test_tqft1d_heisenberg_past_the_algebra_cap_exits_3_promptly(tmp_path):
+    # End V for dim V = 12 is past ALGEBRA_MAX_DIM, and the Heisenberg
+    # picture needs it for the costate's bimodule
+    path = _identity_step_system(tmp_path, 12)
+    start = time.perf_counter()
+    assert run_cli("tqft1d", path, "w[0] . v[0]") == (3, [])
+    assert time.perf_counter() - start < 1
+    assert run_cli("tqft1d", path, "w[0] . v[0]", "--picture",
+                   "schrodinger") == (0, ['schrodinger: [["1"]]'])
+    code, lines = run_cli("tqft1d", _identity_step_system(tmp_path, 8),
+                          "w[0] . v[0]")
+    assert (code, lines[-1]) == (0, "scalars: 1 vs 1: AGREE")
 
 
 def test_tqft1d_group_law_identical_output(tmp_path):

@@ -1,8 +1,11 @@
-"""Generating sets of algebras, and the checks that run over them.
+"""Generating sets of algebras, the checks that run over them, and the
+sparse table they run on.
 
 The constructors check each "for all a" rule on basis elements times
 generators; ``oracles.py`` keeps the all-pairs loops they replaced, and
-the properties here require both routes to accept or reject alike.
+the properties here require both routes to accept or reject alike.  It
+also keeps the dense triple loop for products, and tables read densely
+through ``basis_product``, to check the sparse table against.
 """
 
 import random
@@ -12,14 +15,16 @@ from fractions import Fraction
 import pytest
 
 from oracles import (all_pairs_algebra_ok, all_pairs_bimodule_ok,
-                     all_pairs_hom_ok, word_span_rank)
+                     all_pairs_hom_ok, dense_multiply, dense_table,
+                     word_span_rank)
 from skeinalg.algebra import (algebra_direct_sum, field_algebra, make_algebra,
                               make_hom, matrix_algebra, product_field_algebra,
                               transport_algebra, truncated_poly_algebra,
                               upper_triangular_algebra)
 from skeinalg.bimodule import (end_morphism, make_bimodule, modulate,
                                regular_bimodule, tensor_over)
-from skeinalg.errors import ValidationError
+from skeinalg.errors import ContractViolation, ValidationError
+from skeinalg.jsonio import algebra_from_json, algebra_to_json
 from skeinalg.linalg import Matrix, mat_lincomb
 from skeinalg.samples import (random_algebra, random_hom_pair,
                               random_invertible, random_matrix)
@@ -65,7 +70,7 @@ def test_matrix_algebra_generators_are_the_steps():
 def test_generators_ignored_by_eq_and_hash():
     m2 = matrix_algebra(2)
     # the default order keeps E(0,0) as well: three generators, not two
-    plain = make_algebra(m2.mult, m2.unit)
+    plain = make_algebra(dense_table(m2), m2.unit)
     assert plain.generators != m2.generators
     assert plain == m2 and hash(plain) == hash(m2)
     assert replace(m2, generators=(0, 1, 2, 3)) == m2
@@ -76,9 +81,62 @@ def test_generators_ignored_by_eq_and_hash():
 def test_candidates_are_not_trusted():
     q3 = product_field_algebra(3)
     # index 0 alone does not generate Q^3; the greedy adds what is missing
-    alg = make_algebra(q3.mult, q3.unit, candidates=(0, 0))
+    alg = make_algebra(dense_table(q3), q3.unit, candidates=(0, 0))
     assert alg.generators[0] == 0
     assert word_span_rank(alg, alg.generators) == 3
+
+
+@pytest.mark.parametrize("candidates", [(-1,), (7,), (3,), (True,), (1.0,),
+                                        ("0",), (0, -3)])
+def test_candidates_outside_the_basis_are_refused(candidates):
+    # -1 would pick e_2 by negative indexing, and 7 would escape as IndexError
+    q3 = product_field_algebra(3)
+    with pytest.raises(ContractViolation, match="candidates"):
+        make_algebra(dense_table(q3), q3.unit, candidates=candidates)
+
+
+# -- the sparse table against dense routes --------------------------------------
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.randoms(use_true_random=False), st.integers(1, 5))
+def test_multiply_matches_the_dense_loop(rng, n):
+    # disguised algebras have dense tables; M_n tables are monomial
+    alg = random_algebra(rng, 4) if n == 1 else matrix_algebra(n)
+
+    def vec():
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     if rng.random() < 0.7 else 0 for _ in range(alg.dim))
+
+    x, y = vec(), vec()
+    assert alg.multiply(x, y) == dense_multiply(dense_table(alg), x, y)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_json_round_trip_keeps_the_table(name):
+    alg = CONSTRUCTED[name]()
+    back = algebra_from_json(algebra_to_json(alg))
+    assert back == alg and hash(back) == hash(alg)
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_dense_input_gives_the_constructed_table(name):
+    alg = CONSTRUCTED[name]()
+    # explicit Fraction zeros, and every other constant a Fraction too
+    mult = [[[Fraction(c) for c in row] for row in plane]
+            for plane in dense_table(alg)]
+    again = make_algebra(mult, alg.unit)
+    assert again.mult == alg.mult and hash(again) == hash(alg)
+
+
+def test_dense_integral_fractions_give_the_sparse_table():
+    # Q^2 on the basis 2 e0, e1: (2 e0)(2 e0) = 2 (2 e0)
+    scaled = transport_algebra(product_field_algebra(2),
+                               Matrix.from_rows([[2, 0], [0, 1]]))
+    dense = [[[Fraction(2, 1), 0], [0, Fraction(0)]],
+             [[0, 0], [Fraction(0), Fraction(1)]]]
+    alg = make_algebra(dense, [Fraction(1, 2), 1])
+    assert alg == scaled and hash(alg) == hash(scaled)
 
 
 # -- corrupting only what the generators do not reach directly ---------------
@@ -101,7 +159,7 @@ def test_corrupt_non_generator_action_is_rejected():
 
 def test_corrupt_non_generator_product_is_rejected():
     m3 = matrix_algebra(3)
-    mult = [[list(row) for row in plane] for plane in m3.mult]
+    mult = dense_table(m3)
     # E(0,2) E(2,0) = E(0,0) becomes 0: neither factor is a generator, and
     # no unit law involves the product
     mult[2][6][0] = 0
@@ -153,7 +211,7 @@ def _corrupt_table(rng, alg, corruptions, unit_laws=True):
     unit_laws, only products of two non-unit basis vectors change."""
     alg = _unit_first(rng, alg)
     n = alg.dim
-    mult = [[list(row) for row in plane] for plane in alg.mult]
+    mult = dense_table(alg)
     lo = 1 if unit_laws and n > 1 else 0
     for _ in range(corruptions):
         i, j, k = rng.randrange(lo, n), rng.randrange(lo, n), rng.randrange(n)
