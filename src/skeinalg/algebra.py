@@ -22,10 +22,10 @@ and nothing is trusted: ``make_algebra`` proves that S generates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ContractViolation, ValidationError
-from .linalg import Matrix, SparseEchelon, _check_exact
+from .linalg import Matrix, SparseEchelon, _check_exact, _scaled, _unscaled
 
 # algebras past this dimension are refused before any table is built:
 # 64 is End(V) for dim V = 8, as for TENSOR_MAX_AMBIENT_DIM
@@ -43,29 +43,63 @@ class Algebra:
 
     def basis_product(self, i: int, j: int) -> tuple:
         """Coordinates of e_i e_j."""
-        return self.multiply(_unit_vec(self.dim, i), _unit_vec(self.dim, j))
+        out = [0] * self.dim
+        for k, c in self.mult[i][j]:
+            out[k] = c
+        return tuple(out)
+
+    @cached_property
+    def _int_mult(self) -> tuple:
+        """(D, table): mult with every constant times D, the lcm of their
+        denominators, computed once per algebra."""
+        den, ints = _scaled([c for row in self.mult for pairs in row
+                             for _, c in pairs])
+        ints = iter(ints)
+        return den, tuple(tuple(tuple((k, next(ints)) for k, _ in pairs)
+                                for pairs in row) for row in self.mult)
 
     def multiply(self, x, y) -> tuple:
-        """Product of two coordinate vectors."""
+        """Product of two coordinate vectors, normalised as a Matrix product.
+
+        Runs on ints over the denominators of x, y and the structure
+        constants, and divides once; an inexact entry of x or y raises
+        ContractViolation.
+        """
+        den, table = self._int_mult
+        dx, x = _scaled(x)
+        dy, y = _scaled(y)
         out = [0] * self.dim
         for i, xi in enumerate(x):
             if xi:
+                row = table[i]
                 for j, yj in enumerate(y):
                     if yj:
                         f = xi * yj
-                        for k, c in self.mult[i][j]:
-                            out[k] = out[k] + f * c
-        return tuple(out)
+                        for k, c in row[j]:
+                            out[k] += f * c
+        return _unscaled(den * dx * dy, out)
+
+    def _mult_matrix(self, x, on_left: bool) -> Matrix:
+        """Matrix of y -> x * y (on_left) or y -> y * x, x scaled once."""
+        den, table = self._int_mult
+        dx, x = _scaled(x)
+        n = self.dim
+        out = [0] * (n * n)
+        for i, xi in enumerate(x):
+            if xi:
+                for j in range(n):
+                    # column j is the image of e_j
+                    for k, c in (table[i][j] if on_left else table[j][i]):
+                        out[k * n + j] += xi * c
+        return Matrix(n, n, _unscaled(den * dx, out))
 
     def left_mult_matrix(self, x) -> Matrix:
         """Matrix of y -> x * y."""
-        cols = [self.multiply(x, _unit_vec(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_cols(cols, self.dim)
+        return self._mult_matrix(x, True)
 
     def right_mult_matrix(self, x) -> Matrix:
         """Matrix of y -> y * x."""
-        cols = [self.multiply(_unit_vec(self.dim, j), x) for j in range(self.dim)]
-        return Matrix.from_cols(cols, self.dim)
+        return self._mult_matrix(x, False)
 
     def left_regular(self) -> list:
         """Left multiplication matrices of the basis elements."""

@@ -12,7 +12,8 @@ import json
 import os
 from fractions import Fraction
 
-from .algebra import Algebra, AlgebraHom, make_algebra, make_hom
+from .algebra import (ALGEBRA_MAX_DIM, Algebra, AlgebraHom, make_algebra,
+                      make_hom)
 from .bimodule import PointedBimodule, make_bimodule
 from .errors import ContractViolation, ParseError
 from .laurent import LaurentPoly
@@ -115,6 +116,10 @@ def vector_to_json(v) -> list:
 
 def algebra_from_json(obj: dict) -> Algebra:
     n = _count(_require(obj, "dim", "algebra"), "algebra dim")
+    # refused before any of the n^3 entries of mult is parsed
+    if n > ALGEBRA_MAX_DIM:
+        raise ContractViolation(
+            f"algebra dimension {n} exceeds ALGEBRA_MAX_DIM = {ALGEBRA_MAX_DIM}")
     mult = _require(obj, "mult", "algebra")
     unit = _require(obj, "unit", "algebra")
     if (not isinstance(mult, list)

@@ -1,15 +1,20 @@
 """Dense exact matrices and row reduction over the rationals.
 
 Entries are ints and Fractions, mixed freely; any other entry in a
-Matrix row or right-hand side that enters elimination or a product, or
-that reaches a division, raises ContractViolation, with no
-floating-point or fraction-field fallback.  A product runs on integers
-over one common denominator per factor and returns normalised entries:
-an int where the value is integral, a reduced Fraction otherwise.
-``SparseEchelon`` is the one elimination engine: rref, rank, kernels,
-solving, quotients and the determinant all run through it.  Pivoting
-always takes the first nonzero entry in column order, so every result
-here is deterministic.
+Matrix row or right-hand side that enters elimination, a product or a
+linear combination raises ContractViolation, with no floating-point or
+fraction-field fallback.  The integer kernels, products (``Matrix @``),
+``mat_lincomb``, the elimination engine and ``Algebra.multiply``, run on
+Python ints: each Matrix scales its entries to one common denominator
+once, each algebra its structure constants, and the engine keeps
+primitive integer rows.  Products, combinations and determinants return
+normalised entries: an int where the value is integral, a reduced
+Fraction otherwise.  ``SparseEchelon`` is the one elimination engine:
+rref, rank, kernels, solving, quotients and the determinant all run
+through it, and what they read out of it is a Fraction for every
+nonzero entry of a reduced row and int 0 elsewhere.  Pivoting always
+takes the first nonzero entry in column order, so every result here is
+deterministic.
 
 All values are immutable after construction and every operation is a
 pure function, so callers may parallelize independent calls freely.
@@ -20,7 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import ContractViolation
 
@@ -54,16 +60,6 @@ def _unscaled(den: int, ints) -> tuple:
     if den == 1:
         return tuple(ints)
     return tuple(Fraction(x, den) if x % den else x // den for x in ints)
-
-
-def _div(a, b):
-    if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
-        raise ContractViolation(
-            f"exact linear algebra takes int and Fraction entries, not "
-            f"{type(a).__name__} / {type(b).__name__}")
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
 
 
 @dataclass(frozen=True)
@@ -137,6 +133,11 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    @cached_property
+    def _ints(self) -> tuple:
+        """_scaled(entries), computed once per matrix: (D, ints)."""
+        return _scaled(self.entries)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -160,8 +161,8 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}")
         n, k, m = self.rows, self.cols, other.cols
-        da, left = _scaled(self.entries)
-        db, right = _scaled(other.entries)
+        da, left = self._ints
+        db, right = other._ints
         out = [0] * (n * m)
         for i in range(n):
             base = i * k
@@ -198,27 +199,30 @@ class Matrix:
                             for i in range(self.cols) for j in range(self.rows)))
 
     def det(self):
-        """Exact determinant from the shared echelon engine.
+        """Exact determinant from the shared echelon engine, normalised:
+        an int where integral, else a reduced Fraction.
 
         Each row is reduced against the rows before it, which leaves the
         determinant unchanged; the reduced rows form a triangular matrix
-        up to the column permutation given by their pivots.
+        up to the column permutation given by their pivots.  The engine
+        returns each reduced row times a known scale, divided out here.
         """
         if not self.is_square:
             raise ContractViolation("determinant of a non-square matrix")
         eng = SparseEchelon()
-        acc = 1
+        num = den = 1
         order = []
         for i in range(self.rows):
-            row = eng.reduce(_row_to_dict(self.row(i)))
+            scale, row = eng.reduce(_row_to_dict(self.row(i)))
             if not row:
                 return 0
             p = min(row)
-            acc = acc * row[p]
+            num *= row[p]
+            den *= scale
             order.append(p)
             eng.insert(row)
         inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
-        return -acc if inversions % 2 else acc
+        return _unscaled(den, (-num if inversions % 2 else num,))[0]
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -229,7 +233,7 @@ class Matrix:
         # [m | I] always has rank n; m is invertible iff no pivot lies in I
         if eng.pivots() != list(range(n)):
             raise ContractViolation("matrix is singular")
-        return Matrix(n, n, tuple(eng.rows[i].get(n + j, 0)
+        return Matrix(n, n, tuple(eng.value(i, n + j)
                                   for i in range(n) for j in range(n)))
 
     def tolist(self):
@@ -278,64 +282,95 @@ def matrix_power(m: Matrix, t: int) -> Matrix:
 
 
 def mat_lincomb(pairs, rows: int, cols: int) -> Matrix:
-    """Sum of coeff * matrix over (coeff, Matrix) pairs, skipping zeros."""
+    """Sum of coeff * matrix over (coeff, Matrix) pairs, skipping zeros.
+
+    Sums on ints over the lcm of the factors' denominators and returns
+    normalised entries, like a product; an inexact coefficient or entry
+    raises ContractViolation.
+    """
+    pairs = list(pairs)
+    dc, coeffs = _scaled([c for c, _ in pairs])
+    terms = [(c, m._ints) for c, (_, m) in zip(coeffs, pairs) if c]
+    den = lcm(*(d for _, (d, _) in terms))
     out = [0] * (rows * cols)
-    for c, m in pairs:
-        if not c:
-            continue
-        for idx, x in enumerate(m.entries):
+    for c, (d, ents) in terms:
+        c *= den // d
+        for idx, x in enumerate(ents):
             if x:
-                out[idx] = out[idx] + c * x
-    return Matrix(rows, cols, tuple(out))
+                out[idx] += c * x
+    return Matrix(rows, cols, _unscaled(dc * den, out))
 
 
 # ---------------------------------------------------------------------------
 # sparse reduced-echelon engine
 
 
-class SparseEchelon:
-    """Incrementally maintained reduced row-echelon basis of a row space.
+def _eliminate(r: dict, c: int, pivot_row: dict) -> int:
+    """r <- (d/g) r - (r[c]/g) pivot_row in place, for d = pivot_row[c] > 0
+    and g = gcd(r[c], d), so r[c] becomes 0; returns the factor d/g."""
+    a, d = r[c], pivot_row[c]
+    g = gcd(a, d)
+    a, d = a // g, d // g
+    if d != 1:
+        for k in r:
+            r[k] *= d
+    for k, v in pivot_row.items():
+        nv = r.get(k, 0) - a * v
+        if nv:
+            r[k] = nv
+        else:
+            del r[k]
+    return d
 
-    Rows are dicts {column: value}.  Pivot rows are normalized to 1 and
-    fully reduced against each other, so the stored rows are exactly the
-    nonzero rows of the RREF of everything inserted so far.
+
+class SparseEchelon:
+    """Incrementally maintained reduced row-echelon basis of a row space,
+    fraction-free.
+
+    Rows are dicts {column: value} of ints and Fractions; any other value
+    raises ContractViolation.  Each stored row is a primitive integer
+    dict: its entries have gcd 1, its pivot (smallest column) is positive,
+    and every other stored row is zero at that pivot.  Divided by its
+    pivot, it is a nonzero row of the RREF of everything inserted so far.
+    Values are divided out only when read (``value``), in the style of
+    Bareiss (Math. Comp. 22, 1968) and Cohen (GTM 138, section 2.2).
     """
 
     def __init__(self):
-        self.rows: dict = {}  # pivot column -> row dict
+        self.rows: dict = {}  # pivot column -> primitive int row dict
 
-    def reduce(self, row: dict) -> dict:
-        """Return row reduced against the current basis (a fresh dict)."""
-        row = {c: v for c, v in row.items() if v}
-        for c in [c for c in row if c in self.rows]:
-            f = row.get(c)
-            if not f:
-                continue
-            for c2, v2 in self.rows[c].items():
-                nv = row.get(c2, 0) - f * v2
-                if nv:
-                    row[c2] = nv
-                elif c2 in row:
-                    del row[c2]
-        return row
+    def reduce(self, row: dict):
+        """(s, r): an int s > 0 and the fresh int dict r, s times row
+        reduced against the current basis by one _eliminate step per
+        pivot column of the row."""
+        den, ints = _scaled(list(row.values()))
+        r = {c: v for c, v in zip(row, ints) if v}
+        # stored rows are zero at each other's pivots, so each step leaves
+        # the other pivot columns of r as they were
+        for c in [c for c in r if c in self.rows]:
+            den *= _eliminate(r, c, self.rows[c])
+        return den, r
 
     def insert(self, row: dict):
         """Insert a row; return its pivot column, or None if dependent."""
-        row = self.reduce(row)
+        _, row = self.reduce(row)
         if not row:
             return None
         p = min(row)
-        inv = row[p]
-        row = {c: _div(v, inv) for c, v in row.items()}
+        g = gcd(*row.values())
+        if row[p] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
         for r in self.rows.values():
-            f = r.get(p)
-            if f:
-                for c2, v2 in row.items():
-                    nv = r.get(c2, 0) - f * v2
-                    if nv:
-                        r[c2] = nv
-                    elif c2 in r:
-                        del r[c2]
+            if p in r:
+                # row is zero at r's pivot, which stays positive; r is made
+                # primitive again
+                _eliminate(r, p, row)
+                h = gcd(*r.values())
+                if h != 1:
+                    for c in r:
+                        r[c] //= h
         self.rows[p] = row
         return p
 
@@ -347,13 +382,19 @@ class SparseEchelon:
         return sorted(self.rows)
 
     def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
+        return not self.reduce(row)[1]
+
+    def value(self, p: int, c: int):
+        """Entry c of the RREF row with pivot p: a Fraction, or int 0."""
+        row = self.rows[p]
+        v = row.get(c)
+        return Fraction(v, row[p]) if v else 0
 
     def kernel(self, ncols: int) -> list:
         """Basis of the vectors over columns < ncols that every row annihilates.
 
         One tuple per free (non-pivot) column f: 1 at f, minus the f-entry
-        of each pivot row at that row's pivot, so the basis is canonical.
+        of each RREF row at that row's pivot, so the basis is canonical.
         """
         basis = []
         for f in range(ncols):
@@ -364,7 +405,7 @@ class SparseEchelon:
             for p, row in self.rows.items():
                 c = row.get(f)
                 if c:
-                    v[p] = -c
+                    v[p] = Fraction(-c, row[p])
             basis.append(tuple(v))
         return basis
 
@@ -378,14 +419,13 @@ class SparseEchelon:
         if ncols in self.rows:
             return None
         x = [0] * ncols
-        for p, row in self.rows.items():
-            x[p] = row.get(ncols, 0)
+        for p in self.rows:
+            x[p] = self.value(p, ncols)
         return tuple(x), self.kernel(ncols)
 
 
 def _row_to_dict(row) -> dict:
-    # a row that reduces to zero is never divided, so _div alone would let
-    # float rows through; every Matrix row is checked here on entry
+    # a float zero is dropped here, before the engine could check it
     _check_exact(row)
     return {j: v for j, v in enumerate(row) if v}
 
@@ -410,7 +450,7 @@ def rref(m: Matrix) -> RrefResult:
     """
     eng = _echelon(m.rows_list())
     pivots = eng.pivots()
-    flat = [eng.rows[p].get(j, 0) for p in pivots for j in range(m.cols)]
+    flat = [eng.value(p, j) for p in pivots for j in range(m.cols)]
     flat += [0] * ((m.rows - len(pivots)) * m.cols)
     return RrefResult(Matrix(m.rows, m.cols, tuple(flat)), tuple(pivots))
 
@@ -480,7 +520,7 @@ def sparse_quotient(ambient_dim: int, relation_rows):
     cols = []
     for j in range(ambient_dim):
         if j in pivot_set:
-            cols.append({rep_pos[c]: -v for c, v in eng.rows[j].items()
+            cols.append({rep_pos[c]: -eng.value(j, c) for c in eng.rows[j]
                          if c != j})
         else:
             cols.append({rep_pos[j]: 1})

@@ -4,7 +4,8 @@ These construct expected values and witnesses by routes that avoid the
 code paths they are checking: explicit basis maps for tensor composites,
 Kronecker products for hom-space actions, cofactor expansion for
 determinants and inverses, Fraction arithmetic entry by entry for matrix
-products, full-width stacking by a union-find for the tangle fold and
+products and for row reduction (the elimination engine as it was before
+it went fraction-free), full-width stacking by a union-find for the tangle fold and
 the diagram products, a fresh walk of every slice per state for the
 state sum, the all-pairs loops for the constructors that check on
 generators, a tensor_over that rebuilds and revalidates its quotient on
@@ -19,7 +20,8 @@ from skeinalg.bimodule import (TENSOR_MAX_AMBIENT_DIM, _relation_rows,
                                tensor_over)
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
-from skeinalg.linalg import Matrix, mat_lincomb, rref, sparse_quotient
+from skeinalg.linalg import (Matrix, _check_exact, mat_lincomb, rref,
+                             sparse_quotient)
 from skeinalg.tl import TLDiagram, TLMorphism
 
 
@@ -113,6 +115,135 @@ def fraction_matmul(a, b):
                 if y:
                     out[i * m + j] = out[i * m + j] + x * y
     return Matrix(n, m, tuple(out))
+
+
+class FractionEchelon:
+    """The reduced row-echelon engine on Fraction rows, each pivot row
+    divided by its pivot, so every stored value is a Fraction."""
+
+    def __init__(self):
+        self.rows = {}  # pivot column -> row dict
+
+    def reduce(self, row):
+        row = {c: v for c, v in row.items() if v}
+        for c in [c for c in row if c in self.rows]:
+            f = row.get(c)
+            if not f:
+                continue
+            for c2, v2 in self.rows[c].items():
+                nv = row.get(c2, 0) - f * v2
+                if nv:
+                    row[c2] = nv
+                elif c2 in row:
+                    del row[c2]
+        return row
+
+    def insert(self, row):
+        row = self.reduce(row)
+        if not row:
+            return None
+        p = min(row)
+        inv = row[p]
+        row = {c: Fraction(v) / inv for c, v in row.items()}
+        for r in self.rows.values():
+            f = r.get(p)
+            if f:
+                for c2, v2 in row.items():
+                    nv = r.get(c2, 0) - f * v2
+                    if nv:
+                        r[c2] = nv
+                    elif c2 in r:
+                        del r[c2]
+        self.rows[p] = row
+        return p
+
+    def kernel(self, ncols):
+        basis = []
+        for f in range(ncols):
+            if f in self.rows:
+                continue
+            v = [0] * ncols
+            v[f] = 1
+            for p, row in self.rows.items():
+                if row.get(f):
+                    v[p] = -row[f]
+            basis.append(tuple(v))
+        return basis
+
+
+def fraction_echelon(rows):
+    """FractionEchelon of the given rows (sequences or {column: value} dicts)."""
+    eng = FractionEchelon()
+    for r in rows:
+        if not isinstance(r, dict):
+            _check_exact(r)
+            r = {j: v for j, v in enumerate(r) if v}
+        eng.insert(r)
+    return eng
+
+
+def fraction_rref(m):
+    """(rref matrix, pivots) of m by FractionEchelon."""
+    eng = fraction_echelon(m.rows_list())
+    pivots = sorted(eng.rows)
+    flat = [eng.rows[p].get(j, 0) for p in pivots for j in range(m.cols)]
+    flat += [0] * ((m.rows - len(pivots)) * m.cols)
+    return Matrix(m.rows, m.cols, tuple(flat)), tuple(pivots)
+
+
+def fraction_solve(m, b):
+    """solve_linear(m, b) by FractionEchelon: (particular, kernel) or None."""
+    rows = []
+    for i, bi in enumerate(b):
+        row = {j: v for j, v in enumerate(m.row(i)) if v}
+        if bi:
+            row[m.cols] = bi
+        rows.append(row)
+    eng = fraction_echelon(rows)
+    if m.cols in eng.rows:
+        return None
+    x = [0] * m.cols
+    for p, row in eng.rows.items():
+        x[p] = row.get(m.cols, 0)
+    return tuple(x), eng.kernel(m.cols)
+
+
+def fraction_inverse(m):
+    """The inverse of m read from the RREF of [m | I], or None if singular."""
+    n = m.rows
+    eng = fraction_echelon(m.row(i) + tuple(int(j == i) for j in range(n))
+                           for i in range(n))
+    if sorted(eng.rows) != list(range(n)):
+        return None
+    return Matrix(n, n, tuple(eng.rows[i].get(n + j, 0)
+                              for i in range(n) for j in range(n)))
+
+
+def fraction_quotient(ambient_dim, relations):
+    """sparse_quotient by FractionEchelon: (representatives, projection columns)."""
+    eng = fraction_echelon(relations)
+    reps = [j for j in range(ambient_dim) if j not in eng.rows]
+    rep_pos = {r: i for i, r in enumerate(reps)}
+    cols = [{rep_pos[c]: -v for c, v in eng.rows[j].items() if c != j}
+            if j in eng.rows else {rep_pos[j]: 1} for j in range(ambient_dim)]
+    return reps, cols
+
+
+def fraction_det(m):
+    """The determinant by reducing each row against the rows before it."""
+    eng = FractionEchelon()
+    acc = 1
+    order = []
+    for i in range(m.rows):
+        row = eng.reduce({j: v for j, v in enumerate(m.row(i)) if v})
+        if not row:
+            return 0
+        p = min(row)
+        acc = acc * row[p]
+        order.append(p)
+        eng.insert(row)
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
+    return -acc if inversions % 2 else acc
 
 
 def laplace_det(rows):

@@ -11,10 +11,11 @@ from skeinalg.algebra import (ALGEBRA_MAX_DIM, conjugation_hom,
                               matrix_algebra, product_field_algebra,
                               identity_hom, make_hom)
 from skeinalg import bimodule as bimodule_mod
+from skeinalg import jsonio
 from skeinalg import tqft1d as tqft1d_mod
 from skeinalg.bimodule import modulate, regular_bimodule
 from skeinalg.cli import main
-from skeinalg.errors import ParseError
+from skeinalg.errors import ContractViolation, ParseError
 from skeinalg.jsonio import (algebra_from_json, algebra_to_json,
                              bimodule_from_json, bimodule_to_json,
                              hom_from_json, hom_to_json, laurent_from_json,
@@ -286,6 +287,25 @@ def test_algebra_validate_past_the_cap_exits_3(tmp_path):
     path.write_text(json.dumps({"dim": n, "mult": [[[0] * n] * n] * n,
                                 "unit": [0] * n}))
     assert run_cli("algebra", "validate", str(path)) == (3, [])
+
+
+def test_algebra_file_past_the_cap_is_refused_before_parsing(monkeypatch):
+    calls = []
+    parse = jsonio.parse_rational
+
+    def counted(x):
+        calls.append(x)
+        return parse(x)
+
+    monkeypatch.setattr(jsonio, "parse_rational", counted)
+    n = ALGEBRA_MAX_DIM + 1
+    with pytest.raises(ContractViolation, match="ALGEBRA_MAX_DIM"):
+        jsonio.algebra_from_json({"dim": n, "mult": [[[0] * n] * n] * n,
+                                  "unit": [0] * n})
+    assert calls == []
+    # the counter sees the entries of a file that passes the cap
+    jsonio.algebra_from_json(jsonio.algebra_to_json(matrix_algebra(2)))
+    assert len(calls) >= 4 ** 3
 
 
 def test_algebra_modulate_and_tensor(tmp_path):

@@ -4,13 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import adjugate_inverse, fraction_matmul, laplace_det
+from oracles import (adjugate_inverse, dense_multiply, dense_table,
+                     fraction_det, fraction_echelon, fraction_inverse,
+                     fraction_matmul, fraction_quotient, fraction_rref,
+                     fraction_solve, laplace_det)
+from skeinalg.algebra import (matrix_algebra, transport_algebra,
+                              truncated_poly_algebra, upper_triangular_algebra)
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import (MATRIX_POWER_MAX_ENTRY_BITS, SEARCH_TRIALS, Matrix,
                              find_invertible_in_affine_family, kernel_basis,
-                             matrix_power, quotient_basis, rank, rref,
-                             solve_linear)
+                             mat_lincomb, matrix_power, quotient_basis, rank,
+                             rref, solve_linear, sparse_quotient)
 
 
 def rand_matrix(rng, rows, cols):
@@ -337,3 +342,163 @@ def test_find_invertible_deterministic():
     b = find_invertible_in_affine_family(Matrix.zeros(2, 2), dirs, seed=3)
     assert a == b
 
+
+
+def _same(got, want):
+    """Equal entry by entry, in value and in type."""
+    got, want = list(got), list(want)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def _normalised(x):
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def _deficient(rng, rows, cols, kind):
+    """A rows x cols matrix, often rank-deficient: zero, repeated and
+    combined rows, and sparse ones."""
+    out = []
+    for _ in range(rows):
+        style = rng.random()
+        if out and style < 0.3:
+            a, b = rng.choice(out), rng.choice(out)
+            c = _mixed_entry(rng, kind)
+            out.append(tuple(c * x - y for x, y in zip(a, b)))
+        elif style < 0.4:
+            out.append((0,) * cols)
+        else:
+            out.append(tuple(_mixed_entry(rng, kind) if rng.random() < 0.7 else 0
+                             for _ in range(cols)))
+    return Matrix(rows, cols, tuple(x for r in out for x in r))
+
+
+def test_elimination_matches_the_fraction_engine():
+    rng = random.Random(1919)
+    singular = inconsistent = 0
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+        m = _deficient(rng, rows, cols, rng.choice(("int", "fraction", "mixed")))
+        got = rref(m)
+        want, pivots = fraction_rref(m)
+        _same(got.matrix.entries, want.entries)
+        assert got.pivots == pivots
+        assert rank(m) == len(pivots)
+        kernel = fraction_echelon(m.rows_list()).kernel(m.cols)
+        assert len(kernel_basis(m)) == len(kernel)
+        for v, w in zip(kernel_basis(m), kernel):
+            _same(v, w)
+        # a right-hand side in the column space, then one that may not be
+        x = tuple(_mixed_entry(rng, "mixed") for _ in range(cols))
+        for b in (m.apply(x), tuple(_mixed_entry(rng, "mixed") for _ in range(rows))):
+            got, want = solve_linear(m, b), fraction_solve(m, b)
+            assert (got is None) == (want is None)
+            if got is None:
+                inconsistent += 1
+                continue
+            _same(got[0], want[0])
+            assert len(got[1]) == len(want[1])
+            for v, w in zip(got[1], want[1]):
+                _same(v, w)
+        reps, proj = quotient_basis(cols, m.rows_list())
+        want_reps, want_cols = fraction_quotient(cols, m.rows_list())
+        assert reps == want_reps
+        got_cols = sparse_quotient(cols, [{j: v for j, v in enumerate(r) if v}
+                                          for r in m.rows_list()])[1]
+        assert got_cols == want_cols
+        for c, w in zip(got_cols, want_cols):
+            _same(c.items(), w.items())
+        _same(proj.entries, Matrix.from_cols(
+            [[c.get(i, 0) for i in range(len(reps))] for c in want_cols],
+            len(reps)).entries)
+        if rows == cols:
+            det = m.det()
+            assert det == fraction_det(m) and _normalised(det)
+            inverse = fraction_inverse(m)
+            if inverse is None:
+                singular += 1
+                assert det == 0
+                with pytest.raises(ContractViolation, match="singular"):
+                    m.inverse()
+            else:
+                _same(m.inverse().entries, inverse.entries)
+    # the seeded cases reach the rank-deficient and inconsistent branches
+    assert singular >= 5 and inconsistent >= 20
+
+
+def test_det_with_unrelated_large_denominators_matches_laplace():
+    rng = random.Random(300)
+    for trial in range(6):
+        rows = [[Fraction(rng.getrandbits(300) - (1 << 299),
+                          rng.getrandbits(300) | 1 << 299) for _ in range(5)]
+                for _ in range(5)]
+        if trial % 3 == 2:
+            # a combination of two rows: singular
+            c = Fraction(rng.getrandbits(300), rng.getrandbits(300) | 1)
+            rows[4] = [c * x + y for x, y in zip(rows[0], rows[2])]
+        det = Matrix.from_rows(rows).det()
+        assert det == laplace_det(rows)
+        assert _normalised(det)
+        assert (det == 0) == (trial % 3 == 2)
+
+
+def test_algebra_multiply_matches_the_dense_oracle():
+    rng = random.Random(1905)
+    bases = (matrix_algebra(2), upper_triangular_algebra(),
+             truncated_poly_algebra(3))
+    checked = 0
+    for base in bases:
+        for _ in range(3):
+            while True:
+                s = Matrix(base.dim, base.dim,
+                           tuple(_mixed_entry(rng, "mixed")
+                                 for _ in range(base.dim ** 2)))
+                if s.det():
+                    break
+            alg = transport_algebra(base, s)
+            table = dense_table(alg)
+            assert any(type(c) is Fraction
+                       for row in alg.mult for pairs in row for _, c in pairs)
+            for _ in range(8):
+                x, y = (tuple(_mixed_entry(rng, "mixed") for _ in range(alg.dim))
+                        for _ in range(2))
+                got = alg.multiply(x, y)
+                assert got == dense_multiply(table, x, y)
+                assert all(_normalised(v) for v in got)
+                e = [tuple(int(i == j) for i in range(alg.dim))
+                     for j in range(alg.dim)]
+                assert alg.left_mult_matrix(x) == Matrix.from_cols(
+                    [dense_multiply(table, x, ej) for ej in e], alg.dim)
+                assert alg.right_mult_matrix(x) == Matrix.from_cols(
+                    [dense_multiply(table, ej, x) for ej in e], alg.dim)
+                checked += 1
+    assert checked == 72
+
+
+def test_mat_lincomb_and_multiply_reject_inexact_values():
+    # both once computed in floats: mat_lincomb([(0.5, I)]) had 0.5 entries
+    ident = Matrix.identity(2)
+    for pairs in ([(0.5, ident)], [(1, ident), (0.0, ident)],
+                  [(1, Matrix(2, 2, (1, 0, 0, 0.5)))],
+                  [(LaurentPoly.gen(), ident)]):
+        with pytest.raises(ContractViolation, match="int and Fraction"):
+            mat_lincomb(pairs, 2, 2)
+    alg = matrix_algebra(2)
+    one = alg.unit
+    for bad in ((1.0, 0, 0, 1), (1, 0.0, 0, 1), (0.5, 0, 0, 0)):
+        for x, y in ((bad, one), (one, bad)):
+            with pytest.raises(ContractViolation, match="int and Fraction"):
+                alg.multiply(x, y)
+
+
+def test_mat_lincomb_sums_over_a_common_denominator():
+    rng = random.Random(77)
+    for _ in range(40):
+        mats = [Matrix(2, 3, tuple(_mixed_entry(rng, "mixed") for _ in range(6)))
+                for _ in range(rng.randint(0, 4))]
+        coeffs = [_mixed_entry(rng, "mixed") for _ in mats]
+        got = mat_lincomb(zip(coeffs, mats), 2, 3)
+        want = [sum((c * m.entries[i] for c, m in zip(coeffs, mats)), 0)
+                for i in range(6)]
+        assert list(got.entries) == want
+        assert all(_normalised(v) for v in got.entries)
