@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import ContractViolation, ValidationError
-from .linalg import Matrix, SparseEchelon, _check_exact, _scaled, _unscaled
+from .linalg import Matrix, SparseEchelon, TensorMap, _check_exact
 
 # algebras past this dimension are refused before any table is built:
 # 64 is End(V) for dim V = 8, as for TENSOR_MAX_AMBIENT_DIM
@@ -49,57 +49,26 @@ class Algebra:
         return tuple(out)
 
     @cached_property
-    def _int_mult(self) -> tuple:
-        """(D, table): mult with every constant times D, the lcm of their
-        denominators, computed once per algebra."""
-        den, ints = _scaled([c for row in self.mult for pairs in row
-                             for _, c in pairs])
-        ints = iter(ints)
-        return den, tuple(tuple(tuple((k, next(ints)) for k, _ in pairs)
-                                for pairs in row) for row in self.mult)
+    def _product(self) -> TensorMap:
+        """The product as a bilinear map, its constants scaled once."""
+        return TensorMap(self.dim, self.dim, self.dim,
+                         (pairs for row in self.mult for pairs in row))
 
     def multiply(self, x, y) -> tuple:
         """Product of two coordinate vectors, normalised as a Matrix product.
 
-        Runs on ints over the denominators of x, y and the structure
-        constants, and divides once; an inexact entry of x or y raises
-        ContractViolation.
+        One call of the TensorMap of the structure constants; an inexact
+        entry of x or y raises ContractViolation.
         """
-        den, table = self._int_mult
-        dx, x = _scaled(x)
-        dy, y = _scaled(y)
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                row = table[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        f = xi * yj
-                        for k, c in row[j]:
-                            out[k] += f * c
-        return _unscaled(den * dx * dy, out)
-
-    def _mult_matrix(self, x, on_left: bool) -> Matrix:
-        """Matrix of y -> x * y (on_left) or y -> y * x, x scaled once."""
-        den, table = self._int_mult
-        dx, x = _scaled(x)
-        n = self.dim
-        out = [0] * (n * n)
-        for i, xi in enumerate(x):
-            if xi:
-                for j in range(n):
-                    # column j is the image of e_j
-                    for k, c in (table[i][j] if on_left else table[j][i]):
-                        out[k * n + j] += xi * c
-        return Matrix(n, n, _unscaled(den * dx, out))
+        return self._product(x, y)
 
     def left_mult_matrix(self, x) -> Matrix:
         """Matrix of y -> x * y."""
-        return self._mult_matrix(x, True)
+        return self._product.partial(x)
 
     def right_mult_matrix(self, x) -> Matrix:
         """Matrix of y -> y * x."""
-        return self._mult_matrix(x, False)
+        return self._product.partial(x, first=False)
 
     def left_regular(self) -> list:
         """Left multiplication matrices of the basis elements."""

@@ -27,9 +27,9 @@ from functools import lru_cache
 from .algebra import (Algebra, AlgebraHom, field_algebra, flatten_matrix,
                       matrix_algebra)
 from .errors import ContractViolation, InternalCheckError, ValidationError
-from .linalg import (Matrix, SparseEchelon, _check_exact, _scaled,
-                     _unscaled, find_invertible_in_affine_family,
-                     kernel_basis, mat_lincomb, sparse_quotient)
+from .linalg import (Matrix, SparseEchelon, TensorMap, _check_exact,
+                     find_invertible_in_affine_family, kernel_basis,
+                     mat_lincomb, sparse_quotient)
 
 # tensor_over refuses factors whose tensor product M tensor N, the space
 # it quotients, is larger: 4096 is hom(V,V) tensor hom(V,V) for dim V = 8
@@ -197,61 +197,26 @@ def _quotient_shape(left: Algebra, right: Algebra, left_action,
     acts on N.  Ambient coordinate i * q + j is e(i) tensor e(j); the
     relations must span a sub-bimodule.  Returns the bimodule on the
     canonical pivot-complement basis, pointed by zero and checked by
-    make_bimodule, with the projection (D, columns) scaled to integers:
-    columns[i * q + j] lists the (quotient coordinate, value) pairs of D
-    times the class of e(i) tensor e(j).
+    make_bimodule, with the projection as a TensorMap: proj(x, y) is the
+    class of x tensor y.
     """
     reps, proj_cols = sparse_quotient(p * q, relations)
     dim = len(reps)
-    den, values = _scaled([v for col in proj_cols for v in col.values()])
-    values = iter(values)
-    proj_cols = tuple(tuple((t, next(values)) for t in col)
-                      for col in proj_cols)
+    proj = TensorMap(p, q, dim, (col.items() for col in proj_cols))
+    ep = [tuple(int(k == i) for k in range(p)) for i in range(p)]
+    eq = [tuple(int(k == j) for k in range(q)) for j in range(q)]
 
     def descend(action, on_left):
-        mats = []
-        for act in action:
-            da, ents = _scaled(act.entries)
-            cols = []
-            for r in reps:
-                i, j = divmod(r, q)
-                # the left action moves the first factor, the right the second
-                start, stride, c = (j, q, i) if on_left else (i * q, 1, j)
-                col = [0] * dim
-                for k, v in enumerate(ents[c::act.cols]):
-                    if v:
-                        for t, w in proj_cols[start + k * stride]:
-                            col[t] += v * w
-                cols.append(_unscaled(den * da, col))
-            mats.append(Matrix.from_cols(cols, dim))
-        return mats
+        # the left action moves the first factor, the right the second
+        return [Matrix.from_cols(
+            [proj(act.col(i), eq[j]) if on_left else proj(ep[i], act.col(j))
+             for i, j in (divmod(r, q) for r in reps)], dim)
+            for act in action]
 
     # make_bimodule reads the pointing only for its length and exactness
     shape = make_bimodule(left, right, descend(left_action, True),
                           descend(right_action, False), (0,) * dim)
-    return shape, (den, proj_cols)
-
-
-def _quotient_pointing(dim: int, proj, x, y) -> tuple:
-    """The class of x tensor y in the quotient of _quotient_shape.
-
-    proj is its scaled projection (D, columns); a float or other inexact
-    entry of x or y raises ContractViolation.
-    """
-    den, proj_cols = proj
-    dx, x = _scaled(x)
-    dy, y = _scaled(y)
-    q = len(y)
-    pointing = [0] * dim
-    for i, v in enumerate(x):
-        if not v:
-            continue
-        for j, w in enumerate(y):
-            if w:
-                vw = v * w
-                for t, c in proj_cols[i * q + j]:
-                    pointing[t] += vw * c
-    return _unscaled(den * dx * dy, pointing)
+    return shape, proj
 
 
 # One quotient per pair of unpointed factors: rebuilding and revalidating
@@ -290,11 +255,11 @@ def tensor_over(m1: PointedBimodule, m2: PointedBimodule) -> PointedBimodule:
 
     The quotient, its actions and their make_bimodule check depend only
     on the factors with their pointings blanked, so they are built once
-    per such pair and kept in a bounded memo (_tensor_shape); each call
-    then only descends x tensor y through the stored projection columns,
-    on integers over one common denominator.  This skips no check:
+    per such pair and kept in a bounded memo (_tensor_shape), with the
+    quotient map as a TensorMap; each call then only applies it to the
+    pointings, proj(x, y), the class of x tensor y.  This skips no check:
     make_bimodule reads the pointing only for its length and exactness,
-    the exactness of x and y is checked here, and each distinct action
+    the TensorMap checks the exactness of x and y, and each distinct action
     pair is still validated once, as each hom-space shape is in
     _hom_space.  A hit hands back the stored actions, equal to a
     rebuild's in value and in type, since every descended entry is
@@ -313,7 +278,7 @@ def tensor_over(m1: PointedBimodule, m2: PointedBimodule) -> PointedBimodule:
             f"TENSOR_MAX_AMBIENT_DIM = {TENSOR_MAX_AMBIENT_DIM}")
     shape, proj = _tensor_shape(replace(m1, pointing=()),
                                 replace(m2, pointing=()))
-    pointing = _quotient_pointing(shape.dim, proj, m1.pointing, m2.pointing)
+    pointing = proj(m1.pointing, m2.pointing)
     return replace(shape, left=m1.left, right=m2.right, pointing=pointing)
 
 
@@ -551,4 +516,4 @@ def ideal_quotient_module(alg: Algebra, ideal_basis,
         shape, proj = _quotient_shape(k_alg, alg, one, alg.right_regular(),
                                       1, alg.dim, rows)
         x, y = (1,), alg.unit
-    return replace(shape, pointing=_quotient_pointing(shape.dim, proj, x, y))
+    return replace(shape, pointing=proj(x, y))

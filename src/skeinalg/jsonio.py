@@ -295,7 +295,10 @@ def parse_braid_string(text: str):
             sign = -1
         if not body.startswith("s") or not body[1:].isdigit():
             raise ParseError(f"bad braid letter {tok!r}", pos)
-        idx = int(body[1:])
+        try:
+            idx = int(body[1:])
+        except ValueError as exc:  # a digit int() refuses, or too many
+            raise ParseError(f"bad braid letter: {exc}", pos) from None
         if idx < 1:
             raise ParseError(f"generator index must be >= 1 in {tok!r}", pos)
         word.append(sign * idx)
@@ -304,9 +307,15 @@ def parse_braid_string(text: str):
 
 def load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors, and so is an
+    # integer past Python's digit limit for int(str)
+    except ValueError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON (nested too deeply)") from None

@@ -4,12 +4,15 @@ Entries are ints and Fractions, mixed freely; any other entry in a
 Matrix row or right-hand side that enters elimination, a product or a
 linear combination raises ContractViolation, with no floating-point or
 fraction-field fallback.  The integer kernels, products (``Matrix @``),
-``mat_lincomb``, the elimination engine and ``Algebra.multiply``, run on
+``mat_lincomb``, the elimination engine and ``TensorMap``, run on
 Python ints: each Matrix scales its entries to one common denominator
-once, each algebra its structure constants, and the engine keeps
-primitive integer rows.  Products, combinations and determinants return
-normalised entries: an int where the value is integral, a reduced
-Fraction otherwise.  ``SparseEchelon`` is the one elimination engine:
+once, each TensorMap its constants, and the engine keeps primitive
+integer rows.  ``TensorMap`` is the one bilinear kernel: the algebra
+product and the tensor_over quotient map are both TensorMaps, so the
+scaled-integer format is read nowhere outside this module.  Products,
+combinations, bilinear images and determinants return normalised
+entries: an int where the value is integral, a reduced Fraction
+otherwise.  ``SparseEchelon`` is the one elimination engine:
 rref, rank, kernels, solving, quotients and the determinant all run
 through it, and what they read out of it is a Fraction for every
 nonzero entry of a reduced row and int 0 elsewhere.  Pivoting always
@@ -299,6 +302,63 @@ def mat_lincomb(pairs, rows: int, cols: int) -> Matrix:
             if x:
                 out[idx] += c * x
     return Matrix(rows, cols, _unscaled(dc * den, out))
+
+
+class TensorMap:
+    """The bilinear map m: Q^p x Q^q -> Q^dim, m(e_i, e_j) = images[i*q + j].
+
+    Each image is given by its nonzero (k, c) pairs, c the coefficient of
+    e_k.  The constants are scaled to ints over their common denominator
+    once, here; each call scales its arguments, runs on ints and divides
+    once, so values come back normalised like a product.  An inexact
+    argument, or one of the wrong length, raises ContractViolation.
+    """
+
+    def __init__(self, p: int, q: int, dim: int, images):
+        images = tuple(images)
+        if len(images) != p * q:
+            raise ContractViolation(f"{len(images)} images for {p} x {q} pairs")
+        self.p, self.q, self.dim = p, q, dim
+        self._den, ints = _scaled([c for pairs in images for _, c in pairs])
+        ints = iter(ints)
+        self._images = tuple(tuple((k, next(ints)) for k, _ in pairs)
+                             for pairs in images)
+
+    def __call__(self, x, y) -> tuple:
+        """Coordinates of m(x, y), for x in Q^p and y in Q^q."""
+        if (len(x), len(y)) != (self.p, self.q):
+            raise ContractViolation("vector lengths do not fit the map")
+        dx, x = _scaled(x)
+        dy, y = _scaled(y)
+        q, images = self.q, self._images
+        out = [0] * self.dim
+        for i, xi in enumerate(x):
+            if xi:
+                base = i * q
+                for j, yj in enumerate(y):
+                    if yj:
+                        f = xi * yj
+                        for k, c in images[base + j]:
+                            out[k] += f * c
+        return _unscaled(self._den * dx * dy, out)
+
+    def partial(self, x, first: bool = True) -> Matrix:
+        """The matrix of y -> m(x, y), or of y -> m(y, x) if not first."""
+        p, q = self.p, self.q
+        n, size = (q, p) if first else (p, q)
+        if len(x) != size:
+            raise ContractViolation("vector length does not fit the map")
+        dx, x = _scaled(x)
+        out = [0] * (self.dim * n)
+        for a, xa in enumerate(x):
+            if xa:
+                # column b is the image of e_b
+                row = (self._images[a * q:(a + 1) * q] if first
+                       else self._images[a::q])
+                for b, pairs in enumerate(row):
+                    for k, c in pairs:
+                        out[k * n + b] += xa * c
+        return Matrix(self.dim, n, _unscaled(self._den * dx, out))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,10 @@ def parse_word(text: str) -> SpacetimeWord:
             raise ParseError("expected a generator u(INT), v[LBL], w[LBL] or a[LBL]",
                              pos)
         if m.group(1) is not None:
-            t = int(m.group(1))
+            try:
+                t = int(m.group(1))
+            except ValueError as exc:  # past Python's digit limit for int(str)
+                raise ParseError(f"bad duration: {exc}", pos) from None
             if t < 1:
                 raise ParseError("duration must be a positive integer", pos)
             gens.append(("u", t))

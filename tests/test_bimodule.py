@@ -403,6 +403,12 @@ def test_ideal_quotient_full_ideal():
     q = ideal_quotient_module(m2, full, "left")
     assert q.dim == 0
     assert q.pointing == ()
+    # a zero-dimensional factor leaves nothing to tensor, on either side
+    zero = tensor_over(regular_bimodule(m2), q)
+    assert (zero.dim, zero.pointing) == (0, ())
+    q = ideal_quotient_module(m2, full, "right")
+    zero = tensor_over(q, regular_bimodule(m2))
+    assert (zero.dim, zero.pointing) == (0, ())
 
 
 def test_ideal_quotient_rejects_non_ideal():
@@ -448,7 +454,7 @@ def _same_tensor(m1, m2):
     from oracles import uncached_tensor_over
 
     out, ref = tensor_over(m1, m2), uncached_tensor_over(m1, m2)
-    # a hit may hand back Fraction(1) where the oracle builds 1: equal values
+    # the oracle may build Fraction(1) where the memo hands back 1: equal values
     for f in fields(out):
         assert getattr(out, f.name) == getattr(ref, f.name)
     assert out.left is m1.left and out.right is m2.right

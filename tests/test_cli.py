@@ -158,7 +158,12 @@ def test_bracket_parse_error_exits_1(tmp_path):
     path.write_text("{not json")
     assert run_cli("bracket", str(path))[0] == 1
     assert run_cli("bracket", "--braid", "zz", "--strands", "2")[0] == 1
+    # digits that int() refuses: past its digit limit, or not decimal
+    for letter in ("s" + "1" * 5000, "s\u00b2"):
+        assert run_cli("bracket", "--braid", "s1 " + letter, "--strands", "2")[0] == 1
 
+
+DIRECTORY = object()
 
 BIMODULE_WITH_MISSING_ALGEBRA = {
     "left": "missing.json", "right": "missing.json", "dim": 1,
@@ -170,10 +175,21 @@ BIMODULE_WITH_MISSING_ALGEBRA = {
     (["algebra", "validate", "{0}"], {"dim": 1, "mult": [1], "unit": ["1"]}),
     (["bracket", "{0}"], [1]),
     (["tqft1d", "{0}", "w[0]"], {"dim": 1, "step": [["1"]], "states": [1]}),
-], ids=["missing-algebra-file", "flat-mult", "tangle-list", "states-list"])
+    # inputs json.dumps cannot produce: raw bytes, or the directory itself
+    (["bracket", "{0}"], DIRECTORY),
+    (["bracket", "{0}"], b'{"slices": "\xff"}'),
+    (["bracket", "{0}"], b"1" * 5000),
+    (["bracket", "{0}"], b"[" * 100000),
+], ids=["missing-algebra-file", "flat-mult", "tangle-list", "states-list",
+        "directory", "not-utf8", "int-past-digit-limit", "deep-nesting"])
 def test_malformed_json_exits_1_without_traceback(tmp_path, argv, doc):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
+    if doc is DIRECTORY:
+        path = tmp_path
+    elif isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-m", "skeinalg"] + [a.format(path) for a in argv],

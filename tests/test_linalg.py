@@ -13,9 +13,10 @@ from skeinalg.algebra import (matrix_algebra, transport_algebra,
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import (MATRIX_POWER_MAX_ENTRY_BITS, SEARCH_TRIALS, Matrix,
-                             find_invertible_in_affine_family, kernel_basis,
-                             mat_lincomb, matrix_power, quotient_basis, rank,
-                             rref, solve_linear, sparse_quotient)
+                             TensorMap, find_invertible_in_affine_family,
+                             kernel_basis, mat_lincomb, matrix_power,
+                             quotient_basis, rank, rref, solve_linear,
+                             sparse_quotient)
 
 
 def rand_matrix(rng, rows, cols):
@@ -489,6 +490,23 @@ def test_mat_lincomb_and_multiply_reject_inexact_values():
         for x, y in ((bad, one), (one, bad)):
             with pytest.raises(ContractViolation, match="int and Fraction"):
                 alg.multiply(x, y)
+        # TensorMap.partial scales its argument once, with the same guard
+        for mult_matrix in (alg.left_mult_matrix, alg.right_mult_matrix):
+            with pytest.raises(ContractViolation, match="int and Fraction"):
+                mult_matrix(bad)
+
+
+def test_tensor_map_refuses_vectors_of_the_wrong_length():
+    # a vector of the wrong length is refused, never padded or cut
+    alg = matrix_algebra(2)
+    for x, y in (((1, 0, 0), alg.unit), (alg.unit, (1, 0, 0, 1, 0))):
+        with pytest.raises(ContractViolation, match="do not fit"):
+            alg.multiply(x, y)
+    for mult_matrix in (alg.left_mult_matrix, alg.right_mult_matrix):
+        with pytest.raises(ContractViolation, match="does not fit"):
+            mult_matrix((1, 0, 0))
+    with pytest.raises(ContractViolation, match="3 images for 2 x 2 pairs"):
+        TensorMap(2, 2, 1, [()] * 3)
 
 
 def test_mat_lincomb_sums_over_a_common_denominator():

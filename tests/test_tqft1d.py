@@ -45,6 +45,9 @@ def test_parse_errors_carry_position():
         parse_word("")
     with pytest.raises(ParseError):
         parse_word("x[0]")
+    # a duration past Python's digit limit for int(str)
+    with pytest.raises(ParseError, match="at position 7"):
+        parse_word("w[0] . u(" + "1" * 5000 + ") . v[0]")
 
 
 def test_make_word_rejects_bad_durations():
