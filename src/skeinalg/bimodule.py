@@ -29,7 +29,9 @@ from .algebra import (Algebra, AlgebraHom, field_algebra, flatten_matrix,
 from .errors import ContractViolation, InternalCheckError, ValidationError
 from .linalg import (Matrix, SparseEchelon, TensorMap, _check_exact,
                      find_invertible_in_affine_family, kernel_basis,
-                     mat_lincomb, sparse_quotient)
+                     lincomb_image, matrix_image, product_image,
+                     relation_rows as _relation_rows, same_image,
+                     sparse_quotient)
 
 # tensor_over refuses factors whose tensor product M tensor N, the space
 # it quotients, is larger: 4096 is hom(V,V) tensor hom(V,V) for dim V = 8
@@ -78,28 +80,29 @@ def make_bimodule(left: Algebra, right: Algebra, left_action, right_action,
     for mat in left_action + right_action:
         if (mat.rows, mat.cols) != (m, m):
             raise ContractViolation("action matrices must be dim x dim")
-        _check_exact(mat.entries)
+        matrix_image(mat)  # raises ContractViolation on an inexact entry
     _check_exact(pointing)
-    ident = Matrix.identity(m)
-    if mat_lincomb(zip(left.unit, left_action), m, m) != ident:
+    ident = matrix_image(Matrix.identity(m))
+    if not same_image(lincomb_image(zip(left.unit, left_action), m, m), ident):
         raise ValidationError("left action of the unit is not the identity")
-    if mat_lincomb(zip(right.unit, right_action), m, m) != ident:
+    if not same_image(lincomb_image(zip(right.unit, right_action), m, m), ident):
         raise ValidationError("right action of the unit is not the identity")
     for i in range(left.dim):
         for s in left.generators:
-            prod = mat_lincomb(zip(left.basis_product(i, s), left_action), m, m)
-            if left_action[i] @ left_action[s] != prod:
+            prod = lincomb_image(zip(left.basis_product(i, s), left_action), m, m)
+            if not same_image(product_image(left_action[i], left_action[s]), prod):
                 raise ValidationError(
                     f"left action is not multiplicative at basis pair ({i},{s})")
     for i in range(right.dim):
         for s in right.generators:
-            prod = mat_lincomb(zip(right.basis_product(i, s), right_action), m, m)
-            if right_action[s] @ right_action[i] != prod:
+            prod = lincomb_image(zip(right.basis_product(i, s), right_action), m, m)
+            if not same_image(product_image(right_action[s], right_action[i]), prod):
                 raise ValidationError(
                     f"right action is not anti-multiplicative at basis pair ({s},{i})")
     for s in left.generators:
         for t in right.generators:
-            if left_action[s] @ right_action[t] != right_action[t] @ left_action[s]:
+            if not same_image(product_image(left_action[s], right_action[t]),
+                              product_image(right_action[t], left_action[s])):
                 raise ValidationError(
                     f"actions do not commute at basis pair ({s},{t})")
     return PointedBimodule(left, right, m, left_action, right_action, pointing)
@@ -161,33 +164,6 @@ def end_morphism(f: Matrix) -> PointedBimodule:
     return replace(_hom_space(f.rows, f.cols), pointing=flatten_matrix(f))
 
 
-def _relation_rows(pcols, qcols) -> list:
-    """The nonzero images (P tensor 1 - 1 tensor Q) e(i, j) as sparse rows.
-
-    pcols[i] and qcols[j] are the columns of the square matrices P and Q,
-    and e(i, j) is coordinate i * len(qcols) + j.
-    """
-    q = len(qcols)
-    pnz = [[(k * q, v) for k, v in enumerate(col) if v] for col in pcols]
-    qnz = [[(l, v) for l, v in enumerate(col) if v] for col in qcols]
-    rows = []
-    for i, pi in enumerate(pnz):
-        for j, qj in enumerate(qnz):
-            row = {}
-            for kq, v in pi:
-                row[kq + j] = v
-            for l, v in qj:
-                key = i * q + l
-                nv = row.get(key, 0) - v
-                if nv:
-                    row[key] = nv
-                elif key in row:
-                    del row[key]
-            if row:
-                rows.append(row)
-    return rows
-
-
 def _quotient_shape(left: Algebra, right: Algebra, left_action,
                     right_action, p: int, q: int, relations):
     """The bimodule that M tensor N / span(relations) inherits, unpointed.
@@ -233,9 +209,7 @@ def _tensor_shape(m1: PointedBimodule, m2: PointedBimodule):
     """_quotient_shape of tensor_over on factors with blank pointings."""
     relations = []
     for b in m1.right.generators:
-        rb, lb = m1.right_action[b], m2.left_action[b]
-        relations += _relation_rows([rb.col(i) for i in range(m1.dim)],
-                                    [lb.col(j) for j in range(m2.dim)])
+        relations += _relation_rows(m1.right_action[b], m2.left_action[b])
     return _quotient_shape(m1.left, m2.right, m1.left_action,
                            m2.right_action, m1.dim, m2.dim, relations)
 
@@ -307,7 +281,7 @@ def _map_failure(source: PointedBimodule, target: PointedBimodule,
     generators of each side suffice.
     """
     for side, i, a1, a2 in _generator_actions(source, target):
-        if matrix @ a1 != a2 @ matrix:
+        if not same_image(product_image(matrix, a1), product_image(a2, matrix)):
             return f"map fails to intertwine the {side} action at basis index {i}"
     if pointed and matrix.apply(source.pointing) != tuple(target.pointing):
         return "map does not send pointing to pointing"
@@ -342,8 +316,7 @@ def _affine_intertwiner_space(m1, m2, pointed: bool):
     p, q = m1.dim, m2.dim
     eng = SparseEchelon()
     for _, _, a1, a2 in _generator_actions(m1, m2):
-        for row in _relation_rows([a2.row(u) for u in range(q)],
-                                  [a1.col(v) for v in range(p)]):
+        for row in _relation_rows(a2, a1, transposed=True):
             eng.insert(row)
     if pointed:
         # X p1 = p2, with the right-hand side in column p * q

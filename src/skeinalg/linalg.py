@@ -3,21 +3,33 @@
 Entries are ints and Fractions, mixed freely; any other entry in a
 Matrix row or right-hand side that enters elimination, a product or a
 linear combination raises ContractViolation, with no floating-point or
-fraction-field fallback.  The integer kernels, products (``Matrix @``),
-``mat_lincomb``, the elimination engine and ``TensorMap``, run on
-Python ints: each Matrix scales its entries to one common denominator
-once, each TensorMap its constants, and the engine keeps primitive
-integer rows.  ``TensorMap`` is the one bilinear kernel: the algebra
-product and the tensor_over quotient map are both TensorMaps, so the
-scaled-integer format is read nowhere outside this module.  Products,
-combinations, bilinear images and determinants return normalised
-entries: an int where the value is integral, a reduced Fraction
-otherwise.  ``SparseEchelon`` is the one elimination engine:
-rref, rank, kernels, solving, quotients and the determinant all run
-through it, and what they read out of it is a Fraction for every
-nonzero entry of a reduced row and int 0 elsewhere.  Pivoting always
-takes the first nonzero entry in column order, so every result here is
-deterministic.
+fraction-field fallback.  The integer kernels, products, linear
+combinations, the elimination engine and ``TensorMap``, run on Python
+ints: each Matrix scales its entries to one common denominator once,
+each TensorMap its constants, and the engine keeps primitive integer
+rows.  Only this module reads the scaled-integer format.
+
+The integer image of a matrix is a pair (den, ints), den > 0, whose
+values are ints[k] / den.  ``product_image`` is the one product kernel
+and ``lincomb_image`` the one linear-combination kernel; each returns
+a raw image, neither divided nor reduced.  ``Matrix @`` and
+``mat_lincomb`` divide those images once into normalised entries, and
+``same_image`` compares two images by cross-multiplication, so a law
+check compares products and combinations without building a Fraction.
+``relation_rows`` builds the rows (P tensor 1 - 1 tensor Q) e(i, j) of
+the tensor quotient and the intertwiner solver from the images, each a
+positive multiple of the exact row.  Callers outside this module pass
+images back here and never read den or ints.  ``TensorMap`` is the one
+bilinear kernel: the algebra product and the tensor_over quotient map
+are both TensorMaps.  Products, combinations, bilinear images and
+determinants return normalised entries: an int where the value is
+integral, a reduced Fraction otherwise.  ``SparseEchelon`` is the one
+elimination engine: rref, rank, kernels, solving, quotients and the
+determinant all run through it, and what they read out of it is a
+Fraction for every nonzero entry of a reduced row and int 0 elsewhere.
+The determinant reduces the rows of a matrix's image and divides by
+den ** n once.  Pivoting always takes the first nonzero entry in column
+order, so every result here is deterministic.
 
 All values are immutable after construction and every operation is a
 pure function, so callers may parallelize independent calls freely.
@@ -159,27 +171,8 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(c * x for x in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ContractViolation(
-                f"cannot multiply {self.rows}x{self.cols} by "
-                f"{other.rows}x{other.cols}")
-        n, k, m = self.rows, self.cols, other.cols
-        da, left = self._ints
-        db, right = other._ints
-        out = [0] * (n * m)
-        for i in range(n):
-            base = i * k
-            obase = i * m
-            for t in range(k):
-                a = left[base + t]
-                if not a:
-                    continue
-                rb = t * m
-                for j in range(m):
-                    b = right[rb + j]
-                    if b:
-                        out[obase + j] += a * b
-        return Matrix(n, m, _unscaled(da * db, out))
+        return Matrix(self.rows, other.cols,
+                      _unscaled(*product_image(self, other)))
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product as a tuple."""
@@ -205,27 +198,31 @@ class Matrix:
         """Exact determinant from the shared echelon engine, normalised:
         an int where integral, else a reduced Fraction.
 
-        Each row is reduced against the rows before it, which leaves the
-        determinant unchanged; the reduced rows form a triangular matrix
-        up to the column permutation given by their pivots.  The engine
-        returns each reduced row times a known scale, divided out here.
+        Each row of the integer image is reduced against the rows before
+        it, which leaves the determinant unchanged; the reduced rows form
+        a triangular matrix up to the column permutation given by their
+        pivots.  The engine returns each reduced row times a known scale;
+        the scales and den ** n are divided out once.
         """
         if not self.is_square:
             raise ContractViolation("determinant of a non-square matrix")
+        n = self.rows
+        den, ints = self._ints
         eng = SparseEchelon()
-        num = den = 1
+        num, scale = 1, den ** n
         order = []
-        for i in range(self.rows):
-            scale, row = eng.reduce(_row_to_dict(self.row(i)))
+        for i in range(n):
+            row = ints[i * n:(i + 1) * n]
+            s, row = eng.reduce({j: v for j, v in enumerate(row) if v})
             if not row:
                 return 0
             p = min(row)
             num *= row[p]
-            den *= scale
+            scale *= s
             order.append(p)
             eng.insert(row)
         inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1:])
-        return _unscaled(den, (-num if inversions % 2 else num,))[0]
+        return _unscaled(scale, (-num if inversions % 2 else num,))[0]
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -241,6 +238,117 @@ class Matrix:
 
     def tolist(self):
         return [list(self.row(i)) for i in range(self.rows)]
+
+
+# ---------------------------------------------------------------------------
+# integer images: (den, ints) holds the values ints[k] / den, den > 0
+
+
+def matrix_image(m: Matrix) -> tuple:
+    """The integer image of m, computed once per matrix.
+
+    Raises ContractViolation on an entry that is neither an int nor a
+    Fraction.
+    """
+    return m._ints
+
+
+def product_image(a: Matrix, b: Matrix) -> tuple:
+    """The integer image of a @ b: the product of the factors' images over
+    the product of their denominators, neither divided nor reduced."""
+    if a.cols != b.rows:
+        raise ContractViolation(
+            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    n, k, m = a.rows, a.cols, b.cols
+    da, left = a._ints
+    db, right = b._ints
+    out = [0] * (n * m)
+    for i in range(n):
+        base = i * k
+        obase = i * m
+        for t in range(k):
+            x = left[base + t]
+            if not x:
+                continue
+            rb = t * m
+            for j in range(m):
+                y = right[rb + j]
+                if y:
+                    out[obase + j] += x * y
+    return da * db, out
+
+
+def lincomb_image(pairs, rows: int, cols: int) -> tuple:
+    """The integer image of the sum of coeff * matrix over (coeff, Matrix)
+    pairs, skipping zero coefficients: summed on ints over the lcm of the
+    matrices' denominators, neither divided nor reduced.  An inexact
+    coefficient or entry raises ContractViolation."""
+    pairs = list(pairs)
+    dc, coeffs = _scaled([c for c, _ in pairs])
+    terms = [(c, m._ints) for c, (_, m) in zip(coeffs, pairs) if c]
+    den = lcm(*(d for _, (d, _) in terms))
+    out = [0] * (rows * cols)
+    for c, (d, ents) in terms:
+        c *= den // d
+        for idx, x in enumerate(ents):
+            if x:
+                out[idx] += c * x
+    return dc * den, out
+
+
+def same_image(x, y) -> bool:
+    """Whether the integer images x and y of one shape hold equal values.
+
+    The ints are compared as they are when the denominators agree, and
+    cross-multiplied by each other's denominator otherwise; nothing is
+    divided.
+    """
+    dx, xs = x
+    dy, ys = y
+    if dx == dy:
+        return list(xs) == list(ys)
+    g = gcd(dx, dy)
+    dx //= g
+    dy //= g
+    return [a * dy for a in xs] == [b * dx for b in ys]
+
+
+def relation_rows(p: Matrix, q: Matrix, transposed: bool = False) -> list:
+    """The nonzero images (P tensor 1 - 1 tensor Q) e(i, j) as sparse int rows.
+
+    P is the square matrix p, or its transpose if transposed, and Q is
+    the square matrix q; e(i, j) is coordinate i * q.rows + j.  The rows
+    are built from the integer images, P scaled by Q's denominator and Q
+    by P's, so each is the exact row times a positive int and the rows
+    span the same space.
+    """
+    if not (p.is_square and q.is_square):
+        raise ContractViolation("relation rows need square matrices")
+    dp, pints = p._ints
+    dq, qints = q._ints
+    n, m = p.rows, q.rows
+    # column i of P scaled by dq as (k * m, entry) pairs, and column j of
+    # Q scaled by dp as (l, entry) pairs
+    pcols = [pints[i * n:(i + 1) * n] if transposed else pints[i::n]
+             for i in range(n)]
+    pnz = [[(k * m, dq * v) for k, v in enumerate(col) if v] for col in pcols]
+    qnz = [[(l, dp * v) for l, v in enumerate(qints[j::m]) if v]
+           for j in range(m)]
+    rows = []
+    for i, pi in enumerate(pnz):
+        base = i * m
+        for j, qj in enumerate(qnz):
+            row = {kq + j: v for kq, v in pi}
+            for l, v in qj:
+                key = base + l
+                nv = row.get(key, 0) - v
+                if nv:
+                    row[key] = nv
+                elif key in row:
+                    del row[key]
+            if row:
+                rows.append(row)
+    return rows
 
 
 # 2467 decimal digits: every entry of a power stays printable (Python
@@ -287,21 +395,10 @@ def matrix_power(m: Matrix, t: int) -> Matrix:
 def mat_lincomb(pairs, rows: int, cols: int) -> Matrix:
     """Sum of coeff * matrix over (coeff, Matrix) pairs, skipping zeros.
 
-    Sums on ints over the lcm of the factors' denominators and returns
-    normalised entries, like a product; an inexact coefficient or entry
-    raises ContractViolation.
+    lincomb_image divided once into normalised entries, like a product;
+    an inexact coefficient or entry raises ContractViolation.
     """
-    pairs = list(pairs)
-    dc, coeffs = _scaled([c for c, _ in pairs])
-    terms = [(c, m._ints) for c, (_, m) in zip(coeffs, pairs) if c]
-    den = lcm(*(d for _, (d, _) in terms))
-    out = [0] * (rows * cols)
-    for c, (d, ents) in terms:
-        c *= den // d
-        for idx, x in enumerate(ents):
-            if x:
-                out[idx] += c * x
-    return Matrix(rows, cols, _unscaled(dc * den, out))
+    return Matrix(rows, cols, _unscaled(*lincomb_image(pairs, rows, cols)))
 
 
 class TensorMap:

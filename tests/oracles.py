@@ -4,20 +4,20 @@ These construct expected values and witnesses by routes that avoid the
 code paths they are checking: explicit basis maps for tensor composites,
 Kronecker products for hom-space actions, cofactor expansion for
 determinants and inverses, Fraction arithmetic entry by entry for matrix
-products and for row reduction (the elimination engine as it was before
-it went fraction-free), full-width stacking by a union-find for the tangle fold and
+products, for the law checks of bimodules and bimodule maps, for the
+tensor relation rows and for row reduction (the elimination engine as
+it was before it went fraction-free), full-width stacking by a union-find for the tangle fold and
 the diagram products, a fresh walk of every slice per state for the
 state sum, the all-pairs loops for the constructors that check on
-generators, a tensor_over that rebuilds and revalidates its quotient on
-every call, and brute-force enumeration elsewhere.
+generators, a tensor_over that rebuilds its relations and its quotient
+and revalidates them on every call, and brute-force enumeration elsewhere.
 """
 
 from fractions import Fraction
 
 from skeinalg.algebra import compose_homs
-from skeinalg.bimodule import (TENSOR_MAX_AMBIENT_DIM, _relation_rows,
-                               end_morphism, make_bimodule, modulate,
-                               tensor_over)
+from skeinalg.bimodule import (TENSOR_MAX_AMBIENT_DIM, end_morphism,
+                               make_bimodule, modulate, tensor_over)
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import (Matrix, _check_exact, mat_lincomb, rref,
@@ -97,6 +97,73 @@ def all_pairs_bimodule_ok(left, right, left_action, right_action):
                 if act[i] @ act[j] != mat_lincomb(zip(prod, act), m, m):
                     return False
     return all(a @ b == b @ a for a in left_action for b in right_action)
+
+
+def _fraction_lincomb(pairs, n):
+    """The entries of the sum of coeff * matrix, summed in Fractions."""
+    out = [Fraction(0)] * (n * n)
+    for c, mat in pairs:
+        if c:
+            for idx, x in enumerate(mat.entries):
+                out[idx] += c * x
+    return out
+
+
+def fraction_bimodule_failure(left, right, left_action, right_action):
+    """The ValidationError text of make_bimodule's law checks, or None.
+
+    The same checks in the same order (unit actions, then basis times
+    generator products on each side, then generator commutation), each
+    product by fraction_matmul and each combination summed in Fractions,
+    compared entry by entry.
+    """
+    m = left_action[0].rows
+
+    def prod(a, b):
+        return list(fraction_matmul(a, b).entries)
+
+    ident = [int(i == j) for i in range(m) for j in range(m)]
+    if _fraction_lincomb(zip(left.unit, left_action), m) != ident:
+        return "left action of the unit is not the identity"
+    if _fraction_lincomb(zip(right.unit, right_action), m) != ident:
+        return "right action of the unit is not the identity"
+    for i in range(left.dim):
+        for s in left.generators:
+            if prod(left_action[i], left_action[s]) != _fraction_lincomb(
+                    zip(left.basis_product(i, s), left_action), m):
+                return f"left action is not multiplicative at basis pair ({i},{s})"
+    for i in range(right.dim):
+        for s in right.generators:
+            if prod(right_action[s], right_action[i]) != _fraction_lincomb(
+                    zip(right.basis_product(i, s), right_action), m):
+                return ("right action is not anti-multiplicative at basis pair "
+                        f"({s},{i})")
+    for s in left.generators:
+        for t in right.generators:
+            if prod(left_action[s], right_action[t]) != \
+                    prod(right_action[t], left_action[s]):
+                return f"actions do not commute at basis pair ({s},{t})"
+    return None
+
+
+def fraction_map_failure(source, target, matrix):
+    """The ValidationError text of make_bimodule_map, or None: intertwining
+    on the generators of each side by fraction_matmul, then the pointing
+    by a Fraction sum."""
+    for side, alg in (("left", source.left), ("right", source.right)):
+        for i in alg.generators:
+            a1 = getattr(source, f"{side}_action")[i]
+            a2 = getattr(target, f"{side}_action")[i]
+            if fraction_matmul(matrix, a1).entries != \
+                    fraction_matmul(a2, matrix).entries:
+                return (f"map fails to intertwine the {side} action at basis "
+                        f"index {i}")
+    image = [sum((Fraction(matrix[r, c]) * x
+                  for c, x in enumerate(source.pointing)), Fraction(0))
+             for r in range(matrix.rows)]
+    if image != list(target.pointing):
+        return "map does not send pointing to pointing"
+    return None
 
 
 def fraction_matmul(a, b):
@@ -291,30 +358,48 @@ def hom_space_actions(nw, nv):
     return left, right
 
 
+def fraction_relation_rows(pcols, qcols):
+    """The nonzero rows (P tensor 1 - 1 tensor Q) e(i, j) as {column: value}
+    dicts, subtracted entry by entry in Fractions.
+
+    pcols[i] and qcols[j] are the columns of the square matrices P and Q,
+    and e(i, j) is coordinate i * len(qcols) + j.
+    """
+    q = len(qcols)
+    rows = []
+    for i, pcol in enumerate(pcols):
+        for j, qcol in enumerate(qcols):
+            row = {}
+            for k, v in enumerate(pcol):
+                if v:
+                    row[k * q + j] = Fraction(v)
+            for l, v in enumerate(qcol):
+                if v:
+                    key = i * q + l
+                    row[key] = row.get(key, 0) - v
+                    if not row[key]:
+                        del row[key]
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _middle_relations(m1, m2, middle):
+    """The relation rows of tensor_over for the middle basis indices given."""
+    relations = []
+    for b in middle:
+        rb, lb = m1.right_action[b], m2.left_action[b]
+        relations += fraction_relation_rows(
+            [rb.col(i) for i in range(m1.dim)],
+            [lb.col(j) for j in range(m2.dim)])
+    return relations
+
+
 def _tensor_reps(m1, m2):
     """The canonical representative ambient pairs used by tensor_over."""
-    mid = m1.right
-    p, q = m1.dim, m2.dim
-    relations = []
-    for b in range(mid.dim):
-        rb = m1.right_action[b]
-        lb = m2.left_action[b]
-        for i in range(p):
-            for j in range(q):
-                row = {}
-                for k, v in enumerate(rb.col(i)):
-                    if v:
-                        row[k * q + j] = v
-                for l, v in enumerate(lb.col(j)):
-                    if v:
-                        key = i * q + l
-                        row[key] = row.get(key, 0) - v
-                        if not row[key]:
-                            del row[key]
-                if row:
-                    relations.append(row)
-    reps, _ = sparse_quotient(p * q, relations)
-    return [divmod(r, q) for r in reps]
+    reps, _ = sparse_quotient(m1.dim * m2.dim,
+                              _middle_relations(m1, m2, range(m1.right.dim)))
+    return [divmod(r, m2.dim) for r in reps]
 
 
 def _uncached_quotient_bimodule(left, right, left_action, right_action, point,
@@ -363,23 +448,19 @@ def _uncached_quotient_bimodule(left, right, left_action, right_action, point,
 
 
 def uncached_tensor_over(m1, m2):
-    """tensor_over before its memo, body verbatim: every call builds the
-    middle relations and the quotient and runs make_bimodule on the
-    pointed result."""
+    """tensor_over before its memo: every call builds the middle relations,
+    in Fractions and not by the library's row builder, and the quotient,
+    and runs make_bimodule on the pointed result."""
     if m1.right != m2.left:
         raise ContractViolation("middle algebras do not match")
     if m1.dim * m2.dim > TENSOR_MAX_AMBIENT_DIM:
         raise ContractViolation(
             f"tensor of dimensions {m1.dim} and {m2.dim} exceeds "
             f"TENSOR_MAX_AMBIENT_DIM = {TENSOR_MAX_AMBIENT_DIM}")
-    relations = []
-    for b in m1.right.generators:
-        rb, lb = m1.right_action[b], m2.left_action[b]
-        relations += _relation_rows([rb.col(i) for i in range(m1.dim)],
-                                    [lb.col(j) for j in range(m2.dim)])
-    return _uncached_quotient_bimodule(m1.left, m2.right, m1.left_action,
-                                        m2.right_action,
-                                        (m1.pointing, m2.pointing), relations)
+    return _uncached_quotient_bimodule(
+        m1.left, m2.right, m1.left_action, m2.right_action,
+        (m1.pointing, m2.pointing),
+        _middle_relations(m1, m2, m1.right.generators))
 
 
 def modulation_witness(f, g):

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import hom_space_actions
+from oracles import (fraction_bimodule_failure, fraction_map_failure,
+                     hom_space_actions)
 from skeinalg.algebra import (conjugation_hom, field_algebra,
                               flatten_matrix, identity_hom, make_hom,
                               matrix_algebra, product_field_algebra,
-                              scalar_inclusion_hom)
+                              scalar_inclusion_hom, transport_algebra,
+                              upper_triangular_algebra)
 from skeinalg import bimodule
 from skeinalg.bimodule import (TENSOR_MAX_AMBIENT_DIM,
                                _affine_intertwiner_space, annihilator_left,
@@ -84,6 +86,131 @@ def test_make_bimodule_rejects_floats():
         end_morphism(Matrix(1, 1, (0.5,)))
 
 
+def test_make_bimodule_reads_every_action_image_before_any_law_check(
+        monkeypatch):
+    m2 = matrix_algebra(2)
+    left, right = list(m2.left_regular()), list(m2.right_regular())
+    # the zero left action of e0 breaks the unit law, which is never reached
+    left[0] = Matrix.zeros(4, 4)
+    for bad in (0.5, 0.0):
+        for acts in (left, right):
+            kept = acts[-1]
+            acts[-1] = Matrix(4, 4, kept.entries[:-1] + (bad,))
+            with pytest.raises(ContractViolation, match="int and Fraction"):
+                make_bimodule(m2, m2, left, right, m2.unit)
+            acts[-1] = kept
+    with pytest.raises(ValidationError, match="unit"):
+        make_bimodule(m2, m2, left, right, m2.unit)
+
+    def law_check(*args):
+        raise AssertionError("law check ran")
+
+    for name in ("lincomb_image", "product_image", "same_image"):
+        monkeypatch.setattr(bimodule, name, law_check)
+    ident = Matrix.identity(1)
+    k = field_algebra()
+    for la, ra in (([Matrix(1, 1, (1.0,))], [ident]),
+                   ([ident], [Matrix(1, 1, (0.0,))])):
+        with pytest.raises(ContractViolation, match="float"):
+            make_bimodule(k, k, la, ra, (1,))
+
+
+# unrelated primes: no two denominators of one matrix share a factor
+_PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
+def _prime_invertible(rng, n):
+    while True:
+        s = Matrix(n, n, tuple(rng.randint(-1, 1) + Fraction(
+            rng.randint(-3, 3), rng.choice(_PRIMES)) for _ in range(n * n)))
+        if s.det():
+            return s
+
+
+def _transported(b, s):
+    """b carried along the change of basis s: a valid bimodule with
+    fractional actions and the pointed isomorphism s from b to it."""
+    sinv = s.inverse()
+    return make_bimodule(b.left, b.right, [s @ a @ sinv for a in b.left_action],
+                         [s @ a @ sinv for a in b.right_action],
+                         s.apply(b.pointing))
+
+
+def _moved(mat, idx, delta):
+    ents = list(mat.entries)
+    ents[idx] += delta
+    return Matrix(mat.rows, mat.cols, tuple(ents))
+
+
+def _outcome(build):
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_matches_the_fraction_oracle_on_near_misses():
+    """make_bimodule and make_bimodule_map accept and reject valid
+    bimodules with prime denominators, and copies with one action, map or
+    pointing entry moved by 1/p, exactly as the Fraction oracle does."""
+    rng = random.Random(2111)
+    u2 = _prime_invertible(rng, 2)
+    bases = [regular_bimodule(matrix_algebra(2)),
+             regular_bimodule(upper_triangular_algebra()),
+             regular_bimodule(product_field_algebra(2)),
+             regular_bimodule(transport_algebra(matrix_algebra(2),
+                                                _prime_invertible(rng, 4))),
+             modulate(conjugation_hom(2, u2)),
+             modulate(make_hom(product_field_algebra(2), matrix_algebra(2),
+                               Matrix.from_cols([(1, 0, 0, 0), (0, 0, 0, 1)],
+                                                4)))]
+    seen = []
+    for base in bases:
+        s = _prime_invertible(rng, base.dim)
+        good = _transported(base, s)
+        assert any(type(x) is Fraction and x.denominator > 100
+                   for a in good.left_action + good.right_action
+                   for x in a.entries)
+        for b in (base, good):
+            assert fraction_bimodule_failure(b.left, b.right, b.left_action,
+                                             b.right_action) is None
+        assert fraction_map_failure(base, good, s) is None
+        make_bimodule_map(base, good, s)
+        for _ in range(20):
+            acts = {"left": list(good.left_action),
+                    "right": list(good.right_action)}
+            side = rng.choice(("left", "right"))
+            k = rng.randrange(len(acts[side]))
+            delta = Fraction(rng.choice((-1, 1)), rng.choice(_PRIMES))
+            acts[side][k] = _moved(acts[side][k],
+                                   rng.randrange(good.dim ** 2), delta)
+            want = fraction_bimodule_failure(good.left, good.right,
+                                             acts["left"], acts["right"])
+            got = _outcome(lambda: make_bimodule(
+                good.left, good.right, acts["left"], acts["right"],
+                good.pointing))
+            assert got == want
+            seen.append(want)
+            # the map, and the target's pointing, each moved by 1/p
+            target, matrix = good, s
+            if rng.random() < 0.5:
+                matrix = _moved(s, rng.randrange(s.rows * s.cols), delta)
+            else:
+                target = replace(good, pointing=tuple(
+                    x + delta * (i == 0) for i, x in enumerate(good.pointing)))
+            want = fraction_map_failure(base, target, matrix)
+            got = _outcome(lambda: make_bimodule_map(base, target, matrix))
+            assert got == want
+            seen.append(want)
+    kinds = {w.split(" at ")[0] if w else None for w in seen}
+    assert {"left action of the unit is not the identity",
+            "left action is not multiplicative",
+            "right action is not anti-multiplicative",
+            "map fails to intertwine the left action",
+            "map does not send pointing to pointing"} <= kinds
+
+
 def test_bimodule_map_validation():
     m2 = matrix_algebra(2)
     r = regular_bimodule(m2)
@@ -138,7 +265,7 @@ def test_tensor_past_the_ambient_cap_fails_before_any_relation(monkeypatch):
             return make_bimodule(k, qq, [ident], acts, (0,) * n)
         return make_bimodule(qq, k, acts, [ident], (0,) * n)
 
-    def no_relations(pcols, qcols):
+    def no_relations(p, q):
         raise AssertionError("relation rows built")
 
     monkeypatch.setattr(bimodule, "_relation_rows", no_relations)

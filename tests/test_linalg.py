@@ -6,17 +6,19 @@ import pytest
 
 from oracles import (adjugate_inverse, dense_multiply, dense_table,
                      fraction_det, fraction_echelon, fraction_inverse,
-                     fraction_matmul, fraction_quotient, fraction_rref,
-                     fraction_solve, laplace_det)
+                     fraction_matmul, fraction_quotient,
+                     fraction_relation_rows, fraction_rref, fraction_solve,
+                     laplace_det)
 from skeinalg.algebra import (matrix_algebra, transport_algebra,
                               truncated_poly_algebra, upper_triangular_algebra)
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import (MATRIX_POWER_MAX_ENTRY_BITS, SEARCH_TRIALS, Matrix,
                              TensorMap, find_invertible_in_affine_family,
-                             kernel_basis, mat_lincomb, matrix_power,
-                             quotient_basis, rank, rref, solve_linear,
-                             sparse_quotient)
+                             kernel_basis, lincomb_image, mat_lincomb,
+                             matrix_image, matrix_power, product_image,
+                             quotient_basis, rank, relation_rows, rref,
+                             same_image, solve_linear, sparse_quotient)
 
 
 def rand_matrix(rng, rows, cols):
@@ -520,3 +522,135 @@ def test_mat_lincomb_sums_over_a_common_denominator():
                 for i in range(6)]
         assert list(got.entries) == want
         assert all(_normalised(v) for v in got.entries)
+
+
+# small primes and unrelated larger ones, so images differ in denominator
+_IMAGE_DENS = (1, 2, 3, 4, 6, 7, 101, 103, 107)
+
+
+def _fractions(values):
+    return [Fraction(v) for v in values]
+
+
+def test_same_image_agrees_with_fraction_equality():
+    """Images of one shape built by different kernels, over unequal and
+    unreduced denominators, are equal exactly when their values are."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.integers(-6, 6),
+                      st.builds(Fraction, st.integers(-12, 12),
+                                st.sampled_from(_IMAGE_DENS)))
+
+    @hypothesis.settings(max_examples=120, deadline=None)
+    @hypothesis.given(st.lists(entry, max_size=9), st.data())
+    def check(xs, data):
+        n = len(xs)
+        # the same values written differently: an integral Fraction for an
+        # int and back, and at most one entry moved
+        ys = [data.draw(st.sampled_from(
+            (x, Fraction(x)) + ((int(x),) if x == int(x) else ())))
+            for x in xs]
+        if n and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n - 1))
+            ys[k] += data.draw(st.sampled_from(
+                [Fraction(s, d) for s in (-1, 1) for d in _IMAGE_DENS]))
+        k = data.draw(st.sampled_from(_IMAGE_DENS))
+        c = data.draw(entry)
+        z = Matrix(1, n, tuple(data.draw(entry) for _ in range(n)))
+        # 1/k times k*ys, plus c z - c z: the denominator picks up k and the
+        # denominators of c and z
+        y_img = lincomb_image([(Fraction(1, k), Matrix(1, n, tuple(
+            k * y for y in ys))), (c, z), (-c, z)], 1, n)
+        x_img = matrix_image(Matrix(1, n, tuple(xs)))
+        want = _fractions(xs) == _fractions(ys)
+        assert same_image(x_img, y_img) is want
+        assert same_image(y_img, x_img) is want
+        assert same_image(x_img, matrix_image(Matrix(1, n, tuple(ys)))) is want
+
+    check()
+    # zero matrices, all-int matrices and integral Fractions
+    zero = Matrix.zeros(2, 3)
+    assert same_image(matrix_image(zero), lincomb_image([], 2, 3))
+    assert same_image(lincomb_image([(Fraction(1, 7), zero)], 2, 3),
+                      matrix_image(zero))
+    ints = Matrix(2, 2, (1, -2, 0, 5))
+    assert matrix_image(ints) == (1, ints.entries)
+    assert same_image(matrix_image(ints), matrix_image(
+        Matrix(2, 2, (Fraction(4, 4), Fraction(-4, 2), Fraction(0), 5))))
+    assert same_image(product_image(ints, Matrix.identity(2)),
+                      matrix_image(ints))
+    assert same_image(matrix_image(Matrix(1, 2, (Fraction(4, 2), 1))),
+                      matrix_image(Matrix(1, 2, (2, 1))))
+    assert not same_image(matrix_image(Matrix(1, 2, (Fraction(4, 2), 1))),
+                          matrix_image(Matrix(1, 2, (2, Fraction(1, 2)))))
+    half = Matrix(1, 1, (Fraction(1, 2),))
+    assert same_image(product_image(half, Matrix(1, 1, (4,))),
+                      matrix_image(Matrix(1, 1, (Fraction(4, 2),))))
+
+
+def test_product_and_lincomb_images_hold_the_fraction_values():
+    rng = random.Random(2120)
+    for _ in range(40):
+        n, k, m = (rng.randint(0, 4) for _ in range(3))
+        a = Matrix(n, k, tuple(_mixed_entry(rng, "mixed") for _ in range(n * k)))
+        b = Matrix(k, m, tuple(_mixed_entry(rng, "mixed") for _ in range(k * m)))
+        den, ints = product_image(a, b)
+        want = fraction_matmul(a, b).entries
+        assert den > 0 and all(type(x) is int for x in ints)
+        assert [Fraction(x, den) for x in ints] == _fractions(want)
+        _same((a @ b).entries, [Fraction(x, den) if x % den else x // den
+                                for x in ints])
+        coeffs = [_mixed_entry(rng, "mixed") for _ in range(3)]
+        mats = [a, a.scale(Fraction(1, 3)), Matrix.zeros(n, k)]
+        den, ints = lincomb_image(zip(coeffs, mats), n, k)
+        want = [sum((c * mat.entries[i] for c, mat in zip(coeffs, mats)), 0)
+                for i in range(n * k)]
+        assert [Fraction(x, den) for x in ints] == _fractions(want)
+
+
+def _relation_entry(rng):
+    if rng.random() < 0.4:
+        return 0
+    if rng.random() < 0.5:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-5, 5), rng.choice(_IMAGE_DENS))
+
+
+def test_relation_rows_span_the_fraction_built_rows():
+    """The integer relation rows are the Fraction-built rows of the same
+    (i, j), each times a positive int, in the tensor layout and in the
+    transposed intertwiner layout; so both give the same RREF."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        p, q = rng.randint(1, 4), rng.randint(1, 4)
+        pm, qm = (Matrix.zeros(n, n) if rng.random() < 0.1 else
+                  Matrix(n, n, tuple(_relation_entry(rng) for _ in range(n * n)))
+                  for n in (p, q))
+        for transposed in (False, True):
+            got = relation_rows(pm, qm, transposed)
+            want = fraction_relation_rows(
+                [pm.row(i) if transposed else pm.col(i) for i in range(p)],
+                [qm.col(j) for j in range(q)])
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.keys() == w.keys()
+                assert all(type(v) is int for v in g.values())
+                ratios = {Fraction(g[c]) / w[c] for c in g}
+                assert len(ratios) == 1 and ratios.pop() > 0
+            assert fraction_echelon(got).rows == fraction_echelon(want).rows
+
+    check()
+    with pytest.raises(ContractViolation, match="square"):
+        relation_rows(Matrix.zeros(2, 3), Matrix.identity(2))
+
+
+def test_det_reads_every_entry_before_it_eliminates():
+    # a zero first row once returned 0 before the float under it was read
+    for rows in ([[0, 0], [0.5, 1]], [[1, 0], [0, 0.0]]):
+        with pytest.raises(ContractViolation, match="float"):
+            Matrix.from_rows(rows).det()
