@@ -10,10 +10,9 @@ from .algebra import (Algebra, AlgebraHom, algebra_direct_sum, compose_homs,
                       matrix_algebra, product_field_algebra,
                       scalar_inclusion_hom, transport_algebra,
                       truncated_poly_algebra, upper_triangular_algebra)
-from .bimodule import (PointedBimodule, PointedBimoduleMap, annihilator_left,
-                       annihilator_right, bimodule_iso_pointed,
-                       bimodule_iso_unpointed, conjugator_between,
-                       end_compose_check, end_morphism, ideal_quotient_module,
+from .bimodule import (PointedBimodule, PointedBimoduleMap,
+                       bimodule_iso_pointed, bimodule_iso_unpointed,
+                       conjugator_between, end_compose_check, end_morphism,
                        make_bimodule, make_bimodule_map, modulate,
                        regular_bimodule, tensor_over)
 from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
@@ -21,13 +20,11 @@ from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
                      ValidationError)
 from .laurent import LaurentPoly
 from .linalg import (Matrix, find_invertible_in_affine_family, kernel_basis,
-                     mat_lincomb, matrix_power, quotient_basis, rank, rref,
-                     solve_linear)
+                     mat_lincomb, matrix_power, rank, solve_linear)
 from .tangles import (CAP, CUP, ID, Event, SliceTangle, bracket_state_sum,
                       braid_to_slices, cable_double, closed_braid_tangle,
                       coupon, cross, insert_slices, interpret_tangle,
-                      kauffman_bracket, kink_slices, mirror_tangle, tangle,
-                      twist, writhe)
+                      kauffman_bracket, kink_slices, tangle, twist, writhe)
 from .tl import (AnnularClass, TLDiagram, TLMorphism, annulus_closure_eval,
                  catalan, crossing_resolution, delta, plane_closure, tl_basis,
                  tl_cap, tl_compose, tl_cup, tl_e, tl_from_diagram,

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .algebra import (Algebra, AlgebraHom, field_algebra, flatten_matrix,
-                      matrix_algebra)
+from .algebra import Algebra, AlgebraHom, flatten_matrix, matrix_algebra
 from .errors import ContractViolation, InternalCheckError, ValidationError
 from .linalg import (Matrix, SparseEchelon, TensorMap, _check_exact,
                      find_invertible_in_affine_family, kernel_basis,
@@ -164,18 +163,28 @@ def end_morphism(f: Matrix) -> PointedBimodule:
     return replace(_hom_space(f.rows, f.cols), pointing=flatten_matrix(f))
 
 
-def _quotient_shape(left: Algebra, right: Algebra, left_action,
-                    right_action, p: int, q: int, relations):
-    """The bimodule that M tensor N / span(relations) inherits, unpointed.
+# One quotient per pair of unpointed factors: rebuilding and revalidating
+# it on every call was most of heisenberg-words.  Over the first 180
+# seed-0 operations of that workload, the 660 tensor_over calls hit the
+# memo 651 times and miss it 9 times; cleared before every operation it
+# still hits 336 times, since one word repeats its factor shapes.  The
+# memo alone took the workload from 175 to 373 ops/s (benchmarks/run.py,
+# 8 s, 2 vCPUs).  In a Heisenberg word the keys depend only on the factor
+# shapes, so 64 entries hold every pair such a run uses, and they bound
+# the memory held for any other caller.
+@lru_cache(maxsize=64)
+def _tensor_shape(m1: PointedBimodule, m2: PointedBimodule):
+    """The bimodule tensor_over builds on factors with blank pointings.
 
-    left_action holds the p x p matrices by which the left algebra acts on
-    the factor M, right_action the q x q ones by which the right algebra
-    acts on N.  Ambient coordinate i * q + j is e(i) tensor e(j); the
-    relations must span a sub-bimodule.  Returns the bimodule on the
-    canonical pivot-complement basis, pointed by zero and checked by
-    make_bimodule, with the projection as a TensorMap: proj(x, y) is the
-    class of x tensor y.
+    Ambient coordinate i * q + j is e(i) tensor e(j), for p = m1.dim and
+    q = m2.dim.  Returns the quotient on the canonical pivot-complement
+    basis, pointed by zero and checked by make_bimodule, with the
+    projection as a TensorMap: proj(x, y) is the class of x tensor y.
     """
+    p, q = m1.dim, m2.dim
+    relations = []
+    for b in m1.right.generators:
+        relations += _relation_rows(m1.right_action[b], m2.left_action[b])
     reps, proj_cols = sparse_quotient(p * q, relations)
     dim = len(reps)
     proj = TensorMap(p, q, dim, (col.items() for col in proj_cols))
@@ -190,28 +199,9 @@ def _quotient_shape(left: Algebra, right: Algebra, left_action,
             for act in action]
 
     # make_bimodule reads the pointing only for its length and exactness
-    shape = make_bimodule(left, right, descend(left_action, True),
-                          descend(right_action, False), (0,) * dim)
+    shape = make_bimodule(m1.left, m2.right, descend(m1.left_action, True),
+                          descend(m2.right_action, False), (0,) * dim)
     return shape, proj
-
-
-# One quotient per pair of unpointed factors: rebuilding and revalidating
-# it on every call was most of heisenberg-words.  Over the first 180
-# seed-0 operations of that workload, the 660 tensor_over calls hit the
-# memo 651 times and miss it 9 times; cleared before every operation it
-# still hits 336 times, since one word repeats its factor shapes.  The
-# memo alone took the workload from 175 to 373 ops/s (benchmarks/run.py,
-# 8 s, 2 vCPUs).  In a Heisenberg word the keys depend only on the factor
-# shapes, so 64 entries hold every pair such a run uses, and they bound
-# the memory held for any other caller.
-@lru_cache(maxsize=64)
-def _tensor_shape(m1: PointedBimodule, m2: PointedBimodule):
-    """_quotient_shape of tensor_over on factors with blank pointings."""
-    relations = []
-    for b in m1.right.generators:
-        relations += _relation_rows(m1.right_action[b], m2.left_action[b])
-    return _quotient_shape(m1.left, m2.right, m1.left_action,
-                           m2.right_action, m1.dim, m2.dim, relations)
 
 
 def tensor_over(m1: PointedBimodule, m2: PointedBimodule) -> PointedBimodule:
@@ -401,7 +391,7 @@ def conjugator_between(f: AlgebraHom, g: AlgebraHom, *, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# End-functor checks and annihilator modules
+# End-functor checks
 
 
 @dataclass(frozen=True)
@@ -423,70 +413,3 @@ def end_compose_check(f: Matrix, g: Matrix, *, seed: int = 0) -> ComposeReport:
     direct = end_morphism(g @ f)
     witness = bimodule_iso_pointed(composite, direct, seed=seed)
     return ComposeReport(witness is not None, witness)
-
-
-def annihilator_left(n: int, v) -> list:
-    """Basis of the left ideal {a in M_n : a v = 0} in flat coordinates.
-
-    Dimension is n(n-1) for v != 0 and n^2 for v = 0.
-    """
-    v = tuple(v)
-    if len(v) != n:
-        raise ContractViolation("vector length must match n")
-    ents = [0] * (n * n * n)
-    for r in range(n):
-        for c in range(n):
-            ents[r * n * n + (r * n + c)] = v[c]
-    return kernel_basis(Matrix(n, n * n, tuple(ents)))
-
-
-def annihilator_right(n: int, w) -> list:
-    """Basis of the right ideal {a in M_n : w a = 0} in flat coordinates."""
-    w = tuple(w)
-    if len(w) != n:
-        raise ContractViolation("covector length must match n")
-    ents = [0] * (n * n * n)
-    for c in range(n):
-        for r in range(n):
-            ents[c * n * n + (r * n + c)] = w[r]
-    return kernel_basis(Matrix(n, n * n, tuple(ents)))
-
-
-def ideal_quotient_module(alg: Algebra, ideal_basis,
-                          side: str) -> PointedBimodule:
-    """The one-sided module A/I (side 'left') or J\\A (side 'right').
-
-    The opposite action is through the ground field.  The basis must span
-    an ideal of the claimed side; otherwise a ValidationError reports a
-    witness product escaping the span.  Closure is checked under the
-    algebra's generators: the a with a I in I (for a left ideal) hold 1,
-    and with a they hold a s, since (as) I = a (s I).
-    """
-    if side not in ("left", "right"):
-        raise ContractViolation("side must be 'left' or 'right'")
-    gens = [tuple(v) for v in ideal_basis]
-    if any(len(v) != alg.dim for v in gens):
-        raise ContractViolation("ideal vectors must have the algebra dimension")
-    rows = [{i: x for i, x in enumerate(v) if x} for v in gens]
-    span = SparseEchelon()
-    for row in rows:
-        span.insert(row)
-    for i in alg.generators:
-        ei = tuple(1 if j == i else 0 for j in range(alg.dim))
-        for k, x in enumerate(gens):
-            prod = alg.multiply(ei, x) if side == "left" else alg.multiply(x, ei)
-            if not span.contains({j: c for j, c in enumerate(prod) if c}):
-                raise ValidationError(
-                    f"not a {side} ideal: basis element {i} times generator {k} "
-                    "escapes the span")
-    # A/I is A tensor K modulo I tensor K, and J\A is K tensor A modulo K tensor J
-    k_alg, one = field_algebra(), [Matrix.identity(1)]
-    if side == "left":
-        shape, proj = _quotient_shape(alg, k_alg, alg.left_regular(), one,
-                                      alg.dim, 1, rows)
-        x, y = alg.unit, (1,)
-    else:
-        shape, proj = _quotient_shape(k_alg, alg, one, alg.right_regular(),
-                                      1, alg.dim, rows)
-        x, y = (1,), alg.unit
-    return replace(shape, pointing=proj(x, y))

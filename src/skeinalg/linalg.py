@@ -24,7 +24,7 @@ bilinear kernel: the algebra product and the tensor_over quotient map
 are both TensorMaps.  Products, combinations, bilinear images and
 determinants return normalised entries: an int where the value is
 integral, a reduced Fraction otherwise.  ``SparseEchelon`` is the one
-elimination engine: rref, rank, kernels, solving, quotients and the
+elimination engine: rank, kernels, solving, quotients and the
 determinant all run through it, and what they read out of it is a
 Fraction for every nonzero entry of a reduced row and int 0 elsewhere.
 The determinant reduces the rows of a matrix's image and divides by
@@ -188,11 +188,6 @@ class Matrix:
                 if a:
                     out[i] = out[i] + a * v
         return tuple(out)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entries[j * self.cols + i]
-                            for i in range(self.cols) for j in range(self.rows)))
 
     def det(self):
         """Exact determinant from the shared echelon engine, normalised:
@@ -594,24 +589,6 @@ def _echelon(rows) -> SparseEchelon:
     return eng
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: Matrix
-    pivots: tuple
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Reduced row-echelon form and pivot columns.
-
-    The row space is preserved and pivot columns are strictly increasing.
-    """
-    eng = _echelon(m.rows_list())
-    pivots = eng.pivots()
-    flat = [eng.value(p, j) for p in pivots for j in range(m.cols)]
-    flat += [0] * ((m.rows - len(pivots)) * m.cols)
-    return RrefResult(Matrix(m.rows, m.cols, tuple(flat)), tuple(pivots))
-
-
 def kernel_basis(m: Matrix) -> list:
     """Basis of the right kernel {v : m v = 0} as a list of tuples.
 
@@ -642,29 +619,15 @@ def solve_linear(m: Matrix, b):
     return eng.solve(m.cols)
 
 
-def quotient_basis(ambient_dim: int, relations):
-    """Canonical basis data for ambient / span(relations).
-
-    Returns (representative indices, projection matrix).  Representatives
-    are the non-pivot coordinates of the relation row space; the
-    projection sends ambient coordinates to quotient coordinates and
-    annihilates exactly span(relations).
-    """
-    relations = [tuple(r) for r in relations]
-    if any(len(r) != ambient_dim for r in relations):
-        raise ContractViolation(f"relations must have length {ambient_dim}")
-    reps, proj_cols = sparse_quotient(
-        ambient_dim, [_row_to_dict(r) for r in relations])
-    q = len(reps)
-    return reps, Matrix.from_cols(
-        [[col.get(i, 0) for i in range(q)] for col in proj_cols], q)
-
-
 def sparse_quotient(ambient_dim: int, relation_rows):
-    """Sparse form of quotient_basis: (representatives, projection columns).
+    """Canonical basis data for ambient / span(relation_rows).
 
-    projection_columns[j] is a dict {quotient coordinate: value} giving the
-    class of ambient basis vector j.
+    relation_rows are dicts {ambient coordinate: value}.  Returns
+    (representatives, projection columns): the representatives are the
+    non-pivot coordinates of the relation row space, and
+    projection_columns[j] is a dict {quotient coordinate: value} giving
+    the class of ambient basis vector j.  The projection annihilates
+    exactly span(relation_rows).
     """
     eng = SparseEchelon()
     for r in relation_rows:

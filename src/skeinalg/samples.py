@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .algebra import (Algebra, AlgebraHom, algebra_direct_sum, compose_homs,
                       field_algebra, hom_from_images, identity_hom, make_hom,
-                      matrix_algebra, product_field_algebra, transport_algebra,
+                      matrix_algebra, product_field_algebra,
+                      scalar_inclusion_hom, transport_algebra,
                       truncated_poly_algebra, upper_triangular_algebra)
 from .linalg import Matrix
 from .tqft1d import System, make_system, make_word
@@ -178,7 +179,7 @@ def random_composable_hom_pair(rng, max_dim: int = 3):
     if style == 0:
         b = random_algebra(rng, max_dim)
         return (compose_homs(random_inner_automorphism(rng, b),
-                             make_hom(field_algebra(), b, Matrix.column(b.unit))),
+                             scalar_inclusion_hom(b)),
                 random_inner_automorphism(rng, b))
     if style == 1:
         b = random_algebra(rng, max_dim)
@@ -190,7 +191,7 @@ def random_composable_hom_pair(rng, max_dim: int = 3):
     i = rng.randrange(n)
     proj = make_hom(a, field_algebra(),
                     Matrix(1, n, tuple(1 if k == i else 0 for k in range(n))))
-    g_tail = make_hom(field_algebra(), a, Matrix.column(a.unit))
+    g_tail = scalar_inclusion_hom(a)
     if rng.random() < 0.5:
         return proj, compose_homs(random_inner_automorphism(rng, a), g_tail)
     return g_tail, proj

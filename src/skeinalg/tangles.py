@@ -357,20 +357,6 @@ def insert_slices(t: SliceTangle, index: int, new_slices) -> SliceTangle:
     return tangle(t.strands_in, slices)
 
 
-def mirror_tangle(t: SliceTangle) -> SliceTangle:
-    """Flip every crossing and twist sign (the mirror image)."""
-    out = []
-    for sl in t.slices:
-        row = []
-        for e in sl:
-            if e.kind in ("cross", "twist"):
-                row.append(Event(e.kind, -e.sign))
-            else:
-                row.append(e)
-        out.append(row)
-    return tangle(t.strands_in, out)
-
-
 # ---------------------------------------------------------------------------
 # cabling
 

@@ -20,8 +20,7 @@ from skeinalg.bimodule import (TENSOR_MAX_AMBIENT_DIM, end_morphism,
                                make_bimodule, modulate, tensor_over)
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
-from skeinalg.linalg import (Matrix, _check_exact, mat_lincomb, rref,
-                             sparse_quotient)
+from skeinalg.linalg import Matrix, _check_exact, mat_lincomb, sparse_quotient
 from skeinalg.tl import TLDiagram, TLMorphism
 
 
@@ -31,16 +30,16 @@ def _basis_vec(n, i):
 
 def word_span_rank(alg, gens):
     """Dimension of the span of the unit and the left-nested words in gens,
-    grown a word length at a time and re-reduced by rref each time."""
+    grown a word length at a time and re-reduced by fraction_rref each time."""
     rows = [tuple(alg.unit)]
     while True:
         grown = rows + [_basis_vec(alg.dim, s) for s in gens]
         grown += [alg.multiply(w, _basis_vec(alg.dim, s))
                   for w in rows for s in gens]
-        reduced = rref(Matrix.from_rows(grown))
-        if len(reduced.pivots) == len(rows):
+        reduced, pivots = fraction_rref(Matrix.from_rows(grown))
+        if len(pivots) == len(rows):
             return len(rows)
-        rows = [reduced.matrix.row(i) for i in range(len(reduced.pivots))]
+        rows = [reduced.row(i) for i in range(len(pivots))]
 
 
 def dense_table(alg):
@@ -250,7 +249,7 @@ def fraction_echelon(rows):
 
 
 def fraction_rref(m):
-    """(rref matrix, pivots) of m by FractionEchelon."""
+    """(reduced row-echelon matrix, pivots) of m by FractionEchelon."""
     eng = fraction_echelon(m.rows_list())
     pivots = sorted(eng.rows)
     flat = [eng.rows[p].get(j, 0) for p in pivots for j in range(m.cols)]

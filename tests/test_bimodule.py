@@ -13,11 +13,9 @@ from skeinalg.algebra import (conjugation_hom, field_algebra,
                               upper_triangular_algebra)
 from skeinalg import bimodule
 from skeinalg.bimodule import (TENSOR_MAX_AMBIENT_DIM,
-                               _affine_intertwiner_space, annihilator_left,
-                               annihilator_right, bimodule_iso_pointed,
+                               _affine_intertwiner_space, bimodule_iso_pointed,
                                bimodule_iso_unpointed, conjugator_between,
-                               end_compose_check, end_morphism,
-                               ideal_quotient_module, make_bimodule,
+                               end_compose_check, end_morphism, make_bimodule,
                                make_bimodule_map, modulate, regular_bimodule,
                                tensor_over)
 from skeinalg.errors import ContractViolation, ValidationError
@@ -474,92 +472,31 @@ def test_end_compose_rectangular():
     assert rep.passed
 
 
-def test_annihilator_left_examples():
-    basis = annihilator_left(2, (1, 0))
-    assert len(basis) == 2
-    # annihilator of e1 is spanned by E(0,1) and E(1,1): second column only
-    for v in basis:
-        assert v[0] == 0 and v[2] == 0
-    assert len(annihilator_left(2, (0, 0))) == 4
-    basis2 = annihilator_left(2, (1, 1))
-    assert len(basis2) == 2
-    for v in basis2:
-        m = Matrix(2, 2, v)
-        assert m.apply((1, 1)) == (0, 0)
-
-
-def test_annihilator_right():
-    basis = annihilator_right(2, (0, 1))
-    assert len(basis) == 2
-    for v in basis:
-        m = Matrix(2, 2, v)
-        # w a = 0 for w = (0, 1): bottom row vanishes
-        assert m[1, 0] == 0 and m[1, 1] == 0
-
-
-def test_annihilator_scale_invariance():
+def test_end_morphism_states_are_rays():
     rng = random.Random(41)
     for _ in range(10):
         n = rng.randint(2, 3)
-        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        v = (rng.randint(1, 3),) + tuple(rng.randint(-3, 3) for _ in range(n - 1))
         lam = Fraction(rng.choice([-2, 2, 3]))
-        assert annihilator_left(n, v) == \
-            annihilator_left(n, tuple(lam * x for x in v))
+        state = end_morphism(Matrix.column(v))
+        rescaled = end_morphism(Matrix.column(tuple(lam * x for x in v)))
+        assert bimodule_iso_pointed(state, rescaled) is not None
+        # v + e_last is off the line of v, since v[0] != 0
+        off = end_morphism(Matrix.column(v[:-1] + (v[-1] + 1,)))
+        assert bimodule_iso_pointed(state, off) is None
 
 
-def test_ideal_quotient_trivial_ideal():
-    m2 = matrix_algebra(2)
-    q = ideal_quotient_module(m2, [], "left")
-    assert q.dim == 4
-    assert q.pointing == m2.unit
+def test_tensor_over_a_zero_dimensional_factor():
+    m2, k = matrix_algebra(2), field_algebra()
 
+    def zero_module(left, right):
+        return make_bimodule(left, right, [Matrix.zeros(0, 0)] * left.dim,
+                             [Matrix.zeros(0, 0)] * right.dim, ())
 
-def test_ideal_quotient_annihilator():
-    m2 = matrix_algebra(2)
-    ideal = annihilator_left(2, (1, 0))
-    q = ideal_quotient_module(m2, ideal, "left")
-    assert q.dim == 2
-    # isomorphic as a left module to the column space hom(K, V)
-    col = end_morphism(Matrix.column((1, 0)))
-    assert bimodule_iso_unpointed(q, col) is not None
-
-
-def test_ideal_quotient_full_ideal():
-    m2 = matrix_algebra(2)
-    full = [tuple(1 if i == k else 0 for i in range(4)) for k in range(4)]
-    q = ideal_quotient_module(m2, full, "left")
-    assert q.dim == 0
-    assert q.pointing == ()
     # a zero-dimensional factor leaves nothing to tensor, on either side
-    zero = tensor_over(regular_bimodule(m2), q)
-    assert (zero.dim, zero.pointing) == (0, ())
-    q = ideal_quotient_module(m2, full, "right")
-    zero = tensor_over(q, regular_bimodule(m2))
-    assert (zero.dim, zero.pointing) == (0, ())
-
-
-def test_ideal_quotient_rejects_non_ideal():
-    m2 = matrix_algebra(2)
-    # span{E(0,0)} is not a left ideal of M2
-    with pytest.raises(ValidationError, match="escapes"):
-        ideal_quotient_module(m2, [(1, 0, 0, 0)], "left")
-
-
-def test_ideal_quotient_right_side():
-    m2 = matrix_algebra(2)
-    ideal = annihilator_right(2, (1, 0))
-    q = ideal_quotient_module(m2, ideal, "right")
-    assert q.dim == 2
-    assert q.left == field_algebra()
-
-
-def test_ideal_quotient_past_dim_16():
-    m5 = matrix_algebra(5)
-    # E(i,0) for i < 5 span the left ideal of matrices supported on column 0
-    column0 = [tuple(int(k == i * 5) for k in range(25)) for i in range(5)]
-    q = ideal_quotient_module(m5, column0, "left")
-    assert q.dim == 20
-    assert q.left == m5 and any(q.pointing)
+    for t in (tensor_over(regular_bimodule(m2), zero_module(m2, k)),
+              tensor_over(zero_module(k, m2), regular_bimodule(m2))):
+        assert (t.dim, t.pointing) == (0, ())
 
 
 def test_modulate_projectivity():
@@ -591,8 +528,8 @@ def _same_tensor(m1, m2):
 
 
 def _tensor_memo_cases(rng):
-    """Pairs of factors: same-shape end_morphism chains, modulations, ideal
-    quotient modules, and algebras equal up to their generators."""
+    """Pairs of factors: same-shape end_morphism chains, modulations, and
+    algebras equal up to their generators."""
     pairs = []
     for n in (1, 2, 3):
         # a costate, n x n factors, a state: one shape each, new pointings
@@ -613,11 +550,6 @@ def _tensor_memo_cases(rng):
         f, g = random_composable_hom_pair(rng, max_dim=3)
         pairs.append((modulate(f), modulate(g)))
     m2 = matrix_algebra(2)
-    v = (rng.randint(1, 3), rng.randint(-3, 3))
-    pairs.append((regular_bimodule(m2, flatten_matrix(random_matrix(rng, 2, 2))),
-                  ideal_quotient_module(m2, annihilator_left(2, v), "left")))
-    pairs.append((ideal_quotient_module(m2, annihilator_right(2, v), "right"),
-                  end_morphism(random_matrix(rng, 2, 2))))
     # M_2 generated by its whole basis: equal to m2, other generators
     wide = replace(m2, generators=tuple(range(m2.dim)))
     assert wide == m2 and wide.generators != m2.generators

@@ -12,8 +12,7 @@ from skeinalg.tangles import (CAP, CUP, ID, SliceTangle, bracket_state_sum,
                               braid_to_slices, cable_double,
                               closed_braid_tangle, coupon, cross,
                               insert_slices, interpret_tangle, kauffman_bracket,
-                              kink_slices, mirror_tangle, tangle, twist,
-                              writhe)
+                              kink_slices, tangle, twist, writhe)
 from skeinalg.tl import (TLMorphism, crossing_resolution, delta, plane_closure,
                          tl_basis, tl_compose, tl_e, tl_identity)
 
@@ -92,7 +91,7 @@ def test_trefoil_bracket_regression():
 
 
 def test_mirror_trefoil():
-    t = mirror_tangle(closed_braid_tangle([1, 1, 1], 2))
+    t = closed_braid_tangle([-1, -1, -1], 2)
     assert kauffman_bracket(t) == TREFOIL_BRACKET.mirrored()
 
 
