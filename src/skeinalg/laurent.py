@@ -27,6 +27,13 @@ class LaurentPoly:
 
     terms: tuple = ()
 
+    def __post_init__(self):
+        for e, c in self.terms:
+            if type(e) is not int or type(c) is not int:
+                raise ContractViolation(
+                    "Laurent exponents and coefficients are ints, not "
+                    f"{type(e).__name__} and {type(c).__name__}")
+
     @staticmethod
     def from_dict(coeffs: dict) -> "LaurentPoly":
         return LaurentPoly(tuple(sorted(_trim(coeffs).items())))
@@ -49,7 +56,7 @@ class LaurentPoly:
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return LaurentPoly.constant(other)
         return None
 

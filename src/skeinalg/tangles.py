@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .errors import ContractViolation, InternalCheckError, TangleShapeError
 from .laurent import LaurentPoly
 from .tl import (TLMorphism, _fold, _rewrites, crossing_resolution, delta,
-                 tl_cap, tl_cup, tl_identity)
+                 plane_closure, tl_cap, tl_cup, tl_identity)
 # unused here, but benchmarks/test_bench.py traces tl_compose under this name
 from .tl import tl_compose  # noqa: F401
 
@@ -59,13 +59,13 @@ CAP = Event("cap")
 
 
 def cross(sign: int) -> Event:
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ContractViolation("crossing sign must be +1 or -1")
     return Event("cross", sign)
 
 
 def twist(sign: int) -> Event:
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ContractViolation("twist sign must be +1 or -1")
     return Event("twist", sign)
 
@@ -281,18 +281,15 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
 
 
 def kauffman_bracket(t: SliceTangle) -> LaurentPoly:
-    """Bracket of a closed tangle: the empty-diagram coefficient of its interpretation.
+    """Bracket of a closed tangle: ``plane_closure(interpret_tangle(t))``.
 
     The independent state sum recomputes the value whenever the tangle is
     coupon-free with at most ``STATE_SUM_VERIFY_MAX_CROSSINGS`` crossings,
-    and disagreement raises InternalCheckError.  The fold's value alone
-    is ``plane_closure(interpret_tangle(t))``.
+    and disagreement raises InternalCheckError.
     """
     if not t.is_closed:
         raise TangleShapeError("the Kauffman bracket needs a closed tangle")
-    value = LaurentPoly()
-    for coeff in interpret_tangle(t).terms.values():
-        value = value + coeff  # the only (0,0) diagram is the empty one
+    value = plane_closure(interpret_tangle(t))
     if (not t.has_coupons()
             and t.crossing_count() <= STATE_SUM_VERIFY_MAX_CROSSINGS):
         other = bracket_state_sum(t)

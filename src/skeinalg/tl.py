@@ -14,7 +14,10 @@ top points it touches, its caps joining two mates (or closing a loop
 worth delta) and its cups inserting a mated pair.  During the fold a
 coefficient is a plain {exponent: int} dict; it becomes a LaurentPoly
 only for the output terms.  ``tl_compose``, ``tl_tensor`` and the tangle
-fold are its three callers.
+fold are its three callers.  The rewrites and both closures read the
+circular mate table directly; the ("bottom", pos)/("top", pos) pairs of
+``TLDiagram.pairs`` exist only for printing.  A coefficient other than
+an int or a LaurentPoly raises ContractViolation.
 """
 
 from __future__ import annotations
@@ -69,17 +72,11 @@ class TLDiagram:
                 stack.pop()
 
     def pairs(self):
-        """Matched pairs as ((side, pos), (side, pos)) tuples."""
-        out = []
-        for i, j in enumerate(self.mate):
-            if j > i:
-                out.append((self._point(i), self._point(j)))
-        return out
-
-    def _point(self, ci: int):
-        if ci < self.n_bottom:
-            return ("bottom", ci)
-        return ("top", self.n_bottom + self.n_top - 1 - ci)
+        """Matched pairs as ((side, pos), (side, pos)) tuples, for printing."""
+        points = ([("bottom", p) for p in range(self.n_bottom)]
+                  + [("top", p) for p in reversed(range(self.n_top))])
+        return [(points[i], points[j]) for i, j in enumerate(self.mate)
+                if j > i]
 
 
 def identity_diagram(n: int) -> TLDiagram:
@@ -139,12 +136,21 @@ def tl_basis(n_bottom: int, n_top: int) -> list:
             f"enumerates at most {TL_BASIS_MAX_POINTS}")
     if n % 2:
         return []
-    return [TLDiagram(n_bottom, n_top, m)
-            for m in sorted(_noncrossing_matchings(n))]
+    return [TLDiagram(n_bottom, n_top, m) for m in _noncrossing_matchings(n)]
 
 
 # ---------------------------------------------------------------------------
 # morphisms
+
+
+def _laurent(c) -> LaurentPoly:
+    """A coefficient as a LaurentPoly: an int becomes a constant."""
+    if isinstance(c, LaurentPoly):
+        return c
+    if type(c) is int:
+        return LaurentPoly.constant(c)
+    raise ContractViolation(
+        f"a coefficient is an int or a LaurentPoly, not {type(c).__name__}")
 
 
 class TLMorphism:
@@ -155,15 +161,10 @@ class TLMorphism:
     def __init__(self, n_bottom: int, n_top: int, terms=None):
         self.n_bottom = n_bottom
         self.n_top = n_top
-        clean: dict = {}
-        for diag, coeff in (terms or {}).items():
-            if (diag.n_bottom, diag.n_top) != (n_bottom, n_top):
-                raise ContractViolation("term with mismatched boundary")
-            if isinstance(coeff, int):
-                coeff = LaurentPoly.constant(coeff)
-            if coeff:
-                clean[diag] = clean.get(diag, LaurentPoly()) + coeff
-        self.terms = {d: c for d, c in clean.items() if c}
+        terms = terms or {}
+        if any((d.n_bottom, d.n_top) != (n_bottom, n_top) for d in terms):
+            raise ContractViolation("term with mismatched boundary")
+        self.terms = {d: c for d, v in terms.items() if (c := _laurent(v))}
 
     @property
     def is_zero(self) -> bool:
@@ -196,6 +197,7 @@ class TLMorphism:
         return self + (-other)
 
     def scaled(self, c) -> "TLMorphism":
+        c = _laurent(c)
         return TLMorphism(self.n_bottom, self.n_top,
                           {d: c * v for d, v in self.terms.items()})
 
@@ -255,16 +257,15 @@ def _rewrites(m: TLMorphism) -> list:
     """
     out = []
     for diag, coeff in m.terms.items():
-        rights, cups = [], []
-        for (s1, p1), (s2, p2) in diag.pairs():
-            if s1 == s2 == "bottom":
-                rights.append(max(p1, p2))
-            elif s1 == s2 == "top":
-                cups.append(min(p1, p2))
+        nb, last = diag.n_bottom, len(diag.mate) - 1
+        arcs = [(i, j) for i, j in enumerate(diag.mate) if i < j]
         # once the k caps with smaller right points are gone, the points
         # between this pair's ends are gone too
-        caps = tuple(j - 2 * k - 1 for k, j in enumerate(sorted(rights)))
-        out.append((caps, tuple(sorted(cups)), coeff))
+        rights = sorted(j for i, j in arcs if j < nb)
+        caps = tuple(j - 2 * k - 1 for k, j in enumerate(rights))
+        # circular index c is top position last - c
+        cups = tuple(sorted(last - j for i, j in arcs if i >= nb))
+        out.append((caps, cups, coeff))
     return out
 
 
@@ -383,7 +384,7 @@ def crossing_resolution(sign: int) -> TLMorphism:
 
     Positive: A * id + A^-1 * e; negative: A^-1 * id + A * e.
     """
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ContractViolation("crossing sign must be +1 or -1")
     a = LaurentPoly.monomial(1, sign)
     ainv = LaurentPoly.monomial(1, -sign)
@@ -405,13 +406,8 @@ class AnnularClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        for k, c in (coeffs or {}).items():
-            if isinstance(c, int):
-                c = LaurentPoly.constant(c)
-            if c:
-                clean[k] = c
-        self.coeffs = clean
+        self.coeffs = {k: c for k, v in (coeffs or {}).items()
+                       if (c := _laurent(v))}
 
     def __eq__(self, other):
         if not isinstance(other, AnnularClass):
@@ -445,6 +441,30 @@ class AnnularClass:
     __repr__ = text
 
 
+def _closure_windings(diag: TLDiagram) -> list:
+    """Net winding of each curve of a square diagram closed top i to
+    bottom i, by the arc from circular index c to 2n - 1 - c.
+
+    Crossing an arc from the top row (c >= n) to the bottom counts +1.
+    """
+    mate = diag.mate
+    n, last = diag.n_bottom, len(mate) - 1
+    seen = [False] * len(mate)
+    out = []
+    for start in range(len(mate)):
+        if seen[start]:
+            continue
+        winding = 0
+        c = start
+        while not seen[c]:
+            d = mate[c]
+            seen[c] = seen[d] = True
+            winding += 1 if d >= n else -1
+            c = last - d
+        out.append(winding)
+    return out
+
+
 def annulus_closure_eval(m: TLMorphism) -> AnnularClass:
     """Close top i to bottom i around the annulus core.
 
@@ -455,54 +475,27 @@ def annulus_closure_eval(m: TLMorphism) -> AnnularClass:
     """
     if m.n_bottom != m.n_top:
         raise ContractViolation("annular closure needs a square morphism")
-    n = m.n_bottom
     d = delta()
     out: dict = {}
     for diag, coeff in m.terms.items():
-        # walk components alternating matching edges and closure arcs;
-        # traversing the arc from top i to bottom i counts +1
-        mate_of = {}
-        for i, j in enumerate(diag.mate):
-            mate_of[diag._point(i)] = diag._point(j)
-        visited = set()
-        contractible = 0
-        core = 0
-        for start in list(mate_of):
-            if start in visited:
-                continue
-            winding = 0
-            cur = start
-            while cur not in visited:
-                visited.add(cur)
-                nxt = mate_of[cur]
-                visited.add(nxt)
-                side, pos = nxt
-                if side == "top":
-                    winding += 1
-                    cur = ("bottom", pos)
-                else:
-                    winding -= 1
-                    cur = ("top", pos)
-            if winding == 0:
-                contractible += 1
-            else:
-                core += 1
-        term = coeff * d ** contractible
-        out[core] = out.get(core, LaurentPoly()) + term
+        windings = _closure_windings(diag)
+        contractible = windings.count(0)
+        core = len(windings) - contractible
+        out[core] = out.get(core, LaurentPoly()) + coeff * d ** contractible
     return AnnularClass(out)
 
 
 def plane_closure(m: TLMorphism) -> LaurentPoly:
     """Close top i to bottom i around the right side in the plane.
 
-    This is the annular closure with the core class z set to delta: in
-    the plane every core-parallel curve bounds a disc.  The empty
-    diagram closes to 1.
+    Every closed curve bounds a disc there and contributes delta, so a
+    term counts its curves whatever their winding.  The empty diagram
+    closes to 1.
     """
     if m.n_bottom != m.n_top:
         raise ContractViolation("plane closure needs a square morphism")
     d = delta()
     total = LaurentPoly()
-    for k, coeff in annulus_closure_eval(m).coeffs.items():
-        total = total + coeff * d ** k
+    for diag, coeff in m.terms.items():
+        total = total + coeff * d ** len(_closure_windings(diag))
     return total

@@ -7,7 +7,8 @@ determinants and inverses, Fraction arithmetic entry by entry for matrix
 products, for the law checks of bimodules and bimodule maps, for the
 tensor relation rows and for row reduction (the elimination engine as
 it was before it went fraction-free), full-width stacking by a union-find for the tangle fold and
-the diagram products, a fresh walk of every slice per state for the
+the diagram products, a walk over tagged boundary points for the two
+closures and the fold's rewrites, a fresh walk of every slice per state for the
 state sum, the all-pairs loops for the constructors that check on
 generators, a tensor_over that rebuilds its relations and its quotient
 and revalidates them on every call, and brute-force enumeration elsewhere.
@@ -21,7 +22,7 @@ from skeinalg.bimodule import (TENSOR_MAX_AMBIENT_DIM, end_morphism,
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import Matrix, _check_exact, mat_lincomb, sparse_quotient
-from skeinalg.tl import TLDiagram, TLMorphism
+from skeinalg.tl import AnnularClass, TLDiagram, TLMorphism
 
 
 def _basis_vec(n, i):
@@ -571,6 +572,59 @@ def side_by_side(f, g):
     """f left of g, independently of ``tl_tensor``."""
     return _bilinear(_side_by_side, f, g, f.n_bottom + g.n_bottom,
                      f.n_top + g.n_top)
+
+
+def tagged_annulus_closure(m):
+    """``annulus_closure_eval`` by a walk over ("bottom", p)/("top", p)
+    points built from ``pairs()``: each closure arc joins top p to bottom
+    p, and crossing it from the top counts +1 winding."""
+    out = {}
+    for diag, coeff in m.terms.items():
+        mate_of = {}
+        for x, y in diag.pairs():
+            mate_of[x], mate_of[y] = y, x
+        visited = set()
+        contractible = core = 0
+        for start in mate_of:
+            if start in visited:
+                continue
+            winding = 0
+            cur = start
+            while cur not in visited:
+                visited.add(cur)
+                side, pos = nxt = mate_of[cur]
+                visited.add(nxt)
+                winding += 1 if side == "top" else -1
+                cur = ("bottom" if side == "top" else "top", pos)
+            if winding == 0:
+                contractible += 1
+            else:
+                core += 1
+        out[core] = out.get(core, LaurentPoly()) + coeff * LOOP ** contractible
+    return AnnularClass(out)
+
+
+def tagged_plane_closure(m):
+    """``plane_closure`` as the tagged annular closure with z set to delta."""
+    total = LaurentPoly()
+    for k, coeff in tagged_annulus_closure(m).coeffs.items():
+        total = total + coeff * LOOP ** k
+    return total
+
+
+def tagged_rewrites(m):
+    """``tl._rewrites`` read from the ("bottom", p)/("top", p) pairs."""
+    out = []
+    for diag, coeff in m.terms.items():
+        rights, cups = [], []
+        for (s1, p1), (s2, p2) in diag.pairs():
+            if s1 == s2 == "bottom":
+                rights.append(max(p1, p2))
+            elif s1 == s2 == "top":
+                cups.append(min(p1, p2))
+        caps = tuple(j - 2 * k - 1 for k, j in enumerate(sorted(rights)))
+        out.append((caps, tuple(sorted(cups)), coeff))
+    return out
 
 
 _B0, _B1, _T0, _T1 = ("bottom", 0), ("bottom", 1), ("top", 0), ("top", 1)

@@ -12,6 +12,21 @@ def P(d):
     return LaurentPoly.from_dict(d)
 
 
+def test_exponents_and_coefficients_must_be_ints():
+    for bad in ({0: 1.5}, {0.5: 1}, {0: Fraction(1, 2)}, {0: Fraction(2)},
+                {True: 1}, {0: True}, {"1": 1}):
+        with pytest.raises(ContractViolation, match="are ints"):
+            LaurentPoly.from_dict(bad)
+    for bad in ((Fraction(1, 2), 1), (1, 1.0), (1.0, 0)):
+        with pytest.raises(ContractViolation, match="are ints"):
+            LaurentPoly.monomial(*bad)
+    for bad in (((0, 2.0),), ((0, True),), ((1.0, 1),)):
+        with pytest.raises(ContractViolation, match="are ints"):
+            LaurentPoly(bad)
+    # a bool is not coerced to a constant, so == with one stays False
+    assert LaurentPoly.constant(1) != True  # noqa: E712
+
+
 def test_canonical_form_drops_zeros():
     p = P({2: 1, 0: 0, -1: 3})
     assert p.terms == ((-1, 3), (2, 1))

@@ -75,6 +75,14 @@ def test_widths_are_stored_and_ignored_by_eq_and_hash():
     assert replace(t, slices=t.slices + ((CAP,),)).widths == (0, 2, 4, 2, 0)
 
 
+def test_event_signs_must_be_int_units():
+    for bad in (0, 2, 1.0, -1.0, True, "1"):
+        with pytest.raises(ContractViolation, match="crossing sign"):
+            cross(bad)
+        with pytest.raises(ContractViolation, match="twist sign"):
+            twist(bad)
+
+
 def test_braid_to_slices():
     t = braid_to_slices([], 2)
     assert interpret_tangle(t) == tl_identity(2)

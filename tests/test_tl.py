@@ -1,16 +1,20 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
-from oracles import side_by_side, stack
+from oracles import (side_by_side, stack, tagged_annulus_closure,
+                     tagged_plane_closure, tagged_rewrites)
 
 from skeinalg.errors import ContractViolation, ValidationError
 from skeinalg.laurent import LaurentPoly
+from skeinalg.tangles import braid_to_slices, interpret_tangle
 from skeinalg.tl import (TL_BASIS_MAX_POINTS, AnnularClass, TLDiagram,
-                         TLMorphism, annulus_closure_eval, catalan,
-                         crossing_resolution, delta, plane_closure, tl_basis,
-                         tl_cap, tl_compose, tl_cup, tl_e, tl_from_diagram,
-                         tl_identity, tl_tensor, tl_zero)
+                         TLMorphism, _closure_windings, _rewrites,
+                         annulus_closure_eval, catalan, crossing_resolution,
+                         delta, plane_closure, tl_basis, tl_cap, tl_compose,
+                         tl_cup, tl_e, tl_from_diagram, tl_identity, tl_tensor,
+                         tl_zero)
 
 
 def P(d):
@@ -60,6 +64,14 @@ def test_basis_rejects_bad_sizes_before_enumerating():
     for nb, nt in ((TL_BASIS_MAX_POINTS, 1), (11, 11), (30, 30), (1000, 1000)):
         with pytest.raises(ContractViolation, match="at most"):
             tl_basis(nb, nt)
+
+
+def test_basis_comes_out_in_strictly_increasing_mate_order():
+    for n in range(0, 15, 2):
+        for nb in range(n + 1):
+            mates = [d.mate for d in tl_basis(nb, n - nb)]
+            assert len(mates) == catalan(n // 2)
+            assert all(a < b for a, b in zip(mates, mates[1:]))
 
 
 def test_odd_total_gives_empty_homspace():
@@ -215,6 +227,26 @@ def test_crossing_coefficients():
     assert pos.coefficient(e_diag) == P({-1: 1})
 
 
+def test_crossing_sign_must_be_an_int_unit():
+    for bad in (0, 2, 1.0, -1.0, True, Fraction(1), "1"):
+        with pytest.raises(ContractViolation, match="sign"):
+            crossing_resolution(bad)
+
+
+def test_coefficients_must_be_ints_or_laurent_polynomials():
+    (d,) = tl_basis(1, 1)
+    assert TLMorphism(1, 1, {d: 3}).coefficient(d) == P({0: 3})
+    assert AnnularClass({0: 3}) == AnnularClass({0: P({0: 3})})
+    assert TLMorphism(1, 1, {d: 0}).is_zero and AnnularClass({2: 0}).coeffs == {}
+    for bad in (Fraction(1, 2), Fraction(2), 1.5, 0.0, "1", "", True):
+        with pytest.raises(ContractViolation, match="int or a LaurentPoly"):
+            TLMorphism(1, 1, {d: bad})
+        with pytest.raises(ContractViolation, match="int or a LaurentPoly"):
+            AnnularClass({0: bad})
+        with pytest.raises(ContractViolation, match="int or a LaurentPoly"):
+            tl_identity(1).scaled(bad)
+
+
 def test_crossing_mirror_symmetry():
     pos, neg = crossing_resolution(1), crossing_resolution(-1)
     for diag, coeff in pos.terms.items():
@@ -263,3 +295,52 @@ def test_closures_need_square_morphisms():
         annulus_closure_eval(tl_cup())
     with pytest.raises(ContractViolation):
         plane_closure(tl_cap())
+
+
+def _random_coefficient(rng):
+    """Never zero: on a repeated exponent the later, nonzero entry wins."""
+    return P({rng.randint(-4, 4): rng.randint(-1, 1),
+              rng.randint(-4, 4): rng.choice((-2, -1, 1, 2))})
+
+
+def _assert_closures_match_the_tagged_walk(m):
+    # walked from its smallest circular index, a core-parallel curve
+    # crosses its closure arcs from the top row: winding +1 on every
+    # diagram of at most 16 points, so this pins the sign convention
+    for diag in m.terms:
+        assert set(_closure_windings(diag)) <= {0, 1}
+    got, want = annulus_closure_eval(m), tagged_annulus_closure(m)
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)  # the JSON key order
+    assert plane_closure(m) == tagged_plane_closure(m)
+
+
+def test_closures_match_the_tagged_walk_on_every_basis_diagram():
+    rng = random.Random(2019)
+    for n in range(6):
+        basis = tl_basis(n, n)
+        for d in basis:
+            _assert_closures_match_the_tagged_walk(
+                tl_from_diagram(d, _random_coefficient(rng)))
+        _assert_closures_match_the_tagged_walk(TLMorphism(
+            n, n, {d: _random_coefficient(rng) for d in basis}))
+
+
+def test_closures_match_the_tagged_walk_on_random_braids():
+    rng = random.Random(1991)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(0, 12))]
+        _assert_closures_match_the_tagged_walk(
+            interpret_tangle(braid_to_slices(word, n)))
+
+
+def test_rewrites_match_the_pairs_reference():
+    rng = random.Random(8)
+    for total in range(0, 9, 2):
+        for nb in range(total + 1):
+            m = TLMorphism(nb, total - nb, {
+                d: _random_coefficient(rng)
+                for d in tl_basis(nb, total - nb)})
+            assert _rewrites(m) == tagged_rewrites(m)
