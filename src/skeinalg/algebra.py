@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import ContractViolation, ValidationError
-from .linalg import Matrix, SparseEchelon, TensorMap, _check_exact
+from .linalg import (Matrix, SparseEchelon, TensorMap, _check_exact,
+                     matrix_image, product_image, same_image)
 
 # algebras past this dimension are refused before any table is built:
 # 64 is End(V) for dim V = 8, as for TENSOR_MAX_AMBIENT_DIM
@@ -287,24 +288,27 @@ def make_hom(source: Algebra, target: Algebra, matrix: Matrix) -> AlgebraHom:
     s of the source gives f(xy) = f(x) f(y) for all x, y: the set of z
     with f(xz) = f(x) f(z) for all x holds 1 by unitality, and with z it
     holds z s, since f(x(zs)) = f((xz)s) = f(xz) f(s) = f(x) f(z) f(s) =
-    f(x) f(zs).
+    f(x) f(zs).  For each s the equations over all i are one matrix
+    identity, M R(e_s) = R(f(e_s)) M, with M the matrix of f and R(x) the
+    matrix of right multiplication by x: column i of the left side is
+    f(e_i e_s) and of the right side f(e_i) f(e_s).  Both sides are
+    compared as integer images.
     """
     if (matrix.rows, matrix.cols) != (target.dim, source.dim):
         raise ContractViolation(
             f"hom matrix must be {target.dim}x{source.dim}, got "
             f"{matrix.rows}x{matrix.cols}")
-    _check_exact(matrix.entries)
+    matrix_image(matrix)  # raises ContractViolation on an inexact entry
     f = AlgebraHom(source, target, matrix)
     if f.apply(source.unit) != tuple(target.unit):
         raise ValidationError("homomorphism does not preserve the unit")
-    images = [matrix.col(i) for i in range(source.dim)]
-    for i in range(source.dim):
-        for s in source.generators:
-            lhs = f.apply(source.basis_product(i, s))
-            rhs = target.multiply(images[i], images[s])
-            if lhs != rhs:
-                raise ValidationError(
-                    f"multiplicativity fails at basis pair (i,j)=({i},{s})")
+    for s in source.generators:
+        lhs = product_image(matrix, source.right_mult_matrix(
+            _unit_vec(source.dim, s)))
+        rhs = product_image(target.right_mult_matrix(matrix.col(s)), matrix)
+        if not same_image(lhs, rhs):
+            raise ValidationError(f"multiplicativity fails at generator {s},"
+                                  f" at some basis pair (i,j)=(i,{s})")
     return f
 
 

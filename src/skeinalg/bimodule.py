@@ -159,7 +159,7 @@ def end_morphism(f: Matrix) -> PointedBimodule:
     """
     if f.rows < 1 or f.cols < 1:
         raise ContractViolation("zero-dimensional source or target rejected")
-    _check_exact(f.entries)
+    matrix_image(f)  # raises ContractViolation on an inexact entry
     return replace(_hom_space(f.rows, f.cols), pointing=flatten_matrix(f))
 
 
@@ -285,6 +285,7 @@ def make_bimodule_map(source: PointedBimodule, target: PointedBimodule,
         raise ContractViolation("bimodule map needs equal acting algebras")
     if (matrix.rows, matrix.cols) != (target.dim, source.dim):
         raise ContractViolation("bimodule map matrix has wrong shape")
+    matrix_image(matrix)  # raises ContractViolation on an inexact entry
     failure = _map_failure(source, target, matrix, pointed=True)
     if failure is not None:
         raise ValidationError(failure)

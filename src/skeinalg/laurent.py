@@ -18,7 +18,9 @@ from .errors import ContractViolation
 
 
 def _trim(coeffs: dict) -> dict:
-    return {e: c for e, c in coeffs.items() if c}
+    # only int zeros go: LaurentPoly refuses any other term, zero or not
+    return {e: c for e, c in coeffs.items()
+            if c or type(c) is not int or type(e) is not int}
 
 
 @dataclass(frozen=True)

@@ -3,31 +3,32 @@
 Entries are ints and Fractions, mixed freely; any other entry in a
 Matrix row or right-hand side that enters elimination, a product or a
 linear combination raises ContractViolation, with no floating-point or
-fraction-field fallback.  The integer kernels, products, linear
-combinations, the elimination engine and ``TensorMap``, run on Python
-ints: each Matrix scales its entries to one common denominator once,
-each TensorMap its constants, and the engine keeps primitive integer
-rows.  Only this module reads the scaled-integer format.
+fraction-field fallback.  All arithmetic runs on Python ints: each
+Matrix scales its entries to one common denominator once, each
+TensorMap its constants, and the engine keeps primitive integer rows;
+Fractions appear only where values are read out.
 
 The integer image of a matrix is a pair (den, ints), den > 0, whose
 values are ints[k] / den.  ``product_image`` is the one product kernel
 and ``lincomb_image`` the one linear-combination kernel; each returns
-a raw image, neither divided nor reduced.  ``Matrix @`` and
-``mat_lincomb`` divide those images once into normalised entries, and
-``same_image`` compares two images by cross-multiplication, so a law
-check compares products and combinations without building a Fraction.
+a raw image, neither divided nor reduced.  ``Matrix @`` and ``apply``
+divide a product image, ``mat_lincomb``, ``+``, ``-`` and ``scale`` a
+combination image, once into normalised entries, and ``same_image``
+compares two images by cross-multiplication, so a law check compares
+products and combinations without building a Fraction.
 ``relation_rows`` builds the rows (P tensor 1 - 1 tensor Q) e(i, j) of
 the tensor quotient and the intertwiner solver from the images, each a
-positive multiple of the exact row.  Callers outside this module pass
-images back here and never read den or ints.  ``TensorMap`` is the one
+positive multiple of the exact row.  Only this module reads den and
+ints; callers elsewhere pass images back here.  ``TensorMap`` is the one
 bilinear kernel: the algebra product and the tensor_over quotient map
 are both TensorMaps.  Products, combinations, bilinear images and
 determinants return normalised entries: an int where the value is
 integral, a reduced Fraction otherwise.  ``SparseEchelon`` is the one
-elimination engine: rank, kernels, solving, quotients and the
-determinant all run through it, and what they read out of it is a
-Fraction for every nonzero entry of a reduced row and int 0 elsewhere.
-The determinant reduces the rows of a matrix's image and divides by
+elimination engine: rank, kernels, solving, quotients, the inverse and
+the determinant all run through it, each matrix entering it as the
+rows of its image, and what they read out of it is a Fraction for
+every nonzero entry of a reduced row and int 0 elsewhere.  The
+determinant reduces the rows of a matrix's image and divides by
 den ** n once.  Pivoting always takes the first nonzero entry in column
 order, so every result here is deterministic.
 
@@ -155,39 +156,28 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _combined(self, pairs, what: str) -> "Matrix":
+        """mat_lincomb of the (coeff, Matrix) pairs, each of this shape."""
+        if any((m.rows, m.cols) != (self.rows, self.cols) for _, m in pairs):
+            raise ContractViolation(f"matrix {what} shape mismatch")
+        return mat_lincomb(pairs, self.rows, self.cols)
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ContractViolation("matrix addition shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combined([(1, self), (1, other)], "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ContractViolation("matrix subtraction shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combined([(1, self), (-1, other)], "subtraction")
 
     def scale(self, c) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(c * x for x in self.entries))
+        return self._combined([(c, self)], "scaling")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return Matrix(self.rows, other.cols,
                       _unscaled(*product_image(self, other)))
 
     def apply(self, vec) -> tuple:
-        """Matrix-vector product as a tuple."""
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise ContractViolation("matrix-vector length mismatch")
-        out = [0] * self.rows
-        for j, v in enumerate(vec):
-            if not v:
-                continue
-            for i in range(self.rows):
-                a = self.entries[i * self.cols + j]
-                if a:
-                    out[i] = out[i] + a * v
-        return tuple(out)
+        """Matrix-vector product as a tuple, normalised like a product."""
+        return _unscaled(*product_image(self, Matrix.column(vec)))
 
     def det(self):
         """Exact determinant from the shared echelon engine, normalised:
@@ -223,8 +213,7 @@ class Matrix:
         if not self.is_square:
             raise ContractViolation("inverse of a non-square matrix")
         n = self.rows
-        eng = _echelon(self.row(i) + tuple(int(j == i) for j in range(n))
-                       for i in range(n))
+        eng = _image_echelon(self, [{n + i: 1} for i in range(n)])
         # [m | I] always has rank n; m is invertible iff no pivot lies in I
         if eng.pivots() != list(range(n)):
             raise ContractViolation("matrix is singular")
@@ -277,10 +266,12 @@ def lincomb_image(pairs, rows: int, cols: int) -> tuple:
     """The integer image of the sum of coeff * matrix over (coeff, Matrix)
     pairs, skipping zero coefficients: summed on ints over the lcm of the
     matrices' denominators, neither divided nor reduced.  An inexact
-    coefficient or entry raises ContractViolation."""
+    coefficient or entry raises ContractViolation, under a zero
+    coefficient too."""
     pairs = list(pairs)
     dc, coeffs = _scaled([c for c, _ in pairs])
-    terms = [(c, m._ints) for c, (_, m) in zip(coeffs, pairs) if c]
+    images = [m._ints for _, m in pairs]   # read under a zero coefficient too
+    terms = [(c, im) for c, im in zip(coeffs, images) if c]
     den = lcm(*(d for _, (d, _) in terms))
     out = [0] * (rows * cols)
     for c, (d, ents) in terms:
@@ -576,16 +567,20 @@ class SparseEchelon:
         return tuple(x), self.kernel(ncols)
 
 
-def _row_to_dict(row) -> dict:
-    # a float zero is dropped here, before the engine could check it
-    _check_exact(row)
-    return {j: v for j, v in enumerate(row) if v}
+def _image_echelon(m: Matrix, extra=None) -> SparseEchelon:
+    """The engine loaded with the rows of m's integer image.
 
-
-def _echelon(rows) -> SparseEchelon:
+    Row i is den times row i of m, extended by den times extra[i], a dict
+    of columns past m.cols; each is a positive multiple of the exact row,
+    so the span and the RREF read out of the engine are those of m.
+    """
+    (den, ints), c = m._ints, m.cols
     eng = SparseEchelon()
-    for r in rows:
-        eng.insert(_row_to_dict(r))
+    for i in range(m.rows):
+        row = {j: v for j, v in enumerate(ints[i * c:(i + 1) * c]) if v}
+        if extra:
+            row.update((k, den * v) for k, v in extra[i].items())
+        eng.insert(row)
     return eng
 
 
@@ -595,7 +590,7 @@ def kernel_basis(m: Matrix) -> list:
     The count always equals cols - rank; the vectors come from the free
     columns of the RREF, so the basis is canonical.
     """
-    return _echelon(m.rows_list()).kernel(m.cols)
+    return _image_echelon(m).kernel(m.cols)
 
 
 def solve_linear(m: Matrix, b):
@@ -610,13 +605,7 @@ def solve_linear(m: Matrix, b):
         raise ContractViolation(
             f"right-hand side of length {len(b)} for {m.rows} equations")
     _check_exact(b)
-    eng = SparseEchelon()
-    for i, bi in enumerate(b):
-        row = _row_to_dict(m.row(i))
-        if bi:
-            row[m.cols] = bi
-        eng.insert(row)
-    return eng.solve(m.cols)
+    return _image_echelon(m, [{m.cols: bi} for bi in b]).solve(m.cols)
 
 
 def sparse_quotient(ambient_dim: int, relation_rows):
@@ -688,4 +677,4 @@ def find_invertible_in_affine_family(particular: Matrix, directions,
 
 
 def rank(m: Matrix) -> int:
-    return _echelon(m.rows_list()).rank
+    return _image_echelon(m).rank

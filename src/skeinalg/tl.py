@@ -397,7 +397,7 @@ def crossing_resolution(sign: int) -> TLMorphism:
 
 
 class AnnularClass:
-    """An element of the annulus skein module in the basis z^k.
+    """An element of the annulus skein module in the basis z^k, k an int >= 0.
 
     z is the class of the core curve; contractible curves have been
     evaluated to delta.
@@ -406,8 +406,11 @@ class AnnularClass:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {k: c for k, v in (coeffs or {}).items()
-                       if (c := _laurent(v))}
+        coeffs = coeffs or {}
+        for k in coeffs:
+            if type(k) is not int or k < 0:
+                raise ContractViolation(f"a z-degree is an int >= 0, not {k!r}")
+        self.coeffs = {k: c for k, v in coeffs.items() if (c := _laurent(v))}
 
     def __eq__(self, other):
         if not isinstance(other, AnnularClass):

@@ -113,6 +113,19 @@ def test_make_bimodule_reads_every_action_image_before_any_law_check(
             make_bimodule(k, k, la, ra, (1,))
 
 
+def test_make_bimodule_map_reads_the_matrix_before_any_law_check():
+    # over M1 no generator runs a product and 1.0 * 1 == 1 passed the
+    # pointing check, so Matrix(1, 1, (1.0,)) was once accepted as a map
+    r1 = regular_bimodule(matrix_algebra(1))
+    r2 = regular_bimodule(matrix_algebra(2))
+    ident = Matrix.identity(4).entries
+    for m, bad in ((r1, Matrix(1, 1, (1.0,))),
+                   (r2, Matrix(4, 4, ident[:1] + (0.0,) + ident[2:]))):
+        with pytest.raises(ContractViolation, match="float"):
+            make_bimodule_map(m, m, bad)
+    assert make_bimodule_map(r1, r1, Matrix(1, 1, (1,))).matrix[0, 0] == 1
+
+
 # unrelated primes: no two denominators of one matrix share a factor
 _PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
 

@@ -13,10 +13,14 @@ def P(d):
 
 
 def test_exponents_and_coefficients_must_be_ints():
+    # a zero of the wrong type is refused too, not dropped as a zero term
     for bad in ({0: 1.5}, {0.5: 1}, {0: Fraction(1, 2)}, {0: Fraction(2)},
-                {True: 1}, {0: True}, {"1": 1}):
+                {True: 1}, {0: True}, {"1": 1}, {0: 0.0}, {0.5: 0},
+                {0: Fraction(0)}, {0: False}, {1: 2, 0.5: 0}):
         with pytest.raises(ContractViolation, match="are ints"):
             LaurentPoly.from_dict(bad)
+    with pytest.raises(ContractViolation, match="are ints"):
+        LaurentPoly.constant(False)
     for bad in ((Fraction(1, 2), 1), (1, 1.0), (1.0, 0)):
         with pytest.raises(ContractViolation, match="are ints"):
             LaurentPoly.monomial(*bad)

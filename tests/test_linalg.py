@@ -9,7 +9,7 @@ from oracles import (adjugate_inverse, dense_multiply, dense_table,
                      fraction_matmul, fraction_quotient,
                      fraction_relation_rows, fraction_rref, fraction_solve,
                      laplace_det)
-from skeinalg.algebra import (matrix_algebra, transport_algebra,
+from skeinalg.algebra import (make_algebra, matrix_algebra, transport_algebra,
                               truncated_poly_algebra, upper_triangular_algebra)
 from skeinalg.errors import ContractViolation
 from skeinalg.laurent import LaurentPoly
@@ -425,7 +425,13 @@ def test_algebra_multiply_matches_the_dense_oracle():
                                  for _ in range(base.dim ** 2)))
                 if s.det():
                     break
-            alg = transport_algebra(base, s)
+            # the transported algebra rebuilt with every constant a
+            # Fraction, integral ones included
+            moved = transport_algebra(base, s)
+            alg = make_algebra(
+                [[[Fraction(c) for c in row] for row in plane]
+                 for plane in dense_table(moved)],
+                [Fraction(u) for u in moved.unit])
             table = dense_table(alg)
             assert any(type(c) is Fraction
                        for row in alg.mult for pairs in row for _, c in pairs)
@@ -489,6 +495,62 @@ def test_mat_lincomb_sums_over_a_common_denominator():
                 for i in range(6)]
         assert list(got.entries) == want
         assert all(_normalised(v) for v in got.entries)
+
+
+def test_matrix_methods_match_the_fraction_routes():
+    """apply, +, -, scale and the elimination read-outs on seeded mixes of
+    ints and Fractions, against the entrywise Fraction loops and the
+    oracle engine: equal values, arithmetic normalised, and every
+    elimination read-out of the oracle's type."""
+    rng = random.Random(2424)
+    singular = 0
+    for _ in range(200):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        kind = rng.choice(("int", "fraction", "mixed"))
+        a, b = (_deficient(rng, rows, cols, kind) for _ in range(2))
+        c = _mixed_entry(rng, "mixed")
+        x = tuple(_mixed_entry(rng, kind) for _ in range(cols))
+        ab = list(zip(a.entries, b.entries))
+        for got, want in (
+                (a.apply(x), fraction_matmul(a, Matrix.column(x)).entries),
+                ((a + b).entries, tuple(p + q for p, q in ab)),
+                ((a - b).entries, tuple(p - q for p, q in ab)),
+                (a.scale(c).entries, tuple(c * p for p in a.entries))):
+            assert got == want and all(_normalised(v) for v in got)
+        assert rank(a) == len(fraction_rref(a)[1])
+        kernel = fraction_echelon(a.rows_list()).kernel(cols)
+        assert len(kernel_basis(a)) == len(kernel)
+        for v, w in zip(kernel_basis(a), kernel):
+            _same(v, w)
+        y = tuple(_mixed_entry(rng, "mixed") for _ in range(rows))
+        for rhs in (a.apply(x), y):
+            got, want = solve_linear(a, rhs), fraction_solve(a, rhs)
+            assert (got is None) == (want is None)
+            if got is not None:
+                _same(got[0], want[0])
+                assert len(got[1]) == len(want[1])
+                for v, w in zip(got[1], want[1]):
+                    _same(v, w)
+        if rows == cols:
+            inverse = fraction_inverse(a)
+            if inverse is None:
+                singular += 1
+                with pytest.raises(ContractViolation, match="singular"):
+                    a.inverse()
+            else:
+                _same(a.inverse().entries, inverse.entries)
+    assert singular >= 5
+    # a float entry, vector or scalar raises, a float zero and a zero
+    # coefficient included
+    ident = Matrix.identity(2)
+    for bad in (1.5, 0.0):
+        m = Matrix(2, 2, (1, bad, 0, 1))
+        for call in (lambda: m.apply((1, 1)), lambda: ident.apply((bad, 1)),
+                     lambda: m + ident, lambda: ident + m, lambda: m - ident,
+                     lambda: ident - m, lambda: m.scale(2), lambda: m.scale(0),
+                     lambda: ident.scale(bad)):
+            with pytest.raises(ContractViolation, match="int and Fraction"):
+                call()
 
 
 # small primes and unrelated larger ones, so images differ in denominator

@@ -247,6 +247,16 @@ def test_coefficients_must_be_ints_or_laurent_polynomials():
             tl_identity(1).scaled(bad)
 
 
+def test_z_degrees_must_be_non_negative_ints():
+    assert AnnularClass({0: 1, 3: 2}).text() == "AnnularClass((1)*z^0 + (2)*z^3)"
+    # "1" once printed like the int 1 yet compared unequal to it
+    for bad in (0.5, 1.0, -1, "1", True, Fraction(1), None):
+        with pytest.raises(ContractViolation, match="z-degree"):
+            AnnularClass({bad: 1})
+        with pytest.raises(ContractViolation, match="z-degree"):
+            AnnularClass({bad: 0})
+
+
 def test_crossing_mirror_symmetry():
     pos, neg = crossing_resolution(1), crossing_resolution(-1)
     for diag, coeff in pos.terms.items():
