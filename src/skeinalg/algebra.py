@@ -138,6 +138,8 @@ def _build_algebra(n: int, products, unit, candidates=()) -> Algebra:
     Nothing is read from products, unit or candidates before n passes
     ALGEBRA_MAX_DIM, so callers may pass them lazily.
     """
+    if type(n) is not int or n < 0:
+        raise ContractViolation(f"algebra dimension must be an int >= 0, got {n!r}")
     if n > ALGEBRA_MAX_DIM:
         raise ContractViolation(
             f"algebra dimension {n} exceeds ALGEBRA_MAX_DIM = {ALGEBRA_MAX_DIM}")
@@ -202,7 +204,8 @@ def make_algebra(structure_constants, unit, *, candidates=()) -> Algebra:
     return _build_algebra(n, products(), unit, candidates)
 
 
-@lru_cache(maxsize=None)
+# typed, so that True and 2.0 miss the entries of 1 and 2 and are refused
+@lru_cache(maxsize=None, typed=True)
 def matrix_algebra(n: int) -> Algebra:
     """The algebra of n x n matrices on the elementary-matrix basis.
 
@@ -212,8 +215,8 @@ def matrix_algebra(n: int) -> Algebra:
     greedy keeps all 2(n-1) of them.  Past ALGEBRA_MAX_DIM, for n >= 9,
     it raises before it builds anything.
     """
-    if n < 1:
-        raise ContractViolation("matrix_algebra needs n >= 1")
+    if type(n) is not int or n < 1:
+        raise ContractViolation(f"matrix_algebra needs an int n >= 1, got {n!r}")
     products = ((i * n + j, j * n + l, i * n + l, 1)
                 for i in range(n) for j in range(n) for l in range(n))
     unit = (1 if k // n == k % n else 0 for k in range(n * n))
@@ -291,16 +294,16 @@ def make_hom(source: Algebra, target: Algebra, matrix: Matrix) -> AlgebraHom:
     f(x) f(zs).  For each s the equations over all i are one matrix
     identity, M R(e_s) = R(f(e_s)) M, with M the matrix of f and R(x) the
     matrix of right multiplication by x: column i of the left side is
-    f(e_i e_s) and of the right side f(e_i) f(e_s).  Both sides are
-    compared as integer images.
+    f(e_i e_s) and of the right side f(e_i) f(e_s).  Both sides, and f(1)
+    with the target's unit, are compared as integer images.
     """
     if (matrix.rows, matrix.cols) != (target.dim, source.dim):
         raise ContractViolation(
             f"hom matrix must be {target.dim}x{source.dim}, got "
             f"{matrix.rows}x{matrix.cols}")
     matrix_image(matrix)  # raises ContractViolation on an inexact entry
-    f = AlgebraHom(source, target, matrix)
-    if f.apply(source.unit) != tuple(target.unit):
+    if not same_image(product_image(matrix, Matrix.column(source.unit)),
+                      matrix_image(Matrix.column(target.unit))):
         raise ValidationError("homomorphism does not preserve the unit")
     for s in source.generators:
         lhs = product_image(matrix, source.right_mult_matrix(
@@ -309,7 +312,7 @@ def make_hom(source: Algebra, target: Algebra, matrix: Matrix) -> AlgebraHom:
         if not same_image(lhs, rhs):
             raise ValidationError(f"multiplicativity fails at generator {s},"
                                   f" at some basis pair (i,j)=(i,{s})")
-    return f
+    return AlgebraHom(source, target, matrix)
 
 
 def identity_hom(alg: Algebra) -> AlgebraHom:

@@ -268,12 +268,15 @@ def _map_failure(source: PointedBimodule, target: PointedBimodule,
     """Why matrix is no bimodule map (pointing to pointing if pointed), or None.
 
     The elements a with X A1(a) = A2(a) X form a subalgebra, so the
-    generators of each side suffice.
+    generators of each side suffice.  Every law is compared on integer
+    images, so no value is read out.
     """
     for side, i, a1, a2 in _generator_actions(source, target):
         if not same_image(product_image(matrix, a1), product_image(a2, matrix)):
             return f"map fails to intertwine the {side} action at basis index {i}"
-    if pointed and matrix.apply(source.pointing) != tuple(target.pointing):
+    if pointed and not same_image(
+            product_image(matrix, Matrix.column(source.pointing)),
+            matrix_image(Matrix.column(target.pointing))):
         return "map does not send pointing to pointing"
     return None
 

@@ -38,7 +38,12 @@ class LaurentPoly:
 
     @staticmethod
     def from_dict(coeffs: dict) -> "LaurentPoly":
-        return LaurentPoly(tuple(sorted(_trim(coeffs).items())))
+        terms = _trim(coeffs).items()
+        try:
+            terms = tuple(sorted(terms))
+        except TypeError:  # exponents of mixed types: __post_init__ names one
+            terms = tuple(terms)
+        return LaurentPoly(terms)
 
     @staticmethod
     def monomial(coeff: int, exp: int) -> "LaurentPoly":
@@ -123,6 +128,9 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if type(n) is not int:
+            raise ContractViolation(
+                f"Laurent powers take an int exponent, not {type(n).__name__}")
         if n < 0:
             inv = self.unit_inverse()
             if inv is None:

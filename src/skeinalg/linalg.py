@@ -15,7 +15,10 @@ a raw image, neither divided nor reduced.  ``Matrix @`` and ``apply``
 divide a product image, ``mat_lincomb``, ``+``, ``-`` and ``scale`` a
 combination image, once into normalised entries, and ``same_image``
 compares two images by cross-multiplication, so a law check compares
-products and combinations without building a Fraction.
+products and combinations without reading a value out.  The one
+entry-size cap, MATRIX_POWER_MAX_ENTRY_BITS, sits where ``Matrix @``,
+``apply`` and a ``TensorMap`` call read a product out, so a power, word
+product or tensor pointing that explodes fails fast.
 ``relation_rows`` builds the rows (P tensor 1 - 1 tensor Q) e(i, j) of
 the tensor quotient and the intertwiner solver from the images, each a
 positive multiple of the exact row.  Only this module reads den and
@@ -78,6 +81,29 @@ def _unscaled(den: int, ints) -> tuple:
     return tuple(Fraction(x, den) if x % den else x // den for x in ints)
 
 
+# 2467 decimal digits: every entry of a product stays printable (Python
+# refuses str() of an int beyond 4300 digits) and each product stays fast
+MATRIX_POWER_MAX_ENTRY_BITS = 1 << 13
+
+
+def _product_values(den: int, ints) -> tuple:
+    """_unscaled(den, ints) for the image of a product, held to
+    MATRIX_POWER_MAX_ENTRY_BITS: ContractViolation once an entry's
+    numerator or denominator outgrows it.
+
+    A reduced entry is never larger than its image, so the entries are
+    read one by one only when den or the largest |int| is past the bound.
+    """
+    out = _unscaled(den, ints)
+    bound = MATRIX_POWER_MAX_ENTRY_BITS
+    if ints and max(den, max(ints), -min(ints)).bit_length() > bound and any(
+            max(x.numerator.bit_length(), x.denominator.bit_length()) > bound
+            for x in out):
+        raise ContractViolation(
+            f"product entries outgrow MATRIX_POWER_MAX_ENTRY_BITS = {bound} bits")
+    return out
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Row-major dense matrix; entries.length == rows * cols."""
@@ -87,10 +113,17 @@ class Matrix:
     entries: tuple
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+        rows, cols, entries = self.rows, self.cols, self.entries
+        # type, not isinstance, turns bools away; a list of entries would
+        # compare equal to the tuple but not hash
+        if (type(rows) is not int or type(cols) is not int or rows < 0
+                or cols < 0 or type(entries) is not tuple):
             raise ContractViolation(
-                f"matrix with {self.rows}x{self.cols} shape but "
-                f"{len(self.entries)} entries")
+                f"a matrix needs int rows and cols >= 0 and a tuple of "
+                f"entries, got {rows!r}x{cols!r} and {type(entries).__name__}")
+        if len(entries) != rows * cols:
+            raise ContractViolation(
+                f"matrix with {rows}x{cols} shape but {len(entries)} entries")
 
     # -- constructors -------------------------------------------------------
 
@@ -173,11 +206,11 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return Matrix(self.rows, other.cols,
-                      _unscaled(*product_image(self, other)))
+                      _product_values(*product_image(self, other)))
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product as a tuple, normalised like a product."""
-        return _unscaled(*product_image(self, Matrix.column(vec)))
+        return _product_values(*product_image(self, Matrix.column(vec)))
 
     def det(self):
         """Exact determinant from the shared echelon engine, normalised:
@@ -337,32 +370,11 @@ def relation_rows(p: Matrix, q: Matrix, transposed: bool = False) -> list:
     return rows
 
 
-# 2467 decimal digits: every entry of a power stays printable (Python
-# refuses str() of an int beyond 4300 digits) and each product stays fast
-MATRIX_POWER_MAX_ENTRY_BITS = 1 << 13
-
-
-def _check_entry_bits(values, what: str):
-    """Raise ContractViolation once a value's numerator or denominator
-    outgrows MATRIX_POWER_MAX_ENTRY_BITS; ``what`` names the values."""
-    for x in values:
-        if max(x.numerator.bit_length(), x.denominator.bit_length()) \
-                > MATRIX_POWER_MAX_ENTRY_BITS:
-            raise ContractViolation(
-                f"{what} entries outgrow MATRIX_POWER_MAX_ENTRY_BITS = "
-                f"{MATRIX_POWER_MAX_ENTRY_BITS} bits")
-
-
-def _bounded(m: Matrix, what: str = "matrix power") -> Matrix:
-    _check_entry_bits(m.entries, what)
-    return m
-
-
 def matrix_power(m: Matrix, t: int) -> Matrix:
     """m to the power t >= 0 by repeated squaring, in O(log t) products.
 
-    Raises ContractViolation once a product has an entry whose numerator or
-    denominator outgrows MATRIX_POWER_MAX_ENTRY_BITS.
+    Every product is held to MATRIX_POWER_MAX_ENTRY_BITS, so a power whose
+    entries explode raises ContractViolation after O(log t) products.
     """
     if not m.is_square:
         raise ContractViolation("power of a non-square matrix")
@@ -371,11 +383,11 @@ def matrix_power(m: Matrix, t: int) -> Matrix:
     out = None
     while True:
         if t & 1:
-            out = m if out is None else _bounded(out @ m)
+            out = m if out is None else out @ m
         t >>= 1
         if not t:
             return Matrix.identity(m.rows) if out is None else out
-        m = _bounded(m @ m)
+        m = m @ m
 
 
 def mat_lincomb(pairs, rows: int, cols: int) -> Matrix:
@@ -423,7 +435,7 @@ class TensorMap:
                         f = xi * yj
                         for k, c in images[base + j]:
                             out[k] += f * c
-        return _unscaled(self._den * dx * dy, out)
+        return _product_values(self._den * dx * dy, out)
 
     def partial(self, x, first: bool = True) -> Matrix:
         """The matrix of y -> m(x, y), or of y -> m(y, x) if not first."""

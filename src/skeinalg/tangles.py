@@ -85,6 +85,9 @@ class SliceTangle:
     def __post_init__(self):
         """Compute the widths; raises if the slices do not chain."""
         w = self.strands_in
+        if type(w) is not int or w < 0:
+            raise ContractViolation(
+                f"a tangle starts on an int number of strands >= 0, got {w!r}")
         out = [w]
         for k, sl in enumerate(self.slices):
             win = sum(e.widths()[0] for e in sl)
@@ -305,15 +308,17 @@ def kauffman_bracket(t: SliceTangle) -> LaurentPoly:
 
 def braid_to_slices(word, strands: int) -> SliceTangle:
     """One slice per letter; letter +-i is a crossing at position i-1."""
-    if strands < 1:
-        raise ContractViolation("a braid needs at least one strand")
+    if type(strands) is not int or strands < 1:
+        raise ContractViolation(
+            f"a braid needs an int number of strands >= 1, got {strands!r}")
     slices = []
     for k, letter in enumerate(word):
-        i = abs(letter)
-        if letter == 0 or i > strands - 1:
+        # type, not isinstance, turns bools away: True would pass as 1
+        i = abs(letter) if type(letter) is int else 0
+        if not 0 < i < strands:
             raise ContractViolation(
-                f"braid letter {letter} at position {k} out of range for "
-                f"{strands} strands")
+                f"braid letter {letter!r} at position {k}: letters are "
+                f"nonzero ints from -{strands - 1} to {strands - 1}")
         sl = [ID] * (i - 1) + [cross(1 if letter > 0 else -1)] + \
             [ID] * (strands - i - 1)
         slices.append(sl)

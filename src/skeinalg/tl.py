@@ -126,9 +126,10 @@ def tl_basis(n_bottom: int, n_top: int) -> list:
     Negative widths and more than TL_BASIS_MAX_POINTS boundary points
     raise ContractViolation before anything is enumerated.
     """
-    if n_bottom < 0 or n_top < 0:
+    if (type(n_bottom) is not int or type(n_top) is not int
+            or n_bottom < 0 or n_top < 0):
         raise ContractViolation(
-            f"widths must be nonnegative, got ({n_bottom}, {n_top})")
+            f"widths must be nonnegative ints, got ({n_bottom!r}, {n_top!r})")
     n = n_bottom + n_top
     if n > TL_BASIS_MAX_POINTS:
         raise ContractViolation(

@@ -14,8 +14,8 @@ is computed by repeated squaring, in O(log t) matrix products, once per
 distinct t in an evaluation.  eval_pictures builds one table of generator
 matrices per call and gives it to both pictures, so compare_pictures and
 `skeinalg tqft1d --picture both` compute each power once; no table is
-kept across calls.  Every product of a power, of a Schrodinger word and
-every pointing of a Heisenberg composite is held to
+kept across calls.  linalg holds every product it reads out, each power,
+word product and Heisenberg tensor pointing among them, to
 MATRIX_POWER_MAX_ENTRY_BITS, so a word whose values explode fails fast
 with ContractViolation.  So does every Heisenberg word on dim V >= 9,
 before it tensors anything: its bimodules act through End(V), which is
@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import matmul
 
 from .algebra import field_algebra
 from .bimodule import PointedBimodule, end_morphism, tensor_over
 from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
                      ParseError)
-from .linalg import (Matrix, _bounded, _check_entry_bits, _check_exact,
-                     matrix_power)
+from .linalg import Matrix, _check_exact, matrix_power
 
 PT = "pt"
 EMPTY = "empty"
@@ -57,6 +58,8 @@ def make_system(dim_v: int, step: Matrix, states=None, costates=None,
     if isinstance(dim_v, bool) or not isinstance(dim_v, int) or dim_v < 1:
         raise ContractViolation(
             f"the space of states needs an int dimension >= 1, got {dim_v!r}")
+    if not isinstance(step, Matrix):
+        raise ContractViolation(f"step is a Matrix, not {type(step).__name__}")
     if (step.rows, step.cols) != (dim_v, dim_v):
         raise ContractViolation("step matrix shape does not match dim")
     states = {k: tuple(v) for k, v in (states or {}).items()}
@@ -69,8 +72,9 @@ def make_system(dim_v: int, step: Matrix, states=None, costates=None,
         if len(v) != dim_v:
             raise ContractViolation(f"costate {k!r} has wrong length")
     for k, m in observables.items():
-        if (m.rows, m.cols) != (dim_v, dim_v):
-            raise ContractViolation(f"observable {k!r} has wrong shape")
+        if not isinstance(m, Matrix) or (m.rows, m.cols) != (dim_v, dim_v):
+            raise ContractViolation(
+                f"observable {k!r} is not a {dim_v}x{dim_v} Matrix")
     for values in (step.entries, *states.values(), *costates.values(),
                    *(m.entries for m in observables.values())):
         _check_exact(values)
@@ -210,11 +214,7 @@ def _generator_matrices(sys: System):
 def _schrodinger_word(sys: System, word: SpacetimeWord, matrix_of) -> Matrix:
     if not word.gens:
         return Matrix.identity(sys.dim_v if word.at == PT else 1)
-    out = None
-    for gen in word.gens:
-        m = matrix_of(gen)
-        out = m if out is None else _bounded(out @ m, "word product")
-    return out
+    return reduce(matmul, map(matrix_of, word.gens))
 
 
 def eval_schrodinger(sys: System, word: SpacetimeWord) -> Matrix:
@@ -231,15 +231,8 @@ def _heisenberg_word(sys: System, word: SpacetimeWord,
     if not word.gens:
         n = sys.dim_v if word.at == PT else 1
         return end_morphism(Matrix.identity(n))
-    out = None
-    for gen in word.gens:
-        b = _heisenberg_bimodule(gen, matrix_of)
-        if out is None:
-            out = b
-        else:
-            out = tensor_over(out, b)
-            _check_entry_bits(out.pointing, "tensor composite pointing")
-    return out
+    return reduce(tensor_over, (_heisenberg_bimodule(gen, matrix_of)
+                                for gen in word.gens))
 
 
 def eval_heisenberg(sys: System, word: SpacetimeWord) -> PointedBimodule:

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -151,6 +152,18 @@ def test_hom_validation_rejects_non_unital():
     qq = product_field_algebra(2)
     with pytest.raises(ValidationError, match="unit"):
         make_hom(qq, qq, Matrix.from_rows([[1, 0], [0, 0]]))
+
+
+def test_hom_unit_check_reads_no_value_out():
+    # Q on the basis e = k * 1, so e e = k e and 1 = e / k: the unit's
+    # denominator is past MATRIX_POWER_MAX_ENTRY_BITS, and the unit check
+    # compares integer images, so the inclusion of Q is still a hom
+    k = 7 ** 3000
+    big = make_algebra([[[k]]], [Fraction(1, k)])
+    f = make_hom(field_algebra(), big, Matrix(1, 1, (Fraction(1, k),)))
+    assert f.matrix.entries == big.unit
+    with pytest.raises(ValidationError, match="unit"):
+        make_hom(field_algebra(), big, Matrix(1, 1, (Fraction(2, k),)))
 
 
 def test_swap_hom_valid():

@@ -3,7 +3,10 @@ as a change to this list."""
 
 import types
 
+import pytest
+
 import skeinalg
+from skeinalg import ContractViolation
 
 PUBLIC_NAMES = [
     "Algebra", "AlgebraHom", "AnnularClass", "CAP", "CUP",
@@ -38,3 +41,34 @@ def test_public_names_are_pinned():
     names = sorted(n for n in dir(skeinalg) if not n.startswith("_")
                    and not isinstance(getattr(skeinalg, n), types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# (call, a pattern its ContractViolation must match); each call was
+# accepted once, or failed with a bare TypeError or AttributeError
+BAD_SHAPES_AND_SIZES = {
+    "matrix negative shape": (lambda: skeinalg.Matrix(-2, -3, (0,) * 6), "cols >= 0"),
+    "matrix bool rows": (lambda: skeinalg.Matrix(True, 2, (1, 2)), "cols >= 0"),
+    "matrix list entries": (lambda: skeinalg.Matrix(1, 2, [1, 2]), "a tuple"),
+    "product field algebra -1": (lambda: skeinalg.product_field_algebra(-1), "int >= 0"),
+    "matrix algebra True": (lambda: skeinalg.matrix_algebra(True), "int n >= 1"),
+    "matrix algebra 2.0": (lambda: skeinalg.matrix_algebra(2.0), "int n >= 1"),
+    "tangle -1": (lambda: skeinalg.tangle(-1, []), "strands >= 0"),
+    "tangle 1.5": (lambda: skeinalg.tangle(1.5, []), "strands >= 0"),
+    "braid letter True": (lambda: skeinalg.braid_to_slices([True], 2), "nonzero ints"),
+    "braid letter 1.0": (lambda: skeinalg.braid_to_slices([1.0], 2), "nonzero ints"),
+    "braid strands 2.5": (lambda: skeinalg.braid_to_slices([1], 2.5), "strands >= 1"),
+    "tl basis True": (lambda: skeinalg.tl_basis(True, 1), "nonnegative"),
+    "tl basis 2.0": (lambda: skeinalg.tl_basis(2.0, 0), "nonnegative"),
+    "system tuple step": (lambda: skeinalg.make_system(1, (1,)), "step is a Matrix"),
+    "system tuple observable": (lambda: skeinalg.make_system(
+        1, skeinalg.Matrix.identity(1), observables={"a": (1,)}), "1x1 Matrix"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SHAPES_AND_SIZES))
+def test_bad_shape_and_size_arguments_raise_contract_violation(name):
+    call, pattern = BAD_SHAPES_AND_SIZES[name]
+    # memoised first, so that an untyped memo would hand True and 2.0 these
+    skeinalg.matrix_algebra(1), skeinalg.matrix_algebra(2)
+    with pytest.raises(ContractViolation, match=pattern):
+        call()

@@ -391,6 +391,28 @@ def test_algebra_iso_unpointed_swap_absent(tmp_path):
     assert lines[0] == "present"
 
 
+def test_bimodule_with_a_3000_digit_pointing(tmp_path):
+    # the pointing of the tensor square has about 6000 digits, past both
+    # MATRIX_POWER_MAX_ENTRY_BITS and Python's str() limit; the iso check
+    # compares the pointings as integer images and reads neither out
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(dict(
+        bimodule_to_json(regular_bimodule(matrix_algebra(1))),
+        point=["7" * 3000])))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for extra in (["--emit-json"], []):
+        proc = subprocess.run(
+            [sys.executable, "-m", "skeinalg", "algebra", "tensor", str(path),
+             str(path)] + extra, capture_output=True, text=True, env=env,
+            timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error:")
+        assert "MATRIX_POWER_MAX_ENTRY_BITS" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert run_cli("algebra", "iso", str(path), str(path)) == \
+        (0, ["present", '[["1"]]'])
+
+
 def test_tqft1d_both_agree(tmp_path):
     sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
                       states={"0": (0, 1)}, costates={"0": (0, 1)})

@@ -16,7 +16,7 @@ def test_exponents_and_coefficients_must_be_ints():
     # a zero of the wrong type is refused too, not dropped as a zero term
     for bad in ({0: 1.5}, {0.5: 1}, {0: Fraction(1, 2)}, {0: Fraction(2)},
                 {True: 1}, {0: True}, {"1": 1}, {0: 0.0}, {0.5: 0},
-                {0: Fraction(0)}, {0: False}, {1: 2, 0.5: 0}):
+                {0: Fraction(0)}, {0: False}, {1: 2, 0.5: 0}, {"1": 1, 0: 1}):
         with pytest.raises(ContractViolation, match="are ints"):
             LaurentPoly.from_dict(bad)
     with pytest.raises(ContractViolation, match="are ints"):
@@ -125,6 +125,9 @@ def test_powers_and_unit_inverse():
     assert minus_a3 ** -2 == P({-6: 1})
     with pytest.raises(ContractViolation):
         (a + 1) ** -1
+    for bad in (2.0, "2", True, Fraction(2)):
+        with pytest.raises(ContractViolation, match="int exponent"):
+            delta() ** bad
     for base in (P({2: -1, -2: -1}), a + 2, minus_a3):
         product = LaurentPoly.constant(1)
         for n in range(13):

@@ -281,6 +281,28 @@ def test_matrix_power_bounds_the_reduced_entries():
     assert time.perf_counter() - start < 2
 
 
+def test_the_entry_bits_cap_holds_products_and_nothing_else():
+    """@, apply and a TensorMap call read a product out under the cap;
+    combinations, partial maps and det read theirs out uncapped."""
+    for x in (3 ** 3000, Fraction(-1, 3 ** 3000)):   # 4755 bits each
+        square = x * x                                   # 9510 bits
+        one = Matrix(1, 1, (x,))
+        times = TensorMap(1, 1, 1, [[(0, x)]])
+        for product in (lambda: one @ one, lambda: one.apply((x,)),
+                        lambda: times((x,), (1,)),
+                        lambda: TensorMap(1, 1, 1, [[(0, 1)]])((x,), (x,))):
+            with pytest.raises(ContractViolation,
+                               match="MATRIX_POWER_MAX_ENTRY_BITS"):
+                product()
+        assert mat_lincomb([(x, one)], 1, 1) == Matrix(1, 1, (square,))
+        assert times.partial((x,)) == Matrix(1, 1, (square,))
+        assert times.partial((x,), first=False) == Matrix(1, 1, (square,))
+        assert Matrix(2, 2, (x, 0, 0, x)).det() == square
+        # under the cap, each product reads out as before
+        assert one @ Matrix(1, 1, (1,)) == one
+        assert one.apply((1,)) == (x,) and times((1,), (1,)) == (x,)
+
+
 def test_find_invertible_identity():
     assert find_invertible_in_affine_family(Matrix.identity(3), []) \
         == Matrix.identity(3)
