@@ -28,7 +28,7 @@ from .tangles import (CAP, CUP, ID, Event, SliceTangle, bracket_state_sum,
 from .tl import (AnnularClass, TLDiagram, TLMorphism, annulus_closure_eval,
                  catalan, crossing_resolution, delta, plane_closure, tl_basis,
                  tl_cap, tl_compose, tl_cup, tl_e, tl_from_diagram,
-                 tl_identity, tl_tensor, tl_zero)
+                 tl_identity, tl_tensor)
 from .tqft1d import (SpacetimeWord, System, compare_pictures, eval_heisenberg,
                      eval_pictures, eval_schrodinger, make_system, make_word,
                      parse_word)

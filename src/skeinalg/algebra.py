@@ -280,9 +280,6 @@ class AlgebraHom:
     target: Algebra
     matrix: Matrix
 
-    def apply(self, x) -> tuple:
-        return self.matrix.apply(x)
-
 
 def make_hom(source: Algebra, target: Algebra, matrix: Matrix) -> AlgebraHom:
     """Validate unitality, and multiplicativity on basis times generator.

@@ -2,6 +2,13 @@
 
 The CLI maps these onto its exit-code contract, so raising the right
 class matters more than the message text.
+
+Argument policy: an object of the wrong class is the caller's bug, and
+Python's TypeError or AttributeError for it is fine.  A size, count,
+width, index, sign, exponent or scalar of the wrong type or value, or
+past a documented cap, raises ContractViolation.  Containers from a file
+or the command line are checked where they are read (``jsonio``,
+``parse_word``), before any constructor sees them.
 """
 
 

@@ -2,8 +2,9 @@
 
 Rationals travel as "p/q" strings (plain integers are accepted) so that
 nothing ever passes through floating point.  Laurent polynomials are
-{"exp": coeff} maps with string keys.  Every emitter here round-trips
-through the matching parser to an equal object.
+{"exp": coeff} maps with string keys.  Every emitter with a parser
+round-trips through it to an equal object.  Systems and tangles are only
+read, so they have a parser and no emitter.
 """
 
 from __future__ import annotations
@@ -210,16 +211,6 @@ def system_from_json(obj: dict) -> System:
     return make_system(n, step, states, costates, observables)
 
 
-def system_to_json(s: System) -> dict:
-    return {
-        "dim": s.dim_v,
-        "step": matrix_to_json(s.step),
-        "states": {k: vector_to_json(v) for k, v in s.states.items()},
-        "costates": {k: vector_to_json(v) for k, v in s.costates.items()},
-        "observables": {k: matrix_to_json(m) for k, m in s.observables.items()},
-    }
-
-
 # -- tangles ------------------------------------------------------------------
 
 _EVENT_NAMES = {
@@ -227,8 +218,6 @@ _EVENT_NAMES = {
     "cross+": cross(1), "cross-": cross(-1),
     "twist+": twist(1), "twist-": twist(-1),
 }
-
-_EVENT_EMIT = {(e.kind, e.sign): name for name, e in _EVENT_NAMES.items()}
 
 
 def _slice_from_json(spec, width: int, index: int) -> list:
@@ -267,19 +256,6 @@ def tangle_from_json(obj: dict) -> SliceTangle:
         width = sum(e.widths()[1] for e in sl)
         slices.append(sl)
     return tangle(strands_in, slices)
-
-
-def tangle_to_json(t: SliceTangle) -> dict:
-    slices = []
-    for sl in t.slices:
-        row = []
-        for e in sl:
-            key = (e.kind, e.sign)
-            if key not in _EVENT_EMIT:
-                raise ParseError("coupon tangles have no JSON form")
-            row.append(_EVENT_EMIT[key])
-        slices.append(row)
-    return {"strands_in": t.strands_in, "slices": slices}
 
 
 def parse_braid_string(text: str):

@@ -6,7 +6,9 @@ zero polynomial is the empty tuple.  Every diagram value lies in the one
 ring Z[A, A^-1], so the variable is not stored; ``text`` names it when
 printing.  All arithmetic is exact; there is no floating point anywhere
 in this package.  Composition of diagrams never leaves the Laurent ring,
-so there is no division beyond unit inverses.
+so there is no division beyond unit inverses.  A product is one
+convolution with no monomial case: the slice fold in ``tl`` multiplies
+plain {exponent: int} dicts, not LaurentPolys.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ class LaurentPoly:
     @staticmethod
     def constant(c: int) -> "LaurentPoly":
         return LaurentPoly.from_dict({0: c})
-
-    @staticmethod
-    def gen() -> "LaurentPoly":
-        return LaurentPoly.monomial(1, 1)
 
     def to_dict(self) -> dict:
         return dict(self.terms)
@@ -111,13 +109,6 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # a monomial factor shifts and scales the other factor's terms,
-        # which keeps them sorted and nonzero
-        big, mono = (other, self) if len(self.terms) == 1 else (self, other)
-        if len(mono.terms) == 1:
-            (e, c), = mono.terms
-            return LaurentPoly(
-                tuple((e1 + e, c1 * c) for e1, c1 in big.terms))
         out: dict = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:

@@ -175,9 +175,6 @@ class Matrix:
     def col(self, j: int) -> tuple:
         return self.entries[j::self.cols]
 
-    def rows_list(self):
-        return [self.row(i) for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols

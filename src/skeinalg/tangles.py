@@ -99,10 +99,6 @@ class SliceTangle:
         object.__setattr__(self, "widths", tuple(out))
 
     @property
-    def strands_out(self) -> int:
-        return self.widths[-1]
-
-    @property
     def is_closed(self) -> bool:
         return self.widths[0] == 0 and self.widths[-1] == 0
 
@@ -343,8 +339,10 @@ def kink_slices(width: int, wire: int, sign: int) -> list:
 
     The returned move multiplies the interpretation by -A^(3*sign).
     """
-    if not 0 <= wire < width:
-        raise ContractViolation("kink wire out of range")
+    if (type(width) is not int or type(wire) is not int
+            or not 0 <= wire < width):
+        raise ContractViolation(
+            f"kink wire {wire!r} out of range for width {width!r}")
     return [
         [ID] * wire + [CUP] + [ID] * (width - wire),
         [ID] * (wire + 1) + [cross(sign)] + [ID] * (width - wire - 1),

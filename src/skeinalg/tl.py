@@ -35,10 +35,18 @@ def delta() -> LaurentPoly:
 
 
 def catalan(n: int) -> int:
+    if type(n) is not int or n < 0:
+        raise ContractViolation(f"catalan takes an int >= 0, got {n!r}")
     out = 1
     for k in range(n):
         out = out * 2 * (2 * k + 1) // (k + 2)
     return out
+
+
+def _check_widths(*widths):
+    if any(type(n) is not int or n < 0 for n in widths):
+        raise ContractViolation(
+            f"widths must be nonnegative ints, got {widths!r}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,7 @@ class TLDiagram:
     mate: tuple
 
     def __post_init__(self):
+        _check_widths(self.n_bottom, self.n_top)
         n = self.n_bottom + self.n_top
         if len(self.mate) != n:
             raise ContractViolation("matching has wrong size")
@@ -80,6 +89,7 @@ class TLDiagram:
 
 
 def identity_diagram(n: int) -> TLDiagram:
+    _check_widths(n)
     return TLDiagram(n, n, tuple(2 * n - 1 - i for i in range(2 * n)))
 
 
@@ -126,10 +136,7 @@ def tl_basis(n_bottom: int, n_top: int) -> list:
     Negative widths and more than TL_BASIS_MAX_POINTS boundary points
     raise ContractViolation before anything is enumerated.
     """
-    if (type(n_bottom) is not int or type(n_top) is not int
-            or n_bottom < 0 or n_top < 0):
-        raise ContractViolation(
-            f"widths must be nonnegative ints, got ({n_bottom!r}, {n_top!r})")
+    _check_widths(n_bottom, n_top)
     n = n_bottom + n_top
     if n > TL_BASIS_MAX_POINTS:
         raise ContractViolation(
@@ -160,6 +167,7 @@ class TLMorphism:
     __slots__ = ("n_bottom", "n_top", "terms")
 
     def __init__(self, n_bottom: int, n_top: int, terms=None):
+        _check_widths(n_bottom, n_top)
         self.n_bottom = n_bottom
         self.n_top = n_top
         terms = terms or {}
@@ -170,9 +178,6 @@ class TLMorphism:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, diag: TLDiagram) -> LaurentPoly:
-        return self.terms.get(diag, LaurentPoly())
 
     def __eq__(self, other):
         if not isinstance(other, TLMorphism):
@@ -202,21 +207,12 @@ class TLMorphism:
         return TLMorphism(self.n_bottom, self.n_top,
                           {d: c * v for d, v in self.terms.items()})
 
-    def __rmul__(self, c):
-        if isinstance(c, (int, LaurentPoly)):
-            return self.scaled(c)
-        return NotImplemented
-
     def __repr__(self):
         if self.is_zero:
             return f"TLMorphism({self.n_bottom}->{self.n_top}; 0)"
         parts = [f"({c}) * {d.pairs()}" for d, c in self.terms.items()]
         return (f"TLMorphism({self.n_bottom}->{self.n_top}; "
                 + " + ".join(parts) + ")")
-
-
-def tl_zero(n_bottom: int, n_top: int) -> TLMorphism:
-    return TLMorphism(n_bottom, n_top, {})
 
 
 def tl_from_diagram(diag: TLDiagram, coeff=1) -> TLMorphism:
@@ -237,7 +233,8 @@ def tl_cap() -> TLMorphism:
 
 def tl_e(n: int, i: int) -> TLMorphism:
     """The hook generator e_i = id^i tensor (cup cap) tensor id^(n-i-2)."""
-    if not 0 <= i <= n - 2:
+    _check_widths(n)
+    if type(i) is not int or not 0 <= i <= n - 2:
         raise ContractViolation(f"generator index {i} out of range for {n} strands")
     hook = tl_compose(tl_cap(), tl_cup())
     return tl_tensor(tl_tensor(tl_identity(i), hook), tl_identity(n - i - 2))

@@ -251,7 +251,7 @@ def fraction_echelon(rows):
 
 def fraction_rref(m):
     """(reduced row-echelon matrix, pivots) of m by FractionEchelon."""
-    eng = fraction_echelon(m.rows_list())
+    eng = fraction_echelon(m.tolist())
     pivots = sorted(eng.rows)
     flat = [eng.rows[p].get(j, 0) for p in pivots for j in range(m.cols)]
     flat += [0] * ((m.rows - len(pivots)) * m.cols)
@@ -476,7 +476,7 @@ def modulation_witness(f, g):
     for bidx, cidx in _tensor_reps(modulate(f), modulate(g)):
         e_b = tuple(1 if i == bidx else 0 for i in range(f.target.dim))
         e_c = tuple(1 if i == cidx else 0 for i in range(c_alg.dim))
-        cols.append(c_alg.multiply(g.apply(e_b), e_c))
+        cols.append(c_alg.multiply(g.matrix.apply(e_b), e_c))
     mat = Matrix(direct.dim, composite.dim,
                  tuple(cols[j][i] for i in range(direct.dim)
                        for j in range(composite.dim)))

@@ -169,7 +169,7 @@ def test_hom_unit_check_reads_no_value_out():
 def test_swap_hom_valid():
     qq = product_field_algebra(2)
     sw = make_hom(qq, qq, Matrix.from_rows([[0, 1], [1, 0]]))
-    assert sw.apply((1, 2)) == (2, 1)
+    assert sw.matrix.apply((1, 2)) == (2, 1)
 
 
 def test_conjugation_hom_is_automorphism():
@@ -181,7 +181,7 @@ def test_conjugation_hom_is_automorphism():
         # conjugation by the unit is the identity
         assert conjugation_hom(n, Matrix.identity(n)).matrix == Matrix.identity(n * n)
         # f(uv-flat of identity) stays the identity
-        assert f.apply(flatten_matrix(Matrix.identity(n))) == \
+        assert f.matrix.apply(flatten_matrix(Matrix.identity(n))) == \
             flatten_matrix(Matrix.identity(n))
 
 
@@ -193,7 +193,7 @@ def test_conjugation_scale_invariance():
 def test_hom_from_images_permutation():
     a = product_field_algebra(3)
     g = hom_from_images(a, a, [(0, 1, 0), (0, 0, 1), (1, 0, 0)])
-    assert g.apply((1, 2, 3)) == (3, 1, 2)
+    assert g.matrix.apply((1, 2, 3)) == (3, 1, 2)
 
 
 def test_transported_hom_stays_valid():

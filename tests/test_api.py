@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "modulate", "parse_word", "plane_closure", "product_field_algebra",
     "rank", "regular_bimodule", "scalar_inclusion_hom", "solve_linear",
     "tangle", "tensor_over", "tl_basis", "tl_cap", "tl_compose", "tl_cup",
-    "tl_e", "tl_from_diagram", "tl_identity", "tl_tensor", "tl_zero",
+    "tl_e", "tl_from_diagram", "tl_identity", "tl_tensor",
     "transport_algebra", "truncated_poly_algebra", "twist",
     'upper_triangular_algebra', 'writhe',
 ]
@@ -59,6 +59,15 @@ BAD_SHAPES_AND_SIZES = {
     "braid strands 2.5": (lambda: skeinalg.braid_to_slices([1], 2.5), "strands >= 1"),
     "tl basis True": (lambda: skeinalg.tl_basis(True, 1), "nonnegative"),
     "tl basis 2.0": (lambda: skeinalg.tl_basis(2.0, 0), "nonnegative"),
+    "tl identity True": (lambda: skeinalg.tl_identity(True), "nonnegative"),
+    "tl identity 2.0": (lambda: skeinalg.tl_identity(2.0), "nonnegative"),
+    "tl morphism True": (lambda: skeinalg.TLMorphism(True, True), "nonnegative"),
+    "tl e index True": (lambda: skeinalg.tl_e(3, True), "index True"),
+    "tl e None": (lambda: skeinalg.tl_e(None, None), "nonnegative"),
+    "kink wire True": (lambda: skeinalg.kink_slices(2, True, 1), "out of range"),
+    "kink width 2.0": (lambda: skeinalg.kink_slices(2.0, 0, 1), "out of range"),
+    "catalan -3": (lambda: skeinalg.catalan(-3), "int >= 0"),
+    "catalan None": (lambda: skeinalg.catalan(None), "int >= 0"),
     "system tuple step": (lambda: skeinalg.make_system(1, (1,)), "step is a Matrix"),
     "system tuple observable": (lambda: skeinalg.make_system(
         1, skeinalg.Matrix.identity(1), observables={"a": (1,)}), "1x1 Matrix"),

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -20,12 +21,11 @@ from skeinalg.jsonio import (algebra_from_json, algebra_to_json,
                              bimodule_from_json, bimodule_to_json,
                              hom_from_json, hom_to_json, laurent_from_json,
                              laurent_to_json, parse_braid_string,
-                             system_from_json, system_to_json,
-                             tangle_from_json, tangle_to_json)
+                             system_from_json, tangle_from_json)
 from skeinalg.laurent import LaurentPoly
 from skeinalg.linalg import Matrix, matrix_power
-from skeinalg.samples import random_system
-from skeinalg.tangles import closed_braid_tangle
+from skeinalg.tangles import (CAP, CUP, ID, closed_braid_tangle, cross,
+                              tangle, twist)
 from skeinalg.tqft1d import make_system
 
 TREFOIL = "A^7 + A^3 + A^-1 - A^-9"
@@ -58,15 +58,25 @@ def test_bimodule_roundtrip():
     assert bimodule_from_json(bimodule_to_json(b)) == b
 
 
-def test_system_roundtrip():
-    import random
-    s = random_system(random.Random(0))
-    assert system_from_json(system_to_json(s)) == s
+# -- the file formats, pinned by literal documents -----------------------------
 
 
-def test_tangle_roundtrip():
-    t = closed_braid_tangle([1, -1], 2)
-    assert tangle_from_json(tangle_to_json(t)) == t
+def test_system_json_literal():
+    doc = {"dim": 2, "step": [["-3", "1"], ["0", "1/2"]],
+           "states": {"0": ["-1", "1"], "1": [-2, 1]},
+           "costates": {"0": ["-2", "-1"], "1": ["-2", "3"]},
+           "observables": {"0": [["1", "1"], ["-5/3", "-5/2"]],
+                           "1": [["-7/3", "1/3"], ["1", "-1"]]}}
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert system_from_json(doc) == make_system(
+        2, Matrix.from_rows([[-3, 1], [0, half]]),
+        states={"0": (-1, 1), "1": (-2, 1)},
+        costates={"0": (-2, -1), "1": (-2, 3)},
+        observables={"0": Matrix.from_rows([[1, 1], [-5 * third, -5 * half]]),
+                     "1": Matrix.from_rows([[-7 * third, third], [1, -1]])})
+    # labelled maps may be left out
+    assert system_from_json({"dim": 1, "step": [["2"]]}) == \
+        make_system(1, Matrix.from_rows([[2]]))
 
 
 def test_laurent_roundtrip():
@@ -82,10 +92,17 @@ def test_laurent_json_rejects_malformed_maps():
 
 
 def test_tangle_json_positional_form():
-    obj = {"strands_in": 0,
-           "slices": [["cup"], ["cross+", {"at": 0}], ["cap"]]}
-    t = tangle_from_json(obj)
-    assert t.crossing_count() == 1
+    # named slices and positioned slices may be mixed
+    doc = {"strands_in": 0,
+           "slices": [["cup"], ["id", "cup", "id"], ["cross+", {"at": 0}],
+                      ["cross-", "id", "id"], ["cap", {"at": 1}], ["cap"]]}
+    assert tangle_from_json(doc) == closed_braid_tangle([1, -1], 2)
+    doc = {"strands_in": 1,
+           "slices": [["twist-", {"at": 0}], ["id", "cup"], ["cross+", "id"],
+                      ["twist+", {"at": 2}], ["id", "cap"]]}
+    assert tangle_from_json(doc) == tangle(1, [
+        [twist(-1)], [ID, CUP], [cross(1), ID], [ID, ID, twist(1)],
+        [ID, CAP]])
 
 
 def test_tangle_json_bad_event():
@@ -413,11 +430,15 @@ def test_bimodule_with_a_3000_digit_pointing(tmp_path):
         (0, ["present", '[["1"]]'])
 
 
+def _unipotent_system(states, costates, **labelled):
+    """A system file on the step [[1, 1], [0, 1]], as a JSON string."""
+    return json.dumps({"dim": 2, "step": [["1", "1"], ["0", "1"]],
+                       "states": states, "costates": costates, **labelled})
+
+
 def test_tqft1d_both_agree(tmp_path):
-    sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
-                      states={"0": (0, 1)}, costates={"0": (0, 1)})
     path = tmp_path / "sys.json"
-    path.write_text(json.dumps(system_to_json(sys)))
+    path.write_text(_unipotent_system({"0": ["0", "1"]}, {"0": ["0", "1"]}))
     code, lines = run_cli("tqft1d", str(path), "w[0] . u(1) . v[0]")
     assert code == 0
     assert lines[-1].endswith("AGREE")
@@ -433,11 +454,10 @@ def test_tqft1d_both_evaluates_each_picture_once(tmp_path, monkeypatch):
         return matrix_power(m, t)
 
     monkeypatch.setattr(tqft1d_mod, "matrix_power", counted)
-    sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
-                      states={"0": (0, 1)}, costates={"0": (1, 0)},
-                      observables={"b": Matrix.from_rows([[2, 0], [1, 1]])})
     path = tmp_path / "sys.json"
-    path.write_text(json.dumps(system_to_json(sys)))
+    path.write_text(_unipotent_system(
+        {"0": ["0", "1"]}, {"0": ["1", "0"]},
+        observables={"b": [["2", "0"], ["1", "1"]]}))
     code, lines = run_cli("tqft1d", str(path),
                           "w[0] . u(3) . a[b] . u(3) . a[b] . u(5) . v[0]")
     assert (code, lines[-1]) == (0, "scalars: 158 vs 158: AGREE")
@@ -445,10 +465,8 @@ def test_tqft1d_both_evaluates_each_picture_once(tmp_path, monkeypatch):
 
 
 def test_tqft1d_huge_duration_agrees(tmp_path):
-    sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
-                      states={"x": (0, 1)}, costates={"y": (1, 0)})
     path = tmp_path / "sys.json"
-    path.write_text(json.dumps(system_to_json(sys)))
+    path.write_text(_unipotent_system({"x": ["0", "1"]}, {"y": ["1", "0"]}))
     code, lines = run_cli("tqft1d", str(path), "w[y] . u(2000000) . v[x]",
                           "--picture", "both")
     assert code == 0
@@ -459,10 +477,10 @@ def test_tqft1d_huge_duration_agrees(tmp_path):
 def test_tqft1d_product_past_the_entry_bits_exits_3(tmp_path, picture):
     # each u(5800) of the Fibonacci step stays under
     # MATRIX_POWER_MAX_ENTRY_BITS, but their product does not
-    sys = make_system(2, Matrix.from_rows([[2, 1], [1, 1]]),
-                      states={"0": (1, 0)}, costates={"0": (1, 0)})
     path = tmp_path / "fib.json"
-    path.write_text(json.dumps(system_to_json(sys)))
+    path.write_text(json.dumps({"dim": 2, "step": [["2", "1"], ["1", "1"]],
+                                "states": {"0": ["1", "0"]},
+                                "costates": {"0": ["1", "0"]}}))
     code, lines = run_cli("tqft1d", str(path),
                           "w[0] . u(5800) . u(5800) . v[0]",
                           "--picture", picture)
@@ -471,10 +489,12 @@ def test_tqft1d_product_past_the_entry_bits_exits_3(tmp_path, picture):
 
 
 def _identity_step_system(tmp_path, n):
-    e0 = tuple(int(i == 0) for i in range(n))
+    e0 = ["1"] + ["0"] * (n - 1)
     path = tmp_path / f"sys{n}.json"
-    path.write_text(json.dumps(system_to_json(make_system(
-        n, Matrix.identity(n), states={"0": e0}, costates={"0": e0}))))
+    path.write_text(json.dumps({
+        "dim": n, "step": [[str(int(i == j)) for j in range(n)]
+                           for i in range(n)],
+        "states": {"0": e0}, "costates": {"0": e0}}))
     return str(path)
 
 
@@ -493,20 +513,18 @@ def test_tqft1d_heisenberg_past_the_algebra_cap_exits_3_promptly(tmp_path):
 
 
 def test_tqft1d_group_law_identical_output(tmp_path):
-    sys = make_system(2, Matrix.from_rows([[1, 1], [0, 1]]),
-                      states={"0": (0, 1)}, costates={"0": (0, 1)})
     path = tmp_path / "sys.json"
-    path.write_text(json.dumps(system_to_json(sys)))
+    path.write_text(_unipotent_system({"0": ["0", "1"]}, {"0": ["0", "1"]}))
     a = run_cli("tqft1d", str(path), "u(1) . u(2)", "--picture", "schrodinger")
     b = run_cli("tqft1d", str(path), "u(3)", "--picture", "schrodinger")
     assert a == b
 
 
 def test_tqft1d_bad_label_exits_4(tmp_path):
-    sys = make_system(1, Matrix.identity(1), states={"0": (1,)},
-                      costates={"0": (1,)})
     path = tmp_path / "sys.json"
-    path.write_text(json.dumps(system_to_json(sys)))
+    path.write_text(json.dumps({"dim": 1, "step": [["1"]],
+                                "states": {"0": ["1"]},
+                                "costates": {"0": ["1"]}}))
     code, _ = run_cli("tqft1d", str(path), "w[0] . v[7]")
     assert code == 4
 

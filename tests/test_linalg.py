@@ -57,7 +57,7 @@ def test_solve_dimension_mismatch():
     # polynomials are rejected, never reduced in floats or a fraction field
     # a float row that reduces to zero is never divided, and a float zero
     # is never stored; both are rejected where the rows enter elimination
-    a = LaurentPoly.gen()
+    a = LaurentPoly.monomial(1, 1)
     for bad in (Matrix.from_rows([[0.5, 1], [1, 3]]),
                 Matrix.from_rows([[1, 2], [0.5, 1.0]]),
                 Matrix.from_rows([[1, 0.0], [0, 1]]),
@@ -125,7 +125,7 @@ def test_det_matches_laplace_oracle():
             cases.append(Matrix(n, n, tuple(x if rng.random() < 0.3 else 0
                                             for x in dense.entries)))
             if n >= 2:
-                rows = dense.rows_list()
+                rows = dense.tolist()
                 c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 rows[-1] = tuple(c * x - y for x, y in zip(rows[0], rows[-2]))
                 cases.append(Matrix.from_rows(rows))
@@ -138,7 +138,7 @@ def test_det_matches_laplace_oracle():
     assert any(not m.det() for m in cases)
     assert {m.det() for m in cases} >= {1, -1}
     for m in cases:
-        assert m.det() == laplace_det(m.rows_list())
+        assert m.det() == laplace_det(m.tolist())
     assert Matrix.zeros(0, 0).det() == 1
     with pytest.raises(ContractViolation):
         Matrix.zeros(2, 3).det()
@@ -153,7 +153,7 @@ def test_inverse_matches_adjugate_oracle():
             sparse = Matrix(n, n, tuple(x if rng.random() < 0.4 else 0
                                         for x in dense.entries))
             for m in (dense, sparse):
-                rows = m.rows_list()
+                rows = m.tolist()
                 if not laplace_det(rows):
                     continue
                 assert m.inverse() == Matrix.from_rows(adjugate_inverse(rows))
@@ -162,10 +162,10 @@ def test_inverse_matches_adjugate_oracle():
     assert checked >= 40
     # a zero leading entry forces a pivot from a later row
     swap = Matrix.from_rows([[0, 2], [3, 1]])
-    assert swap.inverse() == Matrix.from_rows(adjugate_inverse(swap.rows_list()))
+    assert swap.inverse() == Matrix.from_rows(adjugate_inverse(swap.tolist()))
     assert Matrix.zeros(0, 0).inverse() == Matrix.zeros(0, 0)
     singular = Matrix.from_rows([[1, 2, 3], [0, 1, 1], [1, 3, 4]])
-    assert laplace_det(singular.rows_list()) == 0
+    assert laplace_det(singular.tolist()) == 0
     with pytest.raises(ContractViolation, match="singular"):
         singular.inverse()
     with pytest.raises(ContractViolation, match="non-square"):
@@ -210,7 +210,7 @@ def test_matmul_matches_the_fraction_oracle():
 def test_matmul_rejects_inexact_entries():
     # a float entry once gave a float product: Matrix(2, 2, (1.5, 0, 0, 1))
     # squared had 2.25 at (0, 0)
-    a = LaurentPoly.gen()
+    a = LaurentPoly.monomial(1, 1)
     ident = Matrix.identity(2)
     for bad in (Matrix(2, 2, (1.5, 0, 0, 1)), Matrix(2, 2, (1, 0.0, 0, 1)),
                 Matrix(2, 2, (Fraction(1, 2), 0, 0, 1.0)),
@@ -380,7 +380,7 @@ def test_elimination_matches_the_fraction_engine():
         rows, cols = rng.randint(0, 6), rng.randint(0, 7)
         m = _deficient(rng, rows, cols, rng.choice(("int", "fraction", "mixed")))
         assert rank(m) == len(fraction_rref(m)[1])
-        kernel = fraction_echelon(m.rows_list()).kernel(m.cols)
+        kernel = fraction_echelon(m.tolist()).kernel(m.cols)
         assert len(kernel_basis(m)) == len(kernel)
         for v, w in zip(kernel_basis(m), kernel):
             _same(v, w)
@@ -397,8 +397,8 @@ def test_elimination_matches_the_fraction_engine():
             for v, w in zip(got[1], want[1]):
                 _same(v, w)
         reps, got_cols = sparse_quotient(
-            cols, [{j: v for j, v in enumerate(r) if v} for r in m.rows_list()])
-        want_reps, want_cols = fraction_quotient(cols, m.rows_list())
+            cols, [{j: v for j, v in enumerate(r) if v} for r in m.tolist()])
+        want_reps, want_cols = fraction_quotient(cols, m.tolist())
         assert reps == want_reps
         assert got_cols == want_cols
         for c, w in zip(got_cols, want_cols):
@@ -478,7 +478,7 @@ def test_mat_lincomb_and_multiply_reject_inexact_values():
     ident = Matrix.identity(2)
     for pairs in ([(0.5, ident)], [(1, ident), (0.0, ident)],
                   [(1, Matrix(2, 2, (1, 0, 0, 0.5)))],
-                  [(LaurentPoly.gen(), ident)]):
+                  [(LaurentPoly.monomial(1, 1), ident)]):
         with pytest.raises(ContractViolation, match="int and Fraction"):
             mat_lincomb(pairs, 2, 2)
     alg = matrix_algebra(2)
@@ -540,7 +540,7 @@ def test_matrix_methods_match_the_fraction_routes():
                 (a.scale(c).entries, tuple(c * p for p in a.entries))):
             assert got == want and all(_normalised(v) for v in got)
         assert rank(a) == len(fraction_rref(a)[1])
-        kernel = fraction_echelon(a.rows_list()).kernel(cols)
+        kernel = fraction_echelon(a.tolist()).kernel(cols)
         assert len(kernel_basis(a)) == len(kernel)
         for v, w in zip(kernel_basis(a), kernel):
             _same(v, w)

@@ -68,7 +68,7 @@ def test_width_mismatch_reports_slice():
 def test_widths_are_stored_and_ignored_by_eq_and_hash():
     t = tangle(0, [[CUP], [ID, CUP, ID], [ID, CAP, ID]])
     assert t.widths == (0, 2, 4, 2)
-    assert (t.strands_out, t.is_closed) == (2, False)
+    assert (t.widths[-1], t.is_closed) == (2, False)
     again = SliceTangle(0, t.slices)
     assert again == t and hash(again) == hash(t)
     assert "widths" not in repr(t)
@@ -216,7 +216,7 @@ def test_cable_double_widths():
     word, n = [1, -1], 2
     c = cable_double(braid_to_slices(word, n))
     assert c.strands_in == 4
-    assert c.strands_out == 4
+    assert c.widths[-1] == 4
     assert interpret_tangle(c) == tl_identity(4)
 
 
