@@ -91,6 +91,16 @@ def test_laurent_json_rejects_malformed_maps():
             laurent_from_json(bad)
 
 
+def test_tangle_roundtrip():
+    # the closed braid s1 s1^-1, written slice by slice with named events
+    doc = {"strands_in": 0,
+           "slices": [["cup"], ["id", "cup", "id"], ["cross+", "id", "id"],
+                      ["cross-", "id", "id"], ["id", "cap", "id"], ["cap"]]}
+    t = closed_braid_tangle([1, -1], 2)
+    assert tangle_from_json(doc) == t
+    assert tangle_from_json(json.loads(json.dumps(doc))) == t
+
+
 def test_tangle_json_positional_form():
     # named slices and positioned slices may be mixed
     doc = {"strands_in": 0,
