@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation, ValidationError, int_arg
 from .linalg import (Matrix, SparseEchelon, TensorMap, _check_exact,
                      matrix_image, product_image, same_image)
 
@@ -131,6 +131,14 @@ def _generating_indices(mult, unit: dict, candidates) -> tuple:
     return tuple(gens)
 
 
+def _check_dim(n) -> int:
+    """n, if it is an algebra dimension: an int from 0 to ALGEBRA_MAX_DIM."""
+    if int_arg(n, "algebra dimension") > ALGEBRA_MAX_DIM:
+        raise ContractViolation(
+            f"algebra dimension {n} exceeds ALGEBRA_MAX_DIM = {ALGEBRA_MAX_DIM}")
+    return n
+
+
 def _build_algebra(n: int, products, unit, candidates=()) -> Algebra:
     """make_algebra for the algebra of dimension n whose nonzero structure
     constants are the (i, j, k, c) in products, each (i, j, k) once.
@@ -138,15 +146,10 @@ def _build_algebra(n: int, products, unit, candidates=()) -> Algebra:
     Nothing is read from products, unit or candidates before n passes
     ALGEBRA_MAX_DIM, so callers may pass them lazily.
     """
-    if type(n) is not int or n < 0:
-        raise ContractViolation(f"algebra dimension must be an int >= 0, got {n!r}")
-    if n > ALGEBRA_MAX_DIM:
-        raise ContractViolation(
-            f"algebra dimension {n} exceeds ALGEBRA_MAX_DIM = {ALGEBRA_MAX_DIM}")
+    _check_dim(n)
     unit, candidates = tuple(unit), tuple(candidates)
-    # type, not isinstance, turns bools away; negatives would index from the end
-    if any(type(s) is not int or not 0 <= s < n for s in candidates):
-        raise ContractViolation(f"generator candidates must lie in range({n})")
+    for s in candidates:   # a negative one would index from the end
+        int_arg(s, "generator candidate", 0, n - 1)
     table = [[{} for _ in range(n)] for _ in range(n)]
     for i, j, k, c in products:
         table[i][j][k] = c
@@ -215,8 +218,7 @@ def matrix_algebra(n: int) -> Algebra:
     greedy keeps all 2(n-1) of them.  Past ALGEBRA_MAX_DIM, for n >= 9,
     it raises before it builds anything.
     """
-    if type(n) is not int or n < 1:
-        raise ContractViolation(f"matrix_algebra needs an int n >= 1, got {n!r}")
+    int_arg(n, "matrix_algebra n", 1)
     products = ((i * n + j, j * n + l, i * n + l, 1)
                 for i in range(n) for j in range(n) for l in range(n))
     unit = (1 if k // n == k % n else 0 for k in range(n * n))
@@ -231,11 +233,13 @@ def field_algebra() -> Algebra:
 
 def product_field_algebra(n: int) -> Algebra:
     """The split commutative algebra Q^n with coordinatewise product."""
+    _check_dim(n)   # before [1] * n
     return _build_algebra(n, ((i, i, i, 1) for i in range(n)), [1] * n)
 
 
 def truncated_poly_algebra(n: int) -> Algebra:
     """Q[x] / x^n on the basis 1, x, ..., x^(n-1)."""
+    _check_dim(n)   # before range(n)
     products = ((i, j, i + j, 1) for i in range(n) for j in range(n - i))
     return _build_algebra(n, products, _unit_vec(n, 0))
 

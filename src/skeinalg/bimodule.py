@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .algebra import Algebra, AlgebraHom, flatten_matrix, matrix_algebra
-from .errors import ContractViolation, InternalCheckError, ValidationError
+from .errors import (ContractViolation, InternalCheckError, ValidationError,
+                     int_arg)
 from .linalg import (Matrix, SparseEchelon, TensorMap, _check_exact,
                      find_invertible_in_affine_family, kernel_basis,
                      lincomb_image, matrix_image, product_image,
@@ -334,6 +335,7 @@ def _iso_search(m1: PointedBimodule, m2: PointedBimodule, pointed: bool,
     failing that certification raises InternalCheckError; absence holds
     at the randomized level documented on find_invertible_in_affine_family.
     """
+    int_arg(seed, "search seed", None)   # also where no search runs
     if m1.left != m2.left or m1.right != m2.right:
         raise ContractViolation("iso test needs equal acting algebras")
     if m1.dim != m2.dim:
@@ -369,6 +371,7 @@ def conjugator_between(f: AlgebraHom, g: AlgebraHom, *, seed: int = 0):
     This is the direct criterion for the modulations of f and g to be
     isomorphic as unpointed bimodules; the two searches must agree.
     """
+    int_arg(seed, "search seed", None)   # also where no search runs
     if f.source != g.source or f.target != g.target:
         raise ContractViolation("homomorphisms must be parallel")
     b_alg = f.target

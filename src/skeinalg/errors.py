@@ -9,6 +9,10 @@ width, index, sign, exponent or scalar of the wrong type or value, or
 past a documented cap, raises ContractViolation.  Containers from a file
 or the command line are checked where they are read (``jsonio``,
 ``parse_word``), before any constructor sees them.
+
+``int_arg`` is the one implementation of the policy for int arguments:
+every size, count, width, index, sign, exponent, duration and seed is
+checked by a call to it.
 """
 
 
@@ -44,3 +48,20 @@ class LabelNotFound(SkeinalgError):
 
 class InternalCheckError(SkeinalgError):
     """A redundant internal consistency check failed; indicates a bug."""
+
+
+def int_arg(value, what: str, lo=0, hi=None, error=ContractViolation) -> int:
+    """value, if it is an int with lo <= value <= hi; else raise error.
+
+    lo=None and hi=None leave that side unbounded.  type, not isinstance,
+    turns bools away: True would pass as 1.  The message names what, the
+    bounds and the value.
+    """
+    if (type(value) is int and (lo is None or lo <= value)
+            and (hi is None or value <= hi)):
+        return value
+    if lo is None:
+        bound = "" if hi is None else f" <= {hi}"
+    else:
+        bound = f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    raise error(f"{what} must be an int{bound}, got {value!r}")

@@ -13,10 +13,9 @@ import json
 import os
 from fractions import Fraction
 
-from .algebra import (ALGEBRA_MAX_DIM, Algebra, AlgebraHom, make_algebra,
-                      make_hom)
+from .algebra import Algebra, AlgebraHom, _check_dim, make_algebra, make_hom
 from .bimodule import PointedBimodule, make_bimodule
-from .errors import ContractViolation, ParseError
+from .errors import ContractViolation, ParseError, int_arg
 from .laurent import LaurentPoly
 from .linalg import Matrix
 from .tangles import CAP, CUP, ID, SliceTangle, cross, tangle, twist
@@ -56,12 +55,6 @@ def _require(obj: dict, key: str, where: str):
 def _list(x, where: str) -> list:
     if not isinstance(x, list):
         raise ParseError(f"{where} must be a list")
-    return x
-
-
-def _count(x, where: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-        raise ParseError(f"{where} must be a nonnegative integer")
     return x
 
 
@@ -116,11 +109,8 @@ def vector_to_json(v) -> list:
 
 
 def algebra_from_json(obj: dict) -> Algebra:
-    n = _count(_require(obj, "dim", "algebra"), "algebra dim")
-    # refused before any of the n^3 entries of mult is parsed
-    if n > ALGEBRA_MAX_DIM:
-        raise ContractViolation(
-            f"algebra dimension {n} exceeds ALGEBRA_MAX_DIM = {ALGEBRA_MAX_DIM}")
+    n = int_arg(_require(obj, "dim", "algebra"), "algebra dim", error=ParseError)
+    _check_dim(n)   # before any of the n^3 entries of mult is parsed
     mult = _require(obj, "mult", "algebra")
     unit = _require(obj, "unit", "algebra")
     if (not isinstance(mult, list)
@@ -169,7 +159,7 @@ def _algebra_ref(obj, base_dir: str, where: str) -> Algebra:
 def bimodule_from_json(obj: dict, base_dir: str = ".") -> PointedBimodule:
     left = _algebra_ref(_require(obj, "left", "bimodule"), base_dir, "left")
     right = _algebra_ref(_require(obj, "right", "bimodule"), base_dir, "right")
-    m = _count(_require(obj, "dim", "bimodule"), "bimodule dim")
+    m = int_arg(_require(obj, "dim", "bimodule"), "bimodule dim", error=ParseError)
     la = [matrix_from_json(x, "left_action")
           for x in _list(_require(obj, "left_action", "bimodule"), "left_action")]
     ra = [matrix_from_json(x, "right_action")
@@ -196,7 +186,7 @@ def bimodule_to_json(b: PointedBimodule) -> dict:
 
 
 def system_from_json(obj: dict) -> System:
-    n = _count(_require(obj, "dim", "system"), "system dim")
+    n = int_arg(_require(obj, "dim", "system"), "system dim", error=ParseError)
     step = matrix_from_json(_require(obj, "step", "system"), "step")
 
     def labelled(key):
@@ -234,9 +224,8 @@ def _slice_from_json(spec, width: int, index: int) -> list:
         ev = _EVENT_NAMES[name]
         at = opts.get("at", 0)
         win, _ = ev.widths()
-        if (isinstance(at, bool) or not isinstance(at, int) or at < 0
-                or at + win > max(width, win)):
-            raise ParseError(f"slice {index}: position {at!r} out of range")
+        int_arg(at, f"slice {index}: position", 0, max(width, win) - win,
+                error=ParseError)
         return [ID] * at + [ev] + [ID] * (width - at - win)
     events = []
     for name in spec:
@@ -248,7 +237,7 @@ def _slice_from_json(spec, width: int, index: int) -> list:
 
 def tangle_from_json(obj: dict) -> SliceTangle:
     raw = _list(_require(obj, "slices", "tangle"), "slices")
-    strands_in = _count(obj.get("strands_in", 0), "strands_in")
+    strands_in = int_arg(obj.get("strands_in", 0), "strands_in", error=ParseError)
     width = strands_in
     slices = []
     for k, spec in enumerate(raw):

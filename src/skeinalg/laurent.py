@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractViolation
+from .errors import ContractViolation, int_arg
 
 
 def _trim(coeffs: dict) -> dict:
@@ -119,10 +119,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if type(n) is not int:
-            raise ContractViolation(
-                f"Laurent powers take an int exponent, not {type(n).__name__}")
-        if n < 0:
+        if int_arg(n, "Laurent exponent", None) < 0:
             inv = self.unit_inverse()
             if inv is None:
                 raise ContractViolation(

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import ContractViolation
+from .errors import ContractViolation, int_arg
 
 
 def _check_exact(values):
@@ -114,13 +114,12 @@ class Matrix:
 
     def __post_init__(self):
         rows, cols, entries = self.rows, self.cols, self.entries
-        # type, not isinstance, turns bools away; a list of entries would
-        # compare equal to the tuple but not hash
-        if (type(rows) is not int or type(cols) is not int or rows < 0
-                or cols < 0 or type(entries) is not tuple):
+        int_arg(rows, "matrix rows")
+        int_arg(cols, "matrix cols")
+        # a list of entries would compare equal to the tuple but not hash
+        if type(entries) is not tuple:
             raise ContractViolation(
-                f"a matrix needs int rows and cols >= 0 and a tuple of "
-                f"entries, got {rows!r}x{cols!r} and {type(entries).__name__}")
+                f"matrix entries must be a tuple, got {type(entries).__name__}")
         if len(entries) != rows * cols:
             raise ContractViolation(
                 f"matrix with {rows}x{cols} shape but {len(entries)} entries")
@@ -146,12 +145,14 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
+        int_arg(n, "matrix size")   # before range(n)
         return Matrix(n, n, tuple(1 if i == j else 0
                                   for i in range(n) for j in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (0,) * (rows * cols))
+        return Matrix(rows, cols, (0,) * (int_arg(rows, "matrix rows")
+                                          * int_arg(cols, "matrix cols")))
 
     @staticmethod
     def column(vec) -> "Matrix":
@@ -375,8 +376,7 @@ def matrix_power(m: Matrix, t: int) -> Matrix:
     """
     if not m.is_square:
         raise ContractViolation("power of a non-square matrix")
-    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
-        raise ContractViolation(f"matrix power needs an int t >= 0, got {t!r}")
+    int_arg(t, "matrix power t")
     out = None
     while True:
         if t & 1:
@@ -393,6 +393,9 @@ def mat_lincomb(pairs, rows: int, cols: int) -> Matrix:
     lincomb_image divided once into normalised entries, like a product;
     an inexact coefficient or entry raises ContractViolation.
     """
+    # before lincomb_image builds [0] * (rows * cols)
+    int_arg(rows, "matrix rows")
+    int_arg(cols, "matrix cols")
     return Matrix(rows, cols, _unscaled(*lincomb_image(pairs, rows, cols)))
 
 
@@ -665,6 +668,7 @@ def find_invertible_in_affine_family(particular: Matrix, directions,
     (n / (2*SEARCH_COEFF_BOUND+1))**SEARCH_TRIALS, below 1e-160 for the
     sizes used here.
     """
+    int_arg(seed, "search seed", None)   # None would seed from the OS
     directions = list(directions)
     n = particular.rows
     if not particular.is_square or any(

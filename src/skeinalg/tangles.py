@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ContractViolation, InternalCheckError, TangleShapeError
+from .errors import (ContractViolation, InternalCheckError, TangleShapeError,
+                     int_arg)
 from .laurent import LaurentPoly
-from .tl import (TLMorphism, _fold, _rewrites, crossing_resolution, delta,
-                 plane_closure, tl_cap, tl_cup, tl_identity)
+from .tl import (TLMorphism, _fold, _rewrites, _sign, crossing_resolution,
+                 delta, plane_closure, tl_cap, tl_cup, tl_identity)
 # unused here, but benchmarks/test_bench.py traces tl_compose under this name
 from .tl import tl_compose  # noqa: F401
 
@@ -59,15 +60,11 @@ CAP = Event("cap")
 
 
 def cross(sign: int) -> Event:
-    if type(sign) is not int or sign not in (1, -1):
-        raise ContractViolation("crossing sign must be +1 or -1")
-    return Event("cross", sign)
+    return Event("cross", _sign(sign, "crossing sign"))
 
 
 def twist(sign: int) -> Event:
-    if type(sign) is not int or sign not in (1, -1):
-        raise ContractViolation("twist sign must be +1 or -1")
-    return Event("twist", sign)
+    return Event("twist", _sign(sign, "twist sign"))
 
 
 def coupon(m: TLMorphism) -> Event:
@@ -84,10 +81,7 @@ class SliceTangle:
 
     def __post_init__(self):
         """Compute the widths; raises if the slices do not chain."""
-        w = self.strands_in
-        if type(w) is not int or w < 0:
-            raise ContractViolation(
-                f"a tangle starts on an int number of strands >= 0, got {w!r}")
+        w = int_arg(self.strands_in, "strands_in")
         out = [w]
         for k, sl in enumerate(self.slices):
             win = sum(e.widths()[0] for e in sl)
@@ -304,9 +298,7 @@ def kauffman_bracket(t: SliceTangle) -> LaurentPoly:
 
 def braid_to_slices(word, strands: int) -> SliceTangle:
     """One slice per letter; letter +-i is a crossing at position i-1."""
-    if type(strands) is not int or strands < 1:
-        raise ContractViolation(
-            f"a braid needs an int number of strands >= 1, got {strands!r}")
+    int_arg(strands, "braid strands", 1)
     slices = []
     for k, letter in enumerate(word):
         # type, not isinstance, turns bools away: True would pass as 1
@@ -339,10 +331,7 @@ def kink_slices(width: int, wire: int, sign: int) -> list:
 
     The returned move multiplies the interpretation by -A^(3*sign).
     """
-    if (type(width) is not int or type(wire) is not int
-            or not 0 <= wire < width):
-        raise ContractViolation(
-            f"kink wire {wire!r} out of range for width {width!r}")
+    int_arg(wire, "kink wire", 0, int_arg(width, "kink width", 1) - 1)
     return [
         [ID] * wire + [CUP] + [ID] * (width - wire),
         [ID] * (wire + 1) + [cross(sign)] + [ID] * (width - wire - 1),
@@ -353,6 +342,9 @@ def kink_slices(width: int, wire: int, sign: int) -> list:
 def insert_slices(t: SliceTangle, index: int, new_slices) -> SliceTangle:
     """A new tangle with extra slices spliced in before slice ``index``."""
     slices = list(t.slices)
+    # slicing would clamp an index past the end and count a negative one
+    # from the end
+    int_arg(index, "slice index", 0, len(slices))
     slices[index:index] = [tuple(s) for s in new_slices]
     return tangle(t.strands_in, slices)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation, ValidationError, int_arg
 from .laurent import LaurentPoly
 
 
@@ -35,18 +35,11 @@ def delta() -> LaurentPoly:
 
 
 def catalan(n: int) -> int:
-    if type(n) is not int or n < 0:
-        raise ContractViolation(f"catalan takes an int >= 0, got {n!r}")
+    int_arg(n, "catalan n")
     out = 1
     for k in range(n):
         out = out * 2 * (2 * k + 1) // (k + 2)
     return out
-
-
-def _check_widths(*widths):
-    if any(type(n) is not int or n < 0 for n in widths):
-        raise ContractViolation(
-            f"widths must be nonnegative ints, got {widths!r}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +54,7 @@ class TLDiagram:
     mate: tuple
 
     def __post_init__(self):
-        _check_widths(self.n_bottom, self.n_top)
-        n = self.n_bottom + self.n_top
+        n = int_arg(self.n_bottom, "n_bottom") + int_arg(self.n_top, "n_top")
         if len(self.mate) != n:
             raise ContractViolation("matching has wrong size")
         if n % 2:
@@ -89,7 +81,7 @@ class TLDiagram:
 
 
 def identity_diagram(n: int) -> TLDiagram:
-    _check_widths(n)
+    int_arg(n, "width n")   # before range(2 * n)
     return TLDiagram(n, n, tuple(2 * n - 1 - i for i in range(2 * n)))
 
 
@@ -136,8 +128,7 @@ def tl_basis(n_bottom: int, n_top: int) -> list:
     Negative widths and more than TL_BASIS_MAX_POINTS boundary points
     raise ContractViolation before anything is enumerated.
     """
-    _check_widths(n_bottom, n_top)
-    n = n_bottom + n_top
+    n = int_arg(n_bottom, "n_bottom") + int_arg(n_top, "n_top")
     if n > TL_BASIS_MAX_POINTS:
         raise ContractViolation(
             f"hom({n_bottom}, {n_top}) has {n} boundary points; tl_basis "
@@ -167,9 +158,8 @@ class TLMorphism:
     __slots__ = ("n_bottom", "n_top", "terms")
 
     def __init__(self, n_bottom: int, n_top: int, terms=None):
-        _check_widths(n_bottom, n_top)
-        self.n_bottom = n_bottom
-        self.n_top = n_top
+        self.n_bottom = int_arg(n_bottom, "n_bottom")
+        self.n_top = int_arg(n_top, "n_top")
         terms = terms or {}
         if any((d.n_bottom, d.n_top) != (n_bottom, n_top) for d in terms):
             raise ContractViolation("term with mismatched boundary")
@@ -233,9 +223,7 @@ def tl_cap() -> TLMorphism:
 
 def tl_e(n: int, i: int) -> TLMorphism:
     """The hook generator e_i = id^i tensor (cup cap) tensor id^(n-i-2)."""
-    _check_widths(n)
-    if type(i) is not int or not 0 <= i <= n - 2:
-        raise ContractViolation(f"generator index {i} out of range for {n} strands")
+    int_arg(i, "generator index", 0, int_arg(n, "width n") - 2)
     hook = tl_compose(tl_cap(), tl_cup())
     return tl_tensor(tl_tensor(tl_identity(i), hook), tl_identity(n - i - 2))
 
@@ -377,13 +365,19 @@ def tl_tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
                  [(f.n_bottom, _rewrites(g)), (0, _rewrites(f))])
 
 
+def _sign(sign, what: str) -> int:
+    """sign, if it is the int 1 or -1; else ContractViolation naming what."""
+    if not int_arg(sign, what, -1, 1):
+        raise ContractViolation(f"{what} must be +1 or -1, got 0")
+    return sign
+
+
 def crossing_resolution(sign: int) -> TLMorphism:
     """The Kauffman resolution of a crossing on two strands.
 
     Positive: A * id + A^-1 * e; negative: A^-1 * id + A * e.
     """
-    if type(sign) is not int or sign not in (1, -1):
-        raise ContractViolation("crossing sign must be +1 or -1")
+    _sign(sign, "crossing sign")
     a = LaurentPoly.monomial(1, sign)
     ainv = LaurentPoly.monomial(1, -sign)
     e = tl_compose(tl_cap(), tl_cup())
@@ -406,8 +400,7 @@ class AnnularClass:
     def __init__(self, coeffs=None):
         coeffs = coeffs or {}
         for k in coeffs:
-            if type(k) is not int or k < 0:
-                raise ContractViolation(f"a z-degree is an int >= 0, not {k!r}")
+            int_arg(k, "z-degree")
         self.coeffs = {k: c for k, v in coeffs.items() if (c := _laurent(v))}
 
     def __eq__(self, other):

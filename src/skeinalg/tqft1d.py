@@ -34,7 +34,7 @@ from operator import matmul
 from .algebra import field_algebra
 from .bimodule import PointedBimodule, end_morphism, tensor_over
 from .errors import (ContractViolation, InternalCheckError, LabelNotFound,
-                     ParseError)
+                     ParseError, int_arg)
 from .linalg import Matrix, _check_exact, matrix_power
 
 PT = "pt"
@@ -54,10 +54,7 @@ class System:
 
 def make_system(dim_v: int, step: Matrix, states=None, costates=None,
                 observables=None) -> System:
-    # bool is an int subclass, and True would pass as dimension 1
-    if isinstance(dim_v, bool) or not isinstance(dim_v, int) or dim_v < 1:
-        raise ContractViolation(
-            f"the space of states needs an int dimension >= 1, got {dim_v!r}")
+    int_arg(dim_v, "the dimension of the space of states", 1)
     if not isinstance(step, Matrix):
         raise ContractViolation(f"step is a Matrix, not {type(step).__name__}")
     if (step.rows, step.cols) != (dim_v, dim_v):
@@ -123,10 +120,8 @@ def make_word(gens, at: str = PT) -> SpacetimeWord:
                 f"one of u, v, w, a, got {gen!r}")
         # the same durations parse_word accepts; u(0) would otherwise
         # evaluate silently to the identity
-        if gen[0] == "u" and (isinstance(gen[1], bool)
-                              or not isinstance(gen[1], int) or gen[1] < 1):
-            raise ContractViolation(
-                f"generator {k}: duration must be an int >= 1, got {gen[1]!r}")
+        if gen[0] == "u":
+            int_arg(gen[1], f"generator {k}: duration", 1)
     for k, (g, h) in enumerate(zip(gens, gens[1:])):
         # in f o g the source of f must be the target of g
         if generator_endpoints(g)[0] != generator_endpoints(h)[1]:

@@ -55,7 +55,8 @@ def test_basis_matches_bruteforce(nb, nt):
 
 def test_basis_rejects_bad_sizes_before_enumerating():
     for nb, nt in ((-1, 1), (2, -2), (-1, -1)):
-        with pytest.raises(ContractViolation, match="nonnegative"):
+        with pytest.raises(ContractViolation,
+                           match="n_(bottom|top) must be an int >= 0"):
             tl_basis(nb, nt)
     assert len(tl_basis(TL_BASIS_MAX_POINTS - 2, 2)) == \
         catalan(TL_BASIS_MAX_POINTS // 2)

@@ -219,6 +219,8 @@ def test_compare_pictures_computes_each_power_once(monkeypatch):
 
 def test_make_system_needs_an_int_dimension():
     for dim_v in (True, False, "2", 2.0, Fraction(2), None, 0, -1):
-        with pytest.raises(ContractViolation, match="int dimension >= 1"):
+        with pytest.raises(
+                ContractViolation,
+                match="dimension of the space of states must be an int >= 1"):
             make_system(dim_v, Matrix.identity(2 if dim_v == 2 else 1))
     assert make_system(2, Matrix.identity(2)).dim_v == 2
