@@ -42,6 +42,14 @@ class Algebra:
     # they follow from mult and unit, so == and hash ignore them
     generators: tuple = field(compare=False, repr=False)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the compared fields, computed once."""
+        return hash((self.dim, self.mult, self.unit))
+
     def basis_product(self, i: int, j: int) -> tuple:
         """Coordinates of e_i e_j."""
         out = [0] * self.dim
@@ -71,14 +79,21 @@ class Algebra:
         """Matrix of y -> y * x."""
         return self._product.partial(x, first=False)
 
-    def left_regular(self) -> list:
-        """Left multiplication matrices of the basis elements."""
-        return [self.left_mult_matrix(_unit_vec(self.dim, i))
-                for i in range(self.dim)]
+    @cached_property
+    def _regular(self) -> tuple:
+        """(left, right): the multiplication matrices of the basis
+        elements on each side, built once per algebra."""
+        basis = [_unit_vec(self.dim, i) for i in range(self.dim)]
+        return (tuple(self.left_mult_matrix(e) for e in basis),
+                tuple(self.right_mult_matrix(e) for e in basis))
 
-    def right_regular(self) -> list:
-        return [self.right_mult_matrix(_unit_vec(self.dim, i))
-                for i in range(self.dim)]
+    def left_regular(self) -> tuple:
+        """Left multiplication matrices of the basis elements."""
+        return self._regular[0]
+
+    def right_regular(self) -> tuple:
+        """Right multiplication matrices of the basis elements."""
+        return self._regular[1]
 
     def is_invertible_element(self, x) -> bool:
         # one-sided inverses are two-sided in finite dimension, so a unit
@@ -214,15 +229,17 @@ def matrix_algebra(n: int) -> Algebra:
 
     Basis index (i, j) is flattened to i * n + j, and
     E(i,j) E(k,l) = delta(j,k) E(i,l); the unit is the identity matrix.
-    E(i,i+1) and E(i+1,i) are the first generator candidates, and the
-    greedy keeps all 2(n-1) of them.  Past ALGEBRA_MAX_DIM, for n >= 9,
-    it raises before it builds anything.
+    The cyclic steps E(i, i+1 mod n), for i < n, are the generator
+    candidates, and for n >= 2 the greedy keeps all n of them: their
+    left-nested words are the E(i,j) with i != j and, once round the
+    cycle, the E(i,i).  Past ALGEBRA_MAX_DIM, for n >= 9, it raises
+    before it builds anything.
     """
     int_arg(n, "matrix_algebra n", 1)
     products = ((i * n + j, j * n + l, i * n + l, 1)
                 for i in range(n) for j in range(n) for l in range(n))
     unit = (1 if k // n == k % n else 0 for k in range(n * n))
-    steps = (k for i in range(n - 1) for k in (i * n + i + 1, (i + 1) * n + i))
+    steps = (i * n + (i + 1) % n for i in range(n))
     return _build_algebra(n * n, products, unit, steps)
 
 

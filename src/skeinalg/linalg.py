@@ -124,6 +124,14 @@ class Matrix:
             raise ContractViolation(
                 f"matrix with {rows}x{cols} shape but {len(entries)} entries")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once."""
+        return hash((self.rows, self.cols, self.entries))
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod

@@ -313,8 +313,23 @@ def braid_to_slices(word, strands: int) -> SliceTangle:
     return tangle(strands, slices)
 
 
+# the closure on n strands builds 2n + len(word) slices up to 2n wide;
+# on a 2-vCPU shared x86_64 host the s1 closure on 64 strands builds in
+# 2 ms and its bracket takes 9 ms, while on 2000 strands the bracket
+# took 8 s
+CLOSED_BRAID_MAX_STRANDS = 64
+
+
 def closed_braid_tangle(word, strands: int) -> SliceTangle:
-    """Trace closure of a braid: top i joins bottom i around the right side."""
+    """Trace closure of a braid: top i joins bottom i around the right side.
+
+    More than CLOSED_BRAID_MAX_STRANDS strands raise ContractViolation
+    before any slice is built.
+    """
+    if int_arg(strands, "braid strands", 1) > CLOSED_BRAID_MAX_STRANDS:
+        raise ContractViolation(
+            f"closed braid on {strands} strands exceeds "
+            f"CLOSED_BRAID_MAX_STRANDS = {CLOSED_BRAID_MAX_STRANDS}")
     b = braid_to_slices(word, strands)
     slices = []
     for k in range(strands):

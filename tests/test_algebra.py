@@ -202,3 +202,14 @@ def test_transported_hom_stays_valid():
     s = random_invertible(rng, 2)
     b = transport_algebra(qq, s)
     assert b.multiply(b.unit, (1, 2)) == (1, 2)
+
+
+def test_cached_hashes_are_the_field_hashes():
+    """Matrix and Algebra hash once, to the value of their compared fields."""
+    m2 = matrix_algebra(2)
+    assert hash(m2) == hash((m2.dim, m2.mult, m2.unit))
+    u = Matrix(2, 2, (1, Fraction(1, 2), 0, 1))
+    assert hash(u) == hash((2, 2, (1, Fraction(1, 2), 0, 1)))
+    # equal values hash equal whatever the entry types
+    assert hash(Matrix(1, 2, (Fraction(2), 0))) == hash(Matrix(1, 2, (2, 0)))
+    assert hash(transport_algebra(m2, Matrix.identity(4))) == hash(m2)

@@ -86,6 +86,11 @@ BAD_SHAPES_AND_SIZES = {
     "kink width 2.0": (lambda: skeinalg.kink_slices(2.0, 0, 1), "kink width must be an int >= 1"),
     "catalan -3": (lambda: skeinalg.catalan(-3), "int >= 0"),
     "catalan None": (lambda: skeinalg.catalan(None), "int >= 0"),
+    "catalan 10**5": (lambda: skeinalg.catalan(10**5), "exceeds CATALAN_MAX_N = 1000"),
+    "closed braid 65 strands": (lambda: skeinalg.closed_braid_tangle([1], 65),
+                                "exceeds CLOSED_BRAID_MAX_STRANDS = 64"),
+    "closed braid 10**5 strands": (lambda: skeinalg.closed_braid_tangle([1], 10**5),
+                                   "exceeds CLOSED_BRAID_MAX_STRANDS = 64"),
     "system tuple step": (lambda: skeinalg.make_system(1, (1,)), "step is a Matrix"),
     "system tuple observable": (lambda: skeinalg.make_system(
         1, skeinalg.Matrix.identity(1), observables={"a": (1,)}), "1x1 Matrix"),
@@ -145,6 +150,7 @@ INT_ARGUMENTS = {
     "twist sign": (skeinalg.twist, ("-1",)),
     "strands_in": (lambda v: skeinalg.tangle(v, []), ()),
     "braid strands": (lambda v: skeinalg.braid_to_slices([], v), ()),
+    "closed braid strands": (lambda v: skeinalg.closed_braid_tangle([], v), ()),
     "kink width": (lambda v: skeinalg.kink_slices(v, 0, 1), ()),
     "kink wire": (lambda v: skeinalg.kink_slices(2, v, 1), ()),
     "kink sign": (lambda v: skeinalg.kink_slices(2, 0, v), ("-1",)),

@@ -72,6 +72,59 @@ def test_bad_bimodule_rejected():
         make_bimodule(m2, m2, bad, m2.right_regular(), m2.unit)
 
 
+def _count_action_checks(monkeypatch):
+    """A list that gains one entry per one-sided law check make_bimodule runs."""
+    calls = []
+    check = bimodule._action_failure
+
+    def counted(alg, action, m, left):
+        calls.append(left)
+        return check(alg, action, m, left)
+
+    monkeypatch.setattr(bimodule, "_action_failure", counted)
+    bimodule._regular_failure.cache_clear()
+    return calls
+
+
+def test_regular_actions_are_checked_once_per_algebra(monkeypatch):
+    calls = _count_action_checks(monkeypatch)
+    m3 = matrix_algebra(3)
+    regular_bimodule(m3)
+    assert sorted(calls) == [False, True]  # one check per side
+    regular_bimodule(m3, pointing=(0,) * 9)
+    assert sorted(calls) == [False, True]
+    # a conjugation's left action is not the regular one: checked per call
+    f = conjugation_hom(3, Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    for k in (1, 2):
+        modulate(f)
+        assert calls.count(True) == 1 + k and calls.count(False) == 1
+
+
+def test_an_equal_copy_of_a_regular_action_passes_and_a_corrupt_one_fails(
+        monkeypatch):
+    calls = _count_action_checks(monkeypatch)
+    m3 = matrix_algebra(3)
+    regular_bimodule(m3)
+    copy = [Matrix(a.rows, a.cols, tuple(a.entries)) for a in m3.right_regular()]
+    assert copy == list(m3.right_regular())
+    assert not any(a is b for a, b in zip(copy, m3.right_regular()))
+    checks = len(calls)
+    make_bimodule(m3, m3, m3.left_regular(), copy, m3.unit)
+    assert len(calls) == checks  # compared by value: the memo answers
+    # E(0,0) is no generator, so only a product reaches its matrix
+    x = m3.right_mult_matrix(tuple(int(k == 1) for k in range(9)))
+    copy[0] = copy[0] + x
+    copy[4] = copy[4] - x
+    with pytest.raises(ValidationError, match="right action is not "
+                       r"anti-multiplicative at basis pair \(\d+,\d+\)"):
+        make_bimodule(m3, m3, m3.left_regular(), copy, m3.unit)
+    assert calls[checks:] == [False]
+    copy[0] = Matrix.zeros(9, 9)
+    with pytest.raises(ValidationError, match="right action of the unit is "
+                       "not the identity"):
+        make_bimodule(m3, m3, m3.left_regular(), copy, m3.unit)
+
+
 def test_make_bimodule_rejects_floats():
     k = field_algebra()
     ident = Matrix.identity(1)

@@ -59,12 +59,13 @@ def test_generators_span_the_algebra(name):
 
 def test_matrix_algebra_generators_are_the_steps():
     assert field_algebra().generators == ()
+    assert matrix_algebra(3).generators == (1, 5, 6)
+    assert matrix_algebra(5).generators == (1, 7, 13, 19, 20)
     for n in range(2, 6):
-        gens = matrix_algebra(n).generators
-        assert len(gens) == 2 * (n - 1)
-        steps = {(i, i + 1) for i in range(n - 1)} | \
-            {(i + 1, i) for i in range(n - 1)}
-        assert {divmod(s, n) for s in gens} == steps
+        alg = matrix_algebra(n)
+        assert [divmod(s, n) for s in alg.generators] == \
+            [(i, (i + 1) % n) for i in range(n)]
+        assert word_span_rank(alg, alg.generators) == n * n
 
 
 def test_generators_ignored_by_eq_and_hash():

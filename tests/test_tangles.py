@@ -8,7 +8,8 @@ from skeinalg import tangles
 from skeinalg.errors import ContractViolation, TangleShapeError
 from skeinalg.laurent import LaurentPoly
 from skeinalg.samples import random_braid
-from skeinalg.tangles import (CAP, CUP, ID, SliceTangle, bracket_state_sum,
+from skeinalg.tangles import (CAP, CLOSED_BRAID_MAX_STRANDS, CUP, ID,
+                              SliceTangle, bracket_state_sum,
                               braid_to_slices, cable_double,
                               closed_braid_tangle, coupon, cross,
                               insert_slices, interpret_tangle, kauffman_bracket,
@@ -90,6 +91,15 @@ def test_braid_to_slices():
     assert interpret_tangle(t) == crossing_resolution(1)
     with pytest.raises(ContractViolation):
         braid_to_slices([2], 2)
+
+
+def test_closed_braid_strands_are_capped_before_any_slice():
+    n = CLOSED_BRAID_MAX_STRANDS
+    # the closure of s1 on n strands is an unknot and n - 2 unlinked circles
+    assert kauffman_bracket(closed_braid_tangle([1], n)) == \
+        kauffman_bracket(closed_braid_tangle([1], 2)) * delta() ** (n - 2)
+    with pytest.raises(ContractViolation, match="CLOSED_BRAID_MAX_STRANDS"):
+        closed_braid_tangle([1], n + 1)
 
 
 def test_trefoil_bracket_regression():

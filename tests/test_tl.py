@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from oracles import (side_by_side, stack, tagged_annulus_closure,
@@ -9,8 +10,8 @@ from oracles import (side_by_side, stack, tagged_annulus_closure,
 from skeinalg.errors import ContractViolation, ValidationError
 from skeinalg.laurent import LaurentPoly
 from skeinalg.tangles import braid_to_slices, interpret_tangle
-from skeinalg.tl import (TL_BASIS_MAX_POINTS, AnnularClass, TLDiagram,
-                         TLMorphism, _closure_windings, _rewrites,
+from skeinalg.tl import (CATALAN_MAX_N, TL_BASIS_MAX_POINTS, AnnularClass,
+                         TLDiagram, TLMorphism, _closure_windings, _rewrites,
                          annulus_closure_eval, catalan, crossing_resolution,
                          delta, plane_closure, tl_basis, tl_cap, tl_compose,
                          tl_cup, tl_e, tl_from_diagram, tl_identity, tl_tensor)
@@ -64,6 +65,13 @@ def test_basis_rejects_bad_sizes_before_enumerating():
     for nb, nt in ((TL_BASIS_MAX_POINTS, 1), (11, 11), (30, 30), (1000, 1000)):
         with pytest.raises(ContractViolation, match="at most"):
             tl_basis(nb, nt)
+
+
+def test_catalan_is_exact_up_to_its_cap_and_refuses_past_it():
+    n = CATALAN_MAX_N
+    assert catalan(n) == comb(2 * n, n) // (n + 1)
+    with pytest.raises(ContractViolation, match="exceeds CATALAN_MAX_N"):
+        catalan(n + 1)
 
 
 def test_basis_comes_out_in_strictly_increasing_mate_order():
