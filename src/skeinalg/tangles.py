@@ -12,12 +12,15 @@ Conventions:
   * twist+ is the scalar -A^3 on one strand, twist- is -A^-3;
   * writhe counts crossing signs plus twist signs.
 
-The closed-tangle evaluator has a second, independent route: the brute
-force state sum over all 2^c crossing resolutions, which never touches
-the diagram-composition code.  It is a depth-first walk over the
-crossings on a union-find with rollback, so states that share a prefix
-of resolutions share its work, and it refuses tangles with more than
-``STATE_SUM_MAX_CROSSINGS`` = 20 crossings before enumerating.  Both
+The closed-tangle evaluator has a second, independent route: the state
+sum over all 2^c crossing resolutions, which never touches the
+diagram-composition code.  It is a depth-first walk over the crossings
+on a union-find with rollback, so states that share a prefix of
+resolutions share its work, and states that share a suffix share it
+too: the sum over the crossings still to come is memoised on how the
+walk has joined the classes that cross the cut between done and to
+come.  Its counts must add up to 2^c, and it refuses tangles with more
+than ``STATE_SUM_MAX_CROSSINGS`` = 20 crossings before it walks.  Both
 routes must agree and the bracket checks this at runtime for small
 crossing numbers.
 """
@@ -57,14 +60,17 @@ class Event:
 ID = Event("id")
 CUP = Event("cup")
 CAP = Event("cap")
+# one shared event per sign, so a long braid holds no copies
+_CROSS = {1: Event("cross", 1), -1: Event("cross", -1)}
+_TWIST = {1: Event("twist", 1), -1: Event("twist", -1)}
 
 
 def cross(sign: int) -> Event:
-    return Event("cross", _sign(sign, "crossing sign"))
+    return _CROSS[_sign(sign, "crossing sign")]
 
 
 def twist(sign: int) -> Event:
-    return Event("twist", _sign(sign, "twist sign"))
+    return _TWIST[_sign(sign, "twist sign")]
 
 
 def coupon(m: TLMorphism) -> Event:
@@ -151,7 +157,7 @@ def writhe(t: SliceTangle) -> int:
 
 
 # ---------------------------------------------------------------------------
-# brute-force state sum (independent of the composition machinery)
+# the state sum (independent of the composition machinery)
 
 # the state sum refuses tangles with more crossings (2^20 states) at once
 STATE_SUM_MAX_CROSSINGS = 20
@@ -166,11 +172,18 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
     ends that no crossing separates (cups share a label, caps join two)
     and records the four ends of each crossing.  A depth-first walk then
     resolves the crossings in slice order on a union-find with rollback,
-    so states that share a prefix of resolutions share its work, and
-    each state adds one to a histogram over (exponent, loops).  A loop
+    so states that share a prefix of resolutions share its work.  The
+    walk from crossing k returns a histogram over (exponent, loops) of
+    the states of crossings k..c-1.  That histogram depends only on how
+    the joins so far connect the cut at k, the pre-pass classes with
+    ends at crossings both before k and from k on, so it is memoised,
+    within this call, on the cut's classes labelled in order of first
+    appearance; states that share a suffix share its work too.  A loop
     is a join of two ends already connected; their number does not
-    depend on the order of the joins.  Coupons are not supported here;
-    this is the independent check route.
+    depend on the order of the joins.  The counts must add up to 2^c,
+    and the union-find must come back as the pre-pass left it, or
+    InternalCheckError is raised.  Coupons are not supported here; this
+    is the independent check route.
     """
     if t.has_coupons():
         raise ContractViolation("state sum does not evaluate coupons")
@@ -238,31 +251,59 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
         wires = new_wires
     base = (parent[:], rank[:])
 
-    histogram: dict = {}
+    # cut[k]: one root per pre-pass class with ends at crossings both
+    # before k and from k on; the joins of crossings 0..k-1 touch only
+    # classes with ends before k, and crossings k..c-1 read only classes
+    # with ends from k on
+    first: dict = {}
+    last: dict = {}
+    for k, (_, *ends) in enumerate(crossings):
+        for end in ends:
+            r = find(end)
+            first.setdefault(r, k)
+            last[r] = k
+    cut = [[r for r in first if first[r] < k <= last[r]] for k in range(c + 1)]
+    # memo[k]: the labelling of the cut's classes by first appearance ->
+    # the histogram {(exponent, loops): count} over crossings k..c-1
+    memo: list = [{} for _ in range(c)] + [{(): {(0, 0): 1}}]
 
-    def walk(k, exponent, loops):
-        if k == c:
-            key = (exponent, loops)
-            histogram[key] = histogram.get(key, 0) + 1
-            return
+    def walk(k):
+        labels: dict = {}
+        key = tuple(labels.setdefault(find(r), len(labels)) for r in cut[k])
+        histogram = memo[k].get(key)
+        if histogram is not None:
+            return histogram
+        histogram = memo[k][key] = {}
         sign, a, b, p, q = crossings[k]
         mark = len(undo)
         # smoothing 0 keeps the strands parallel (the A-smoothing of a
         # positive crossing); smoothing 1 is the hook
         for x, y, u, v, step in ((a, p, b, q, 1), (a, b, p, q, -1)):
-            walk(k + 1, exponent + sign * step, loops + join(x, y) + join(u, v))
+            loops = join(x, y) + join(u, v)
+            shift = sign * step
+            for (exponent, n), count in walk(k + 1).items():
+                at = (exponent + shift, n + loops)
+                histogram[at] = histogram.get(at, 0) + count
             while len(undo) > mark:
                 child, grew = undo.pop()
                 rank[parent[child]] -= grew
                 parent[child] = child
+        return histogram
 
-    walk(0, 0, cap_loops)
+    histogram = walk(0)
+    # walk refers to itself, so its closure is a reference cycle that only
+    # the cycle collector frees; clearing the memo frees the histograms now
+    memo.clear()
     if (parent, rank) != base:
         raise InternalCheckError("state sum walk left its union-find changed")
+    if sum(histogram.values()) != 1 << c:
+        raise InternalCheckError(
+            f"state sum counted {sum(histogram.values())} of 2^{c} states")
 
     by_loops: dict = {}
     for (exponent, loops), count in histogram.items():
-        by_loops.setdefault(loops, {})[exponent + twist_exponent] = twist_sign * count
+        by_loops.setdefault(loops + cap_loops, {})[
+            exponent + twist_exponent] = twist_sign * count
     d = delta()
     power = LaurentPoly.constant(1)
     total = LaurentPoly()
@@ -296,9 +337,25 @@ def kauffman_bracket(t: SliceTangle) -> LaurentPoly:
 # braids and closures
 
 
+# a braid on n strands is n wide, and its closure builds 2n + len(word)
+# slices up to 2n wide; on a 2-vCPU shared x86_64 host the s1 closure on
+# 64 strands builds in 2 ms and its bracket takes 9 ms, while on 2000
+# strands the bracket took 8 s; the plane and annulus closures of the
+# open s1 on 64 strands take 1.5 and 0.4 ms, while `skeinalg tl closure`
+# on 2000 strands took 4.3 s
+CLOSED_BRAID_MAX_STRANDS = 64
+
+
 def braid_to_slices(word, strands: int) -> SliceTangle:
-    """One slice per letter; letter +-i is a crossing at position i-1."""
-    int_arg(strands, "braid strands", 1)
+    """One slice per letter; letter +-i is a crossing at position i-1.
+
+    More than CLOSED_BRAID_MAX_STRANDS strands raise ContractViolation
+    before any slice is built.
+    """
+    if int_arg(strands, "braid strands", 1) > CLOSED_BRAID_MAX_STRANDS:
+        raise ContractViolation(
+            f"braid on {strands} strands exceeds "
+            f"CLOSED_BRAID_MAX_STRANDS = {CLOSED_BRAID_MAX_STRANDS}")
     slices = []
     for k, letter in enumerate(word):
         # type, not isinstance, turns bools away: True would pass as 1
@@ -313,23 +370,11 @@ def braid_to_slices(word, strands: int) -> SliceTangle:
     return tangle(strands, slices)
 
 
-# the closure on n strands builds 2n + len(word) slices up to 2n wide;
-# on a 2-vCPU shared x86_64 host the s1 closure on 64 strands builds in
-# 2 ms and its bracket takes 9 ms, while on 2000 strands the bracket
-# took 8 s
-CLOSED_BRAID_MAX_STRANDS = 64
-
-
 def closed_braid_tangle(word, strands: int) -> SliceTangle:
     """Trace closure of a braid: top i joins bottom i around the right side.
 
-    More than CLOSED_BRAID_MAX_STRANDS strands raise ContractViolation
-    before any slice is built.
+    The strand count is capped by braid_to_slices, before any slice.
     """
-    if int_arg(strands, "braid strands", 1) > CLOSED_BRAID_MAX_STRANDS:
-        raise ContractViolation(
-            f"closed braid on {strands} strands exceeds "
-            f"CLOSED_BRAID_MAX_STRANDS = {CLOSED_BRAID_MAX_STRANDS}")
     b = braid_to_slices(word, strands)
     slices = []
     for k in range(strands):

@@ -112,10 +112,11 @@ def _fraction_lincomb(pairs, n):
 def fraction_bimodule_failure(left, right, left_action, right_action):
     """The ValidationError text of make_bimodule's law checks, or None.
 
-    The same checks in the same order (unit actions, then basis times
-    generator products on each side, then generator commutation), each
-    product by fraction_matmul and each combination summed in Fractions,
-    compared entry by entry.
+    The same checks in the same order (the left side whole, its unit
+    action and then its basis times generator products, then the right
+    side the same way, then generator commutation), each product by
+    fraction_matmul and each combination summed in Fractions, compared
+    entry by entry.
     """
     m = left_action[0].rows
 
@@ -125,13 +126,13 @@ def fraction_bimodule_failure(left, right, left_action, right_action):
     ident = [int(i == j) for i in range(m) for j in range(m)]
     if _fraction_lincomb(zip(left.unit, left_action), m) != ident:
         return "left action of the unit is not the identity"
-    if _fraction_lincomb(zip(right.unit, right_action), m) != ident:
-        return "right action of the unit is not the identity"
     for i in range(left.dim):
         for s in left.generators:
             if prod(left_action[i], left_action[s]) != _fraction_lincomb(
                     zip(left.basis_product(i, s), left_action), m):
                 return f"left action is not multiplicative at basis pair ({i},{s})"
+    if _fraction_lincomb(zip(right.unit, right_action), m) != ident:
+        return "right action of the unit is not the identity"
     for i in range(right.dim):
         for s in right.generators:
             if prod(right_action[s], right_action[i]) != _fraction_lincomb(

@@ -91,6 +91,8 @@ BAD_SHAPES_AND_SIZES = {
                                 "exceeds CLOSED_BRAID_MAX_STRANDS = 64"),
     "closed braid 10**5 strands": (lambda: skeinalg.closed_braid_tangle([1], 10**5),
                                    "exceeds CLOSED_BRAID_MAX_STRANDS = 64"),
+    "braid 65 strands": (lambda: skeinalg.braid_to_slices([1], 65),
+                         "exceeds CLOSED_BRAID_MAX_STRANDS = 64"),
     "system tuple step": (lambda: skeinalg.make_system(1, (1,)), "step is a Matrix"),
     "system tuple observable": (lambda: skeinalg.make_system(
         1, skeinalg.Matrix.identity(1), observables={"a": (1,)}), "1x1 Matrix"),

@@ -125,6 +125,21 @@ def test_an_equal_copy_of_a_regular_action_passes_and_a_corrupt_one_fails(
         make_bimodule(m3, m3, m3.left_regular(), copy, m3.unit)
 
 
+def test_both_sides_broken_reports_the_left_product_before_the_right_unit():
+    m3 = matrix_algebra(3)
+    # the left action keeps its unit law and fails a product at E(0,0),
+    # which is no generator; the right action fails its unit law
+    x = m3.left_mult_matrix(tuple(int(k == 1) for k in range(9)))
+    left = list(m3.left_regular())
+    left[0] = left[0] + x
+    left[4] = left[4] - x
+    right = list(m3.right_regular())
+    right[0] = Matrix.zeros(9, 9)
+    want = fraction_bimodule_failure(m3, m3, left, right)
+    assert want.startswith("left action is not multiplicative at basis pair")
+    assert _outcome(lambda: make_bimodule(m3, m3, left, right, m3.unit)) == want
+
+
 def test_make_bimodule_rejects_floats():
     k = field_algebra()
     ident = Matrix.identity(1)

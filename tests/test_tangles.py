@@ -9,7 +9,7 @@ from skeinalg.errors import ContractViolation, TangleShapeError
 from skeinalg.laurent import LaurentPoly
 from skeinalg.samples import random_braid
 from skeinalg.tangles import (CAP, CLOSED_BRAID_MAX_STRANDS, CUP, ID,
-                              SliceTangle, bracket_state_sum,
+                              Event, SliceTangle, bracket_state_sum,
                               braid_to_slices, cable_double,
                               closed_braid_tangle, coupon, cross,
                               insert_slices, interpret_tangle, kauffman_bracket,
@@ -84,6 +84,14 @@ def test_event_signs_must_be_int_units():
             twist(bad)
 
 
+def test_events_of_a_sign_are_shared():
+    assert cross(1) is cross(1) and twist(-1) is twist(-1)
+    assert cross(1) is not cross(-1) and cross(1) == Event("cross", 1)
+    for bad, make in ((0, cross), (True, cross), (2, twist)):
+        with pytest.raises(ContractViolation, match="sign"):
+            make(bad)
+
+
 def test_braid_to_slices():
     t = braid_to_slices([], 2)
     assert interpret_tangle(t) == tl_identity(2)
@@ -100,6 +108,10 @@ def test_closed_braid_strands_are_capped_before_any_slice():
         kauffman_bracket(closed_braid_tangle([1], 2)) * delta() ** (n - 2)
     with pytest.raises(ContractViolation, match="CLOSED_BRAID_MAX_STRANDS"):
         closed_braid_tangle([1], n + 1)
+    # the open braid has the same cap, so tl closure and tl annulus do too
+    assert braid_to_slices([1], n).widths[0] == n
+    with pytest.raises(ContractViolation, match="CLOSED_BRAID_MAX_STRANDS"):
+        braid_to_slices([1], n + 1)
 
 
 def test_trefoil_bracket_regression():
@@ -330,6 +342,34 @@ def test_state_sum_matches_literal_walk():
                     for _ in range(rng.randint(0, 10))]
             t = closed_braid_tangle(word, strands)
             assert bracket_state_sum(t) == literal_state_sum(t)
+
+
+def test_memoised_state_sum_matches_literal_walk_past_the_verify_bound():
+    # the literal walk takes about 0.1 ms per state on these sizes
+    rng = random.Random(109)
+    for strands, c in ((2, 13), (3, 12), (4, 11), (5, 12), (6, 11)):
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(c)]
+        t = closed_braid_tangle(word, strands)
+        assert bracket_state_sum(t) == literal_state_sum(t)
+    kinds, checked = set(), 0
+    while checked < 3:
+        t = random_morse_tangle(rng, 0, rng.randint(8, 16), closed=True)
+        if not 11 <= t.crossing_count() <= 12:
+            continue
+        kinds.update(e.kind for sl in t.slices for e in sl)
+        assert bracket_state_sum(t) == literal_state_sum(t)
+        checked += 1
+    assert kinds >= {"cup", "cap", "cross", "twist"}
+
+
+def test_state_sum_of_twenty_crossings_agrees_with_the_fold():
+    rng = random.Random(113)
+    for strands, c in ((4, 20), (8, 16), (4, 15), (6, 18)):
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(c)]
+        t = closed_braid_tangle(word, strands)
+        assert bracket_state_sum(t) == plane_closure(interpret_tangle(t))
 
 
 def test_state_sum_refuses_too_many_crossings_at_once():
