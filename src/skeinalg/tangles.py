@@ -14,13 +14,13 @@ Conventions:
 
 The closed-tangle evaluator has a second, independent route: the state
 sum over all 2^c crossing resolutions, which never touches the
-diagram-composition code.  It is a depth-first walk over the crossings
-on a union-find with rollback, so states that share a prefix of
-resolutions share its work, and states that share a suffix share it
-too: the sum over the crossings still to come is memoised on how the
-walk has joined the classes that cross the cut between done and to
-come.  Its counts must add up to 2^c, and it refuses tangles with more
-than ``STATE_SUM_MAX_CROSSINGS`` = 20 crossings before it walks.  Both
+diagram-composition code.  It is one forward pass over the crossings
+that keeps a histogram of states per way the crossings done so far have
+joined the wires across the cut between done and to come, so states
+that join the cut alike share all the work after it (the scanning of
+Bar-Natan's fast Khovanov homology computations).  Its counts must add
+up to 2^c, and it refuses tangles with more than
+``STATE_SUM_MAX_CROSSINGS`` = 20 crossings before it starts.  Both
 routes must agree and the bracket checks this at runtime for small
 crossing numbers.
 """
@@ -38,23 +38,32 @@ from .tl import (TLMorphism, _fold, _rewrites, _sign, crossing_resolution,
 from .tl import tl_compose  # noqa: F401
 
 
+# kind -> (strands in, strands out); a coupon has its morphism's widths
+_WIDTHS = {"id": (1, 1), "cup": (0, 2), "cap": (2, 0), "cross": (2, 2),
+           "twist": (1, 1), "coupon": None}
+# the kinds that carry a sign of +1 or -1, and what the sign is called
+_SIGNED = {"cross": "crossing sign", "twist": "twist sign"}
+
+
 @dataclass(frozen=True)
 class Event:
-    kind: str                 # id, cup, cap, cross, twist, coupon
+    kind: str                 # a key of _WIDTHS
     sign: int = 0             # crossings and twists
     # coupons; == compares it, hash() skips it (a TLMorphism is unhashable)
     morphism: object = field(default=None, hash=False)
 
+    def __post_init__(self):
+        """Raise ContractViolation on an unknown kind or a sign it forbids."""
+        if self.kind not in _WIDTHS:
+            raise ContractViolation(f"unknown event kind {self.kind!r}")
+        if self.kind in _SIGNED:
+            _sign(self.sign, _SIGNED[self.kind])
+        else:
+            int_arg(self.sign, f"{self.kind} event sign", 0, 0)
+
     def widths(self):
-        if self.kind == "id" or self.kind == "twist":
-            return 1, 1
-        if self.kind == "cup":
-            return 0, 2
-        if self.kind == "cap":
-            return 2, 0
-        if self.kind == "cross":
-            return 2, 2
-        return self.morphism.n_bottom, self.morphism.n_top
+        return _WIDTHS[self.kind] or (self.morphism.n_bottom,
+                                      self.morphism.n_top)
 
 
 ID = Event("id")
@@ -170,18 +179,17 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
 
     One pass in slice order labels every wire segment, joins the segment
     ends that no crossing separates (cups share a label, caps join two)
-    and records the four ends of each crossing.  A depth-first walk then
-    resolves the crossings in slice order on a union-find with rollback,
-    so states that share a prefix of resolutions share its work.  The
-    walk from crossing k returns a histogram over (exponent, loops) of
-    the states of crossings k..c-1.  That histogram depends only on how
-    the joins so far connect the cut at k, the pre-pass classes with
-    ends at crossings both before k and from k on, so it is memoised,
-    within this call, on the cut's classes labelled in order of first
-    appearance; states that share a suffix share its work too.  A loop
-    is a join of two ends already connected; their number does not
-    depend on the order of the joins.  The counts must add up to 2^c,
-    and the union-find must come back as the pre-pass left it, or
+    and records the four ends of each crossing.  A forward pass then
+    resolves the crossings in slice order.  Before crossing k it holds
+    one histogram over (exponent, loops) per way the smoothings of
+    crossings 0..k-1 join the cut at k: the pre-pass classes with ends
+    at crossings both before k and from k on, each labelled by its block
+    in order of first appearance.  The other classes are finished or not
+    yet read, so the crossings to come depend on nothing else.  Each
+    smoothing makes two joins; a join of two ends already in one block
+    closes a loop, and their number does not depend on the order of the
+    joins.  After the last crossing the cut is empty, and one histogram
+    holds every state.  Its counts must add up to 2^c, or
     InternalCheckError is raised.  Coupons are not supported here; this
     is the independent check route.
     """
@@ -195,38 +203,22 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
             f"state sum over {c} crossings exceeds the cap of "
             f"{STATE_SUM_MAX_CROSSINGS} (2^{c} states)")
 
-    # union by rank, no path compression; undo holds (child, rank grew)
+    # union-find over the wire segments, with path halving
     parent: list = []
-    rank: list = []
-    undo: list = []
 
     def find(x):
         while parent[x] != x:
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
-
-    def join(x, y):
-        """Join the classes of x and y; 1 if they already were one (a loop)."""
-        x, y = find(x), find(y)
-        if x == y:
-            return 1
-        if rank[x] > rank[y]:
-            x, y = y, x
-        grew = rank[x] == rank[y]
-        parent[x] = y
-        rank[y] += grew
-        undo.append((x, grew))
-        return 0
 
     def fresh():
         parent.append(len(parent))
-        rank.append(0)
         return len(parent) - 1
 
     cap_loops = 0
     twist_exponent = 0
     twist_sign = 1
-    crossings = []  # (sign, in left, in right, out left, out right)
+    crossings = []  # (sign, (in left, in right, out left, out right))
     wires: list = []
     for sl in t.slices:
         new_wires = []
@@ -237,10 +229,12 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
                 new_wires += [node, node]
                 continue
             if e.kind == "cap":
-                cap_loops += join(wires[pos], wires[pos + 1])
+                x, y = find(wires[pos]), find(wires[pos + 1])
+                cap_loops += x == y
+                parent[x] = y
             elif e.kind == "cross":
                 ends = (fresh(), fresh())
-                crossings.append((e.sign, wires[pos], wires[pos + 1]) + ends)
+                crossings.append((e.sign, (wires[pos], wires[pos + 1]) + ends))
                 new_wires += ends
             else:
                 if e.kind == "twist":
@@ -249,53 +243,52 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
                 new_wires.append(wires[pos])
             pos += e.widths()[0]
         wires = new_wires
-    base = (parent[:], rank[:])
 
-    # cut[k]: one root per pre-pass class with ends at crossings both
-    # before k and from k on; the joins of crossings 0..k-1 touch only
-    # classes with ends before k, and crossings k..c-1 read only classes
-    # with ends from k on
+    # cut[k]: the pre-pass classes with ends at crossings both before k and
+    # from k on; crossings 0..k-1 join only classes with ends before k, and
+    # crossings k..c-1 read only classes with ends from k on
+    crossings = [(sign, tuple(map(find, ends))) for sign, ends in crossings]
     first: dict = {}
     last: dict = {}
-    for k, (_, *ends) in enumerate(crossings):
-        for end in ends:
-            r = find(end)
+    for k, (_, ends) in enumerate(crossings):
+        for r in ends:
             first.setdefault(r, k)
             last[r] = k
     cut = [[r for r in first if first[r] < k <= last[r]] for k in range(c + 1)]
-    # memo[k]: the labelling of the cut's classes by first appearance ->
-    # the histogram {(exponent, loops): count} over crossings k..c-1
-    memo: list = [{} for _ in range(c)] + [{(): {(0, 0): 1}}]
 
-    def walk(k):
-        labels: dict = {}
-        key = tuple(labels.setdefault(find(r), len(labels)) for r in cut[k])
-        histogram = memo[k].get(key)
-        if histogram is not None:
-            return histogram
-        histogram = memo[k][key] = {}
-        sign, a, b, p, q = crossings[k]
-        mark = len(undo)
+    # states: the block labels of cut[k], by first appearance -> the
+    # histogram {(exponent, loops): count} of the states of crossings
+    # 0..k-1 that join the cut that way
+    states: dict = {(): {(0, 0): 1}}
+    for k, (sign, ends) in enumerate(crossings):
+        # the classes crossing k reads for the first time get fresh labels
+        here = cut[k] + [r for r in dict.fromkeys(ends) if first[r] == k]
+        at = {r: i for i, r in enumerate(here)}
+        new_labels = list(range(len(cut[k]), len(here)))
+        a, b, p, q = map(at.get, ends)
+        keep = [at[r] for r in cut[k + 1]]
         # smoothing 0 keeps the strands parallel (the A-smoothing of a
         # positive crossing); smoothing 1 is the hook
-        for x, y, u, v, step in ((a, p, b, q, 1), (a, b, p, q, -1)):
-            loops = join(x, y) + join(u, v)
-            shift = sign * step
-            for (exponent, n), count in walk(k + 1).items():
-                at = (exponent + shift, n + loops)
-                histogram[at] = histogram.get(at, 0) + count
-            while len(undo) > mark:
-                child, grew = undo.pop()
-                rank[parent[child]] -= grew
-                parent[child] = child
-        return histogram
-
-    histogram = walk(0)
-    # walk refers to itself, so its closure is a reference cycle that only
-    # the cycle collector frees; clearing the memo frees the histograms now
-    memo.clear()
-    if (parent, rank) != base:
-        raise InternalCheckError("state sum walk left its union-find changed")
+        smoothings = ((((a, p), (b, q)), sign), (((a, b), (p, q)), -sign))
+        following: dict = {}
+        for key, histogram in states.items():
+            for pairs, shift in smoothings:
+                labels = [*key, *new_labels]
+                loops = 0
+                for i, j in pairs:
+                    x, y = labels[i], labels[j]
+                    if x == y:
+                        loops += 1
+                    else:  # block y joins block x
+                        labels = [x if z == y else z for z in labels]
+                seen: dict = {}
+                target = following.setdefault(tuple([
+                    seen.setdefault(labels[i], len(seen)) for i in keep]), {})
+                for (exponent, n), count in histogram.items():
+                    moved = (exponent + shift, n + loops)
+                    target[moved] = target.get(moved, 0) + count
+        states = following
+    histogram = states[()]
     if sum(histogram.values()) != 1 << c:
         raise InternalCheckError(
             f"state sum counted {sum(histogram.values())} of 2^{c} states")

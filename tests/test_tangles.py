@@ -92,6 +92,15 @@ def test_events_of_a_sign_are_shared():
             make(bad)
 
 
+def test_events_check_their_kind_and_sign():
+    for args in (("twist", 5), ("cross", 2), ("cross", True), ("cross", 0),
+                 ("id", 1), ("bogus",)):
+        with pytest.raises(ContractViolation):
+            Event(*args)
+    assert Event("twist", -1) == twist(-1)
+    assert coupon(tl_identity(2)).widths() == (2, 2)
+
+
 def test_braid_to_slices():
     t = braid_to_slices([], 2)
     assert interpret_tangle(t) == tl_identity(2)
@@ -365,11 +374,19 @@ def test_memoised_state_sum_matches_literal_walk_past_the_verify_bound():
 
 def test_state_sum_of_twenty_crossings_agrees_with_the_fold():
     rng = random.Random(113)
-    for strands, c in ((4, 20), (8, 16), (4, 15), (6, 18)):
+    for strands, c in ((4, 20), (8, 16), (4, 15), (6, 18), (10, 20)):
         word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
                 for _ in range(c)]
         t = closed_braid_tangle(word, strands)
         assert bracket_state_sum(t) == plane_closure(interpret_tangle(t))
+    # a split link: the cut between the two stacked closures is empty
+    halves = [closed_braid_tangle([rng.choice([1, -1]) * rng.randint(1, 2)
+                                   for _ in range(9)], 3) for _ in range(2)]
+    t = tangle(0, halves[0].slices + halves[1].slices)
+    value = bracket_state_sum(t)
+    assert value == plane_closure(interpret_tangle(t))
+    assert value == (plane_closure(interpret_tangle(halves[0]))
+                     * plane_closure(interpret_tangle(halves[1])))
 
 
 def test_state_sum_refuses_too_many_crossings_at_once():
