@@ -322,7 +322,12 @@ def check_kauffman_moves(rng, *, insertions, curls, crossings, strands):
 def check_evaluator_agreement(rng, *, braids, crossings):
     for _ in range(braids):
         word, n = random_braid(rng, crossings, 3)
-        t = closed_braid_tangle(word, n)
+        # one twist on a random wire of the 2n above the braid slices, so
+        # that the state sum's twist factor is checked too
+        wire = rng.randrange(2 * n)
+        sl = [ID] * wire + [twist(rng.choice([1, -1]))] + \
+            [ID] * (2 * n - wire - 1)
+        t = insert_slices(closed_braid_tangle(word, n), n + len(word), [sl])
         # the bracket recomputes through the independent state sum
         kauffman_bracket(t)
 

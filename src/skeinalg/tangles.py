@@ -15,11 +15,11 @@ Conventions:
 The closed-tangle evaluator has a second, independent route: the state
 sum over all 2^c crossing resolutions, which never touches the
 diagram-composition code.  It is one forward pass over the crossings
-that keeps a histogram of states per way the crossings done so far have
-joined the wires across the cut between done and to come, so states
-that join the cut alike share all the work after it (the scanning of
-Bar-Natan's fast Khovanov homology computations).  Its counts must add
-up to 2^c, and it refuses tangles with more than
+that keeps one Laurent sum and one count of states per way the
+crossings done so far have joined the wires across the cut between done
+and to come, so states that join the cut alike share all the work after
+it (the scanning of Bar-Natan's fast Khovanov homology computations).
+Its counts must add up to 2^c, and it refuses tangles with more than
 ``STATE_SUM_MAX_CROSSINGS`` = 20 crossings before it starts.  Both
 routes must agree and the bracket checks this at runtime for small
 crossing numbers.
@@ -53,13 +53,18 @@ class Event:
     morphism: object = field(default=None, hash=False)
 
     def __post_init__(self):
-        """Raise ContractViolation on an unknown kind or a sign it forbids."""
+        """Raise ContractViolation on a bad kind, sign or morphism."""
         if self.kind not in _WIDTHS:
             raise ContractViolation(f"unknown event kind {self.kind!r}")
         if self.kind in _SIGNED:
             _sign(self.sign, _SIGNED[self.kind])
         else:
             int_arg(self.sign, f"{self.kind} event sign", 0, 0)
+        want = TLMorphism if self.kind == "coupon" else type(None)
+        if not isinstance(self.morphism, want):
+            raise ContractViolation(
+                f"a {self.kind} event's morphism must be {want.__name__}, "
+                f"not {type(self.morphism).__name__}")
 
     def widths(self):
         return _WIDTHS[self.kind] or (self.morphism.n_bottom,
@@ -95,15 +100,20 @@ class SliceTangle:
     widths: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        """Compute the widths; raises if the slices do not chain."""
+        """Compute the widths; raises on a non-Event or unchained slices."""
         w = int_arg(self.strands_in, "strands_in")
         out = [w]
         for k, sl in enumerate(self.slices):
-            win = sum(e.widths()[0] for e in sl)
+            win = wout = 0
+            for e in sl:
+                if not isinstance(e, Event):
+                    raise ContractViolation(f"slice {k} holds {e!r}, not an Event")
+                i, o = e.widths()
+                win, wout = win + i, wout + o
             if win != w:
                 raise TangleShapeError(
                     f"slice {k} consumes {win} strands but {w} are available")
-            w = sum(e.widths()[1] for e in sl)
+            w = wout
             out.append(w)
         object.__setattr__(self, "widths", tuple(out))
 
@@ -179,19 +189,21 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
 
     One pass in slice order labels every wire segment, joins the segment
     ends that no crossing separates (cups share a label, caps join two)
-    and records the four ends of each crossing.  A forward pass then
-    resolves the crossings in slice order.  Before crossing k it holds
-    one histogram over (exponent, loops) per way the smoothings of
-    crossings 0..k-1 join the cut at k: the pre-pass classes with ends
-    at crossings both before k and from k on, each labelled by its block
-    in order of first appearance.  The other classes are finished or not
-    yet read, so the crossings to come depend on nothing else.  Each
-    smoothing makes two joins; a join of two ends already in one block
-    closes a loop, and their number does not depend on the order of the
-    joins.  After the last crossing the cut is empty, and one histogram
-    holds every state.  Its counts must add up to 2^c, or
-    InternalCheckError is raised.  Coupons are not supported here; this
-    is the independent check route.
+    and records the four ends of each crossing; a cap that closes a loop
+    multiplies the start value by delta, and a twist by -A^(3 sign).  A
+    forward pass then resolves the crossings in slice order.  Before
+    crossing k it holds one Laurent sum and one count of states per way
+    the smoothings of crossings 0..k-1 join the cut at k: the pre-pass
+    classes with ends at crossings both before k and from k on, each
+    labelled by its block in order of first appearance.  The other
+    classes are finished or not yet read, so the crossings to come depend
+    on nothing else.  Each smoothing makes two joins; a join of two ends
+    already in one block closes a loop, and their number does not depend
+    on the order of the joins.  It adds its count to the state it
+    reaches, and its sum times A^(+-1) * delta^loops.  After the last
+    crossing the cut is empty and one state holds the sum; its count
+    must be 2^c, or InternalCheckError is raised.  Coupons are not
+    supported here; this is the independent check route.
     """
     if t.has_coupons():
         raise ContractViolation("state sum does not evaluate coupons")
@@ -215,9 +227,7 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
         parent.append(len(parent))
         return len(parent) - 1
 
-    cap_loops = 0
-    twist_exponent = 0
-    twist_sign = 1
+    start = LaurentPoly.constant(1)
     crossings = []  # (sign, (in left, in right, out left, out right))
     wires: list = []
     for sl in t.slices:
@@ -225,12 +235,12 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
         pos = 0
         for e in sl:
             if e.kind == "cup":
-                node = fresh()
-                new_wires += [node, node]
+                new_wires += [fresh()] * 2
                 continue
             if e.kind == "cap":
                 x, y = find(wires[pos]), find(wires[pos + 1])
-                cap_loops += x == y
+                if x == y:
+                    start = start * delta()
                 parent[x] = y
             elif e.kind == "cross":
                 ends = (fresh(), fresh())
@@ -238,8 +248,7 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
                 new_wires += ends
             else:
                 if e.kind == "twist":
-                    twist_exponent += 3 * e.sign
-                    twist_sign = -twist_sign
+                    start = start * LaurentPoly.monomial(-1, 3 * e.sign)
                 new_wires.append(wires[pos])
             pos += e.widths()[0]
         wires = new_wires
@@ -256,10 +265,11 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
             last[r] = k
     cut = [[r for r in first if first[r] < k <= last[r]] for k in range(c + 1)]
 
-    # states: the block labels of cut[k], by first appearance -> the
-    # histogram {(exponent, loops): count} of the states of crossings
+    loop_terms = [(delta() ** n).terms for n in range(3)]  # 0, 1 or 2 loops
+    # states: the block labels of cut[k], by first appearance -> (the Laurent
+    # sum {exponent: coefficient}, the count) of the smoothings of crossings
     # 0..k-1 that join the cut that way
-    states: dict = {(): {(0, 0): 1}}
+    states: dict = {(): (start.to_dict(), 1)}
     for k, (sign, ends) in enumerate(crossings):
         # the classes crossing k reads for the first time get fresh labels
         here = cut[k] + [r for r in dict.fromkeys(ends) if first[r] == k]
@@ -271,7 +281,7 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
         # positive crossing); smoothing 1 is the hook
         smoothings = ((((a, p), (b, q)), sign), (((a, b), (p, q)), -sign))
         following: dict = {}
-        for key, histogram in states.items():
+        for key, (poly, count) in states.items():
             for pairs, shift in smoothings:
                 labels = [*key, *new_labels]
                 loops = 0
@@ -282,29 +292,18 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
                     else:  # block y joins block x
                         labels = [x if z == y else z for z in labels]
                 seen: dict = {}
-                target = following.setdefault(tuple([
-                    seen.setdefault(labels[i], len(seen)) for i in keep]), {})
-                for (exponent, n), count in histogram.items():
-                    moved = (exponent + shift, n + loops)
-                    target[moved] = target.get(moved, 0) + count
+                joined = tuple([seen.setdefault(labels[i], len(seen)) for i in keep])
+                total, n = following.get(joined, ({}, 0))
+                following[joined] = total, n + count
+                for f, g in loop_terms[loops]:
+                    for exponent, coeff in poly.items():
+                        exponent += shift + f
+                        total[exponent] = total.get(exponent, 0) + coeff * g
         states = following
-    histogram = states[()]
-    if sum(histogram.values()) != 1 << c:
-        raise InternalCheckError(
-            f"state sum counted {sum(histogram.values())} of 2^{c} states")
-
-    by_loops: dict = {}
-    for (exponent, loops), count in histogram.items():
-        by_loops.setdefault(loops + cap_loops, {})[
-            exponent + twist_exponent] = twist_sign * count
-    d = delta()
-    power = LaurentPoly.constant(1)
-    total = LaurentPoly()
-    for loops in range(max(by_loops) + 1):
-        if loops in by_loops:
-            total = total + LaurentPoly.from_dict(by_loops[loops]) * power
-        power = power * d
-    return total
+    poly, count = states[()]
+    if count != 1 << c:
+        raise InternalCheckError(f"state sum counted {count} of 2^{c} states")
+    return LaurentPoly.from_dict(poly)
 
 
 def kauffman_bracket(t: SliceTangle) -> LaurentPoly:

@@ -75,6 +75,11 @@ BAD_SHAPES_AND_SIZES = {
     "insert slices -1": (lambda: skeinalg.insert_slices(_five_slice_tangle(), -1, []), "slice index must be an int in 0..5"),
     "insert slices past the end": (lambda: skeinalg.insert_slices(_five_slice_tangle(), 6, []), "slice index must be an int in 0..5"),
     "insert slices 'x'": (lambda: skeinalg.insert_slices(_five_slice_tangle(), "x", []), "slice index must be an int in 0..5"),
+    "coupon 5": (lambda: skeinalg.coupon(5), "a coupon event's morphism must be TLMorphism, not int"),
+    "coupon event with no morphism": (lambda: skeinalg.Event("coupon"), "a coupon event's morphism must be TLMorphism, not NoneType"),
+    "cup event with a morphism": (lambda: skeinalg.Event("cup", 0, skeinalg.tl_cup()), "a cup event's morphism must be NoneType, not TLMorphism"),
+    "tangle slice entry 1": (lambda: skeinalg.tangle(0, [[1]]), "slice 0 holds 1, not an Event"),
+    "insert slices entry 1": (lambda: skeinalg.insert_slices(_five_slice_tangle(), 1, [[1]]), "slice 1 holds 1, not an Event"),
     "tl basis True": (lambda: skeinalg.tl_basis(True, 1), "n_bottom must be an int >= 0"),
     "tl basis 2.0": (lambda: skeinalg.tl_basis(2.0, 0), "n_bottom must be an int >= 0"),
     "tl identity True": (lambda: skeinalg.tl_identity(True), "width n must be an int >= 0"),

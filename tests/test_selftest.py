@@ -76,7 +76,8 @@ def test_one_corrupted_picture_fails_selftest_and_criterion_01(monkeypatch):
 
 def test_a_wrong_twist_sign_fails_the_ribbon_axioms(monkeypatch):
     """Mutation check on the diagram side: a twist event scales by
-    +A^(3 sign) instead of -A^(3 sign), which squaring hides."""
+    +A^(3 sign) instead of -A^(3 sign), which squaring hides.  The state
+    sum, which keeps the right sign, disagrees on a twisted closed braid."""
     event_morphism = tangles._event_morphism
 
     def positive_twist(e):
@@ -88,7 +89,28 @@ def test_a_wrong_twist_sign_fails_the_ribbon_axioms(monkeypatch):
     assert run_selftest("quick", 0, lines.append) == 5
     assert [line.split(" fails: ")[0] for line in lines
             if line.startswith("FAIL")] == [
+        "FAIL skein.evaluator-agreement: state sum -A^-4 - A^-8 disagrees "
+        "with composition A^-4 + A^-8",
         "FAIL skein.ribbon-axioms: ribbon identity twist-is-curl[sign=1]"]
+
+
+def test_evaluator_agreement_feeds_the_state_sum_a_twist(monkeypatch):
+    """Without a twist in its inputs, a state sum that drops the sign of
+    -A^(3 sign) still agrees with the fold on every check."""
+    received = []
+    state_sum = tangles.bracket_state_sum
+
+    def recording(t):
+        received.append(t)
+        return state_sum(t)
+
+    monkeypatch.setattr(tangles, "bracket_state_sum", recording)
+    name, check, sizes = next(c for c in ALL_CHECKS
+                              if c[0] == "skein.evaluator-agreement")
+    check(random.Random(f"0:{name}"), **sizes["quick"])
+    assert received and all(
+        any(e.kind == "twist" for sl in t.slices for e in sl)
+        for t in received)
 
 
 def _doubled_first_entry(f):

@@ -353,7 +353,7 @@ def test_state_sum_matches_literal_walk():
             assert bracket_state_sum(t) == literal_state_sum(t)
 
 
-def test_memoised_state_sum_matches_literal_walk_past_the_verify_bound():
+def test_state_sum_matches_literal_walk_past_the_verify_bound():
     # the literal walk takes about 0.1 ms per state on these sizes
     rng = random.Random(109)
     for strands, c in ((2, 13), (3, 12), (4, 11), (5, 12), (6, 11)):
