@@ -12,13 +12,14 @@ The integer image of a matrix is a pair (den, ints), den > 0, whose
 values are ints[k] / den.  ``product_image`` is the one product kernel
 and ``lincomb_image`` the one linear-combination kernel; each returns
 a raw image, neither divided nor reduced.  ``Matrix @`` and ``apply``
-divide a product image, ``mat_lincomb``, ``+``, ``-`` and ``scale`` a
-combination image, once into normalised entries, and ``same_image``
-compares two images by cross-multiplication, so a law check compares
-products and combinations without reading a value out.  The one
-entry-size cap, MATRIX_POWER_MAX_ENTRY_BITS, sits where ``Matrix @``,
-``apply`` and a ``TensorMap`` call read a product out, so a power, word
-product or tensor pointing that explodes fails fast.
+divide a product image, and ``mat_lincomb`` a combination image, once
+into normalised entries; ``+``, ``-`` and ``scale`` call ``mat_lincomb``,
+which checks the shapes of a combination.  ``same_image`` compares two
+images by cross-multiplication, so a law check compares products and
+combinations without reading a value out.  The one entry-size cap,
+MATRIX_POWER_MAX_ENTRY_BITS, sits where ``Matrix @``, ``apply`` and a
+``TensorMap`` call read a product out, so a power, word product or
+tensor pointing that explodes fails fast.
 ``relation_rows`` builds the rows (P tensor 1 - 1 tensor Q) e(i, j) of
 the tensor quotient and the intertwiner solver from the images, each a
 positive multiple of the exact row.  Only this module reads den and
@@ -195,20 +196,14 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _combined(self, pairs, what: str) -> "Matrix":
-        """mat_lincomb of the (coeff, Matrix) pairs, each of this shape."""
-        if any((m.rows, m.cols) != (self.rows, self.cols) for _, m in pairs):
-            raise ContractViolation(f"matrix {what} shape mismatch")
-        return mat_lincomb(pairs, self.rows, self.cols)
-
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combined([(1, self), (1, other)], "addition")
+        return mat_lincomb([(1, self), (1, other)], self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combined([(1, self), (-1, other)], "subtraction")
+        return mat_lincomb([(1, self), (-1, other)], self.rows, self.cols)
 
     def scale(self, c) -> "Matrix":
-        return self._combined([(c, self)], "scaling")
+        return mat_lincomb([(c, self)], self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return Matrix(self.rows, other.cols,
@@ -398,12 +393,15 @@ def matrix_power(m: Matrix, t: int) -> Matrix:
 def mat_lincomb(pairs, rows: int, cols: int) -> Matrix:
     """Sum of coeff * matrix over (coeff, Matrix) pairs, skipping zeros.
 
-    lincomb_image divided once into normalised entries, like a product;
-    an inexact coefficient or entry raises ContractViolation.
+    lincomb_image divided once into normalised entries, like a product; a
+    term not rows x cols or an inexact value raises ContractViolation.
     """
     # before lincomb_image builds [0] * (rows * cols)
     int_arg(rows, "matrix rows")
     int_arg(cols, "matrix cols")
+    pairs = list(pairs)
+    if any((m.rows, m.cols) != (rows, cols) for _, m in pairs):
+        raise ContractViolation(f"a combination term is not {rows}x{cols}")
     return Matrix(rows, cols, _unscaled(*lincomb_image(pairs, rows, cols)))
 
 
@@ -636,12 +634,16 @@ def sparse_quotient(ambient_dim: int, relation_rows):
     non-pivot coordinates of the relation row space, and
     projection_columns[j] is a dict {quotient coordinate: value} giving
     the class of ambient basis vector j.  The projection annihilates
-    exactly span(relation_rows).
+    exactly span(relation_rows).  A coordinate that is not an int in
+    0..ambient_dim-1 raises ContractViolation.
     """
     eng = SparseEchelon()
     for r in relation_rows:
-        if any(c >= ambient_dim for c in r):
-            raise ContractViolation("relation vector longer than ambient")
+        if not all(type(c) is int and 0 <= c < ambient_dim for c in r):
+            for c in r:
+                if type(c) is int and c >= ambient_dim:
+                    raise ContractViolation("relation vector longer than ambient")
+                int_arg(c, "relation coordinate", 0, ambient_dim - 1)
         eng.insert(r)
     pivot_set = set(eng.rows)
     reps = [j for j in range(ambient_dim) if j not in pivot_set]

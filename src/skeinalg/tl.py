@@ -14,10 +14,10 @@ top points it touches, its caps joining two mates (or closing a loop
 worth delta) and its cups inserting a mated pair.  During the fold a
 coefficient is a plain {exponent: int} dict; it becomes a LaurentPoly
 only for the output terms.  ``tl_compose``, ``tl_tensor`` and the tangle
-fold are its three callers.  The rewrites and both closures read the
-circular mate table directly; the ("bottom", pos)/("top", pos) pairs of
-``TLDiagram.pairs`` exist only for printing.  A coefficient other than
-an int or a LaurentPoly raises ContractViolation.
+fold are its three callers.  The rewrites and the annular closure read
+the circular mate table directly, the plane closure is the annular one
+at z = delta, and ``TLDiagram.pairs`` exists only for printing.  A
+coefficient other than an int or a LaurentPoly raises ContractViolation.
 """
 
 from __future__ import annotations
@@ -490,14 +490,14 @@ def annulus_closure_eval(m: TLMorphism) -> AnnularClass:
 def plane_closure(m: TLMorphism) -> LaurentPoly:
     """Close top i to bottom i around the right side in the plane.
 
-    Every closed curve bounds a disc there and contributes delta, so a
-    term counts its curves whatever their winding.  The empty diagram
+    The annulus sits in the plane, where its core curve z bounds a disc,
+    so this is the annular closure at z = delta.  The empty diagram
     closes to 1.
     """
     if m.n_bottom != m.n_top:
         raise ContractViolation("plane closure needs a square morphism")
     d = delta()
     total = LaurentPoly()
-    for diag, coeff in m.terms.items():
-        total = total + coeff * d ** len(_closure_windings(diag))
+    for k, coeff in annulus_closure_eval(m).coeffs.items():
+        total = total + coeff * d ** k
     return total

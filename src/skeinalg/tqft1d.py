@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, partial, reduce
 from operator import matmul
 
 from .algebra import field_algebra
@@ -197,13 +197,7 @@ def _generator_matrices(sys: System):
 
     The table lives for one evaluation or comparison, never across calls.
     """
-    table: dict = {}
-
-    def matrix_of(gen) -> Matrix:
-        if gen not in table:
-            table[gen] = _schrodinger_matrix(sys, gen)
-        return table[gen]
-    return matrix_of
+    return lru_cache(maxsize=None)(partial(_schrodinger_matrix, sys))
 
 
 def _schrodinger_word(sys: System, word: SpacetimeWord, matrix_of) -> Matrix:

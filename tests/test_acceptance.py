@@ -89,7 +89,7 @@ def test_criterion_05_tl_dimensions():
 
 def test_criterion_06_tl_relations_and_braid():
     check_tl_relations(None, strands=5)
-    _report("06 TL relations and braid relation (n <= 5)")
+    _report("06 TL relations (n <= 5)")
 
 
 def _acceptance_corpus():

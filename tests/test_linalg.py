@@ -81,6 +81,11 @@ def test_quotient_rejects_a_relation_longer_than_ambient():
     sparse_quotient(3, [{2: 1}])
     with pytest.raises(ContractViolation, match="longer than ambient"):
         sparse_quotient(3, [{0: 1, 3: 1}])
+    # each was once dropped, read as coordinate 1 or a bare TypeError
+    for row in ({-1: 1}, {0: 1, -2: 1}, {1.0: 1}, {True: 1}, {"a": 1}):
+        with pytest.raises(ContractViolation,
+                           match="relation coordinate must be an int in 0..2"):
+            sparse_quotient(3, [row])
 
 
 def test_quotient_one_relation():

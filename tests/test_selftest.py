@@ -7,6 +7,7 @@ import test_acceptance
 from skeinalg import selftest, tangles, tqft1d
 from skeinalg.bimodule import bimodule_iso_unpointed, end_morphism
 from skeinalg.errors import ContractViolation
+from skeinalg.laurent import LaurentPoly
 from skeinalg.selftest import (ALL_CHECKS, SelfTestFailure, check_projectivity,
                                run_selftest)
 
@@ -111,6 +112,28 @@ def test_evaluator_agreement_feeds_the_state_sum_a_twist(monkeypatch):
     assert received and all(
         any(e.kind == "twist" for sl in t.slices for e in sl)
         for t in received)
+
+
+def test_a_state_sum_wrong_past_the_verify_bound_fails_the_plane_closure(
+        monkeypatch):
+    """Mutation check on the second route: a state sum that is wrong only
+    past STATE_SUM_VERIFY_MAX_CROSSINGS, where the bracket runs none."""
+    state_sum = tangles.bracket_state_sum
+
+    def wrong_past_the_bound(t):
+        v = state_sum(t)
+        if t.crossing_count() > tangles.STATE_SUM_VERIFY_MAX_CROSSINGS:
+            return v + LaurentPoly.from_dict({0: 1})
+        return v
+
+    for module in (tangles, selftest):
+        monkeypatch.setattr(module, "bracket_state_sum", wrong_past_the_bound)
+    for seed in (0, 3):
+        lines = []
+        assert run_selftest("full", seed, lines.append) == 5
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL skein.plane-closure: plane closure disagrees with the "
+            "state sum"]
 
 
 def _doubled_first_entry(f):
