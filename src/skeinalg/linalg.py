@@ -394,13 +394,18 @@ def mat_lincomb(pairs, rows: int, cols: int) -> Matrix:
     """Sum of coeff * matrix over (coeff, Matrix) pairs, skipping zeros.
 
     lincomb_image divided once into normalised entries, like a product; a
-    term not rows x cols or an inexact value raises ContractViolation.
+    term that is not a pair, or whose matrix is not rows x cols, or an
+    inexact value raises ContractViolation.
     """
     # before lincomb_image builds [0] * (rows * cols)
     int_arg(rows, "matrix rows")
     int_arg(cols, "matrix cols")
     pairs = list(pairs)
-    if any((m.rows, m.cols) != (rows, cols) for _, m in pairs):
+    try:
+        bad = any((m.rows, m.cols) != (rows, cols) for _, m in pairs)
+    except (TypeError, ValueError):  # a term that is not a pair
+        bad = True
+    if bad:
         raise ContractViolation(f"a combination term is not {rows}x{cols}")
     return Matrix(rows, cols, _unscaled(*lincomb_image(pairs, rows, cols)))
 

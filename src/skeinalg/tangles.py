@@ -265,7 +265,8 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
             last[r] = k
     cut = [[r for r in first if first[r] < k <= last[r]] for k in range(c + 1)]
 
-    loop_terms = [(delta() ** n).terms for n in range(3)]  # 0, 1 or 2 loops
+    d = delta()
+    loop_terms = (((0, 1),), d.terms, (d * d).terms)  # 0, 1 or 2 loops
     # states: the block labels of cut[k], by first appearance -> (the Laurent
     # sum {exponent: coefficient}, the count) of the smoothings of crossings
     # 0..k-1 that join the cut that way

@@ -7,17 +7,21 @@ Conventions (pinned once for the whole package):
   * the empty diagram is the unit: its closure evaluates to 1, so the
     0-crossing unknot evaluates to delta.
 
-Morphisms are Laurent-coefficient combinations of planar matchings.
-All gluing runs through one engine, ``_fold``: it carries a combination
-of mate tables over the open boundary and lets each morphism act on the
-top points it touches, its caps joining two mates (or closing a loop
-worth delta) and its cups inserting a mated pair.  During the fold a
+Morphisms are Laurent-coefficient combinations of planar matchings.  All
+gluing runs through one engine, ``_fold``: it carries a combination of
+mate tables over the open boundary and lets each morphism act on the top
+points it touches, its caps joining two mates (or closing a loop worth
+delta) and its cups inserting a mated pair.  During the fold a
 coefficient is a plain {exponent: int} dict; it becomes a LaurentPoly
-only for the output terms.  ``tl_compose``, ``tl_tensor`` and the tangle
-fold are its three callers.  The rewrites and the annular closure read
-the circular mate table directly, the plane closure is the annular one
-at z = delta, and ``TLDiagram.pairs`` exists only for printing.  A
-coefficient other than an int or a LaurentPoly raises ContractViolation.
+only for the output terms.  The fold works out each factor times the
+delta powers it can close once per distinct morphism and fold, scales
+every table at once by a one-monomial identity term (a crossing's or a
+twist's), and drops cancelled entries in place.  ``tl_compose``,
+``tl_tensor`` and the tangle fold are its three callers.  The rewrites
+and the annular closure read the circular mate table directly, the plane
+closure is the annular one at z = delta, and ``TLDiagram.pairs`` exists
+only for printing.  A coefficient other than an int or a LaurentPoly
+raises ContractViolation.
 """
 
 from __future__ import annotations
@@ -266,8 +270,11 @@ def _rewrites(m: TLMorphism) -> list:
 def _rewrite(mate: tuple, at: int, caps: tuple, cups: tuple):
     """Apply one term's caps, then its cups, at boundary index ``at``.
 
-    Returns the new mate table and the number of loops closed.
+    Returns the new mate table and the number of loops closed; a term
+    with no caps and no cups returns the table itself.
     """
+    if not caps and not cups:
+        return mate, 0
     if caps == cups == (0,):
         # the hook: a cap then a cup at one place swaps mates
         a, b = mate[at], mate[at + 1]
@@ -294,16 +301,35 @@ def _rewrite(mate: tuple, at: int, caps: tuple, cups: tuple):
     return tuple(m), loops
 
 
-def _times_delta(factor: LaurentPoly, loops: int, d: tuple) -> tuple:
-    """factor * d**loops as (exp, coeff) pairs, d given by its pairs."""
-    out = dict(factor.terms)
-    for _ in range(loops):
+def _delta_powers(factor: LaurentPoly, most: int, d: tuple) -> tuple:
+    """factor * d**l for l = 0..most, each as (exp, coeff) pairs, d given
+    by its pairs."""
+    out = [factor.terms]
+    for _ in range(most):
         acc: dict = {}
-        for e1, c1 in out.items():
+        for e1, c1 in out[-1]:
             for e2, c2 in d:
                 acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-        out = acc
-    return tuple((e, c) for e, c in out.items() if c)
+        out.append(tuple((e, c) for e, c in acc.items() if c))
+    return tuple(out)
+
+
+def _plan(rewrites: list, d: tuple):
+    """(bulk, moves) for one morphism's ``_rewrites``.
+
+    bulk is the (exp, coeff) monomial of the identity term, the one term
+    with no caps and no cups, which leaves every table in place, or None
+    when that term is missing or its factor has more than one monomial;
+    moves holds every other term as (caps, cups, factor * d**l for
+    l = 0..len(caps)).
+    """
+    bulk, moves = None, []
+    for caps, cups, factor in rewrites:
+        if not caps and not cups and len(factor.terms) == 1:
+            (bulk,) = factor.terms
+        else:
+            moves.append((caps, cups, _delta_powers(factor, len(caps), d)))
+    return bulk, moves
 
 
 def _fold(n_in: int, n_out: int, steps) -> TLMorphism:
@@ -314,36 +340,57 @@ def _fold(n_in: int, n_out: int, steps) -> TLMorphism:
     linearly: the n_in input points left to right, then the current top
     points left to right.  Each step is (pos, rewrites): the
     ``_rewrites`` of one morphism, acting on the top points from position
-    pos on.  A rewrite's factor times delta**loops is worked out once per
-    step and multiplied straight into its target table's dict; entries
-    that cancel, and tables left with none, are dropped after the step.
-    Only the final tables get a LaurentPoly.  The result has n_out top
-    points, which an empty state (a zero morphism on the way) cannot tell.
+    pos on.  Each distinct rewrites list is planned once per fold: every
+    factor times delta**l, l up to its number of caps.  A term with no
+    caps or cups and a one-monomial factor (a crossing's or a twist's
+    identity term) scales every table at once; each other term
+    rewrites each table and multiplies its factor straight into the
+    target table's dict.  After the step, only the tables holding a zero
+    are filtered, in place, and a table left empty is dropped.  Only the
+    final tables get a LaurentPoly.  The result has n_out top points,
+    which an empty state (a zero morphism on the way) cannot tell.
     """
     d = delta().terms
     state = {tuple(range(n_in, 2 * n_in)) + tuple(range(n_in)): {0: 1}}
+    # id(rewrites) -> (rewrites, bulk, moves); holding the list keeps its id
+    plans: dict = {}
     for pos, rewrites in steps:
         at = n_in + pos
-        factors: dict = {}
-        out: dict = {}
+        plan = plans.get(id(rewrites))
+        if plan is None:
+            plan = plans[id(rewrites)] = (rewrites, *_plan(rewrites, d))
+        _, bulk, moves = plan
+        if bulk is None:
+            out: dict = {}
+        else:
+            e0, c0 = bulk
+            out = {mate: {e + e0: c * c0 for e, c in coeff.items()}
+                   for mate, coeff in state.items()}
         for mate, coeff in state.items():
-            for k, (caps, cups, factor) in enumerate(rewrites):
+            for caps, cups, powers in moves:
                 m, loops = _rewrite(mate, at, caps, cups)
-                f = factors.get((k, loops))
-                if f is None:
-                    f = factors[k, loops] = _times_delta(factor, loops, d)
+                f = powers[loops]
                 acc = out.get(m)
                 if acc is None:
+                    if len(f) == 1:
+                        ((e0, c0),) = f
+                        out[m] = {e + e0: c * c0 for e, c in coeff.items()}
+                        continue
                     acc = out[m] = {}
                 for e1, c1 in coeff.items():
                     for e2, c2 in f:
                         e = e1 + e2
                         acc[e] = acc.get(e, 0) + c1 * c2
-        state = {}
+        empty = []
         for m, acc in out.items():
-            acc = {e: c for e, c in acc.items() if c}
-            if acc:
-                state[m] = acc
+            if 0 in acc.values():
+                for e in [e for e, c in acc.items() if not c]:
+                    del acc[e]
+                if not acc:
+                    empty.append(m)
+        for m in empty:
+            del out[m]
+        state = out
     # linear index x of a top point is circular index top - x
     top = 2 * n_in + n_out - 1
     terms = {}
@@ -383,13 +430,15 @@ def _sign(sign, what: str) -> int:
 def crossing_resolution(sign: int) -> TLMorphism:
     """The Kauffman resolution of a crossing on two strands.
 
-    Positive: A * id + A^-1 * e; negative: A^-1 * id + A * e.
+    Positive: A * id + A^-1 * e; negative: A^-1 * id + A * e.  Built
+    straight from its two diagrams, the hook being the one diagram of
+    cap then cup.
     """
     _sign(sign, "crossing sign")
-    a = LaurentPoly.monomial(1, sign)
-    ainv = LaurentPoly.monomial(1, -sign)
-    e = tl_compose(tl_cap(), tl_cup())
-    return tl_identity(2).scaled(a) + e.scaled(ainv)
+    (hook,) = tl_compose(tl_cap(), tl_cup()).terms
+    return TLMorphism(2, 2, {
+        identity_diagram(2): LaurentPoly.monomial(1, sign),
+        hook: LaurentPoly.monomial(1, -sign)})
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ BAD_SHAPES_AND_SIZES = {
     "mat_lincomb 2.0 rows": (lambda: skeinalg.mat_lincomb([], 2.0, 2), "matrix rows must be an int >= 0"),
     "mat_lincomb 1x1 term in 2x2": (lambda: skeinalg.mat_lincomb([(1, IDENTITY_1)], 2, 2), "a combination term is not 2x2"),
     "mat_lincomb 2x2 term in 1x4": (lambda: skeinalg.mat_lincomb([(1, skeinalg.Matrix.identity(2))], 1, 4), "a combination term is not 1x4"),
+    "mat_lincomb str terms": (lambda: skeinalg.mat_lincomb("x", 2, 2), "a combination term is not 2x2"),
+    "mat_lincomb triple term": (lambda: skeinalg.mat_lincomb([(1, 2, 3)], 1, 1), "a combination term is not 1x1"),
     "product field algebra -1": (lambda: skeinalg.product_field_algebra(-1), "int >= 0"),
     "product field algebra None": (lambda: skeinalg.product_field_algebra(None), "algebra dimension must be an int >= 0"),
     "product field algebra 2.0": (lambda: skeinalg.product_field_algebra(2.0), "algebra dimension must be an int >= 0"),

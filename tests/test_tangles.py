@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from oracles import literal_fold, literal_state_sum
 
-from skeinalg import tangles
+from skeinalg import tangles, tl
 from skeinalg.errors import ContractViolation, TangleShapeError
 from skeinalg.laurent import LaurentPoly
 from skeinalg.samples import random_braid
@@ -241,6 +241,50 @@ def test_coupon_tangles_hash_like_their_equals(monkeypatch):
                    [coupon(e)]])
     assert interpret_tangle(t) == e.scaled(2 * delta() * delta())
     assert seen == [e, twice]
+
+
+def test_fold_matches_full_width_stacking_on_every_coupon_path():
+    ident, e = tl_identity(2), tl_e(2, 0)
+    coupons = [
+        ident.scaled(P({3: 2})) + e,            # a non-unit monomial identity
+        ident.scaled(P({0: 1, 1: 1})) + e,      # a two-term identity factor
+        e.scaled(P({1: 1})) - tl_compose(e, crossing_resolution(-1)),
+    ]
+    for m in coupons:
+        t = tangle(3, [[coupon(m), ID], [ID, cross(1)], [coupon(m), ID],
+                       [ID, coupon(m)], [cross(-1), ID]])
+        assert interpret_tangle(t) == literal_fold(t)
+    # no identity term, on three strands
+    m = tl_e(3, 0) + tl_e(3, 1).scaled(P({1: 1}))
+    t = tangle(3, [[coupon(m)], [cross(-1), ID], [coupon(m)], [ID, twist(1), ID]])
+    assert interpret_tangle(t) == literal_fold(t)
+
+
+def test_fold_drops_a_table_whose_identity_and_hook_parts_cancel():
+    # (p id + e) then (id + e): the e table gets p from the hook, 1 from
+    # the identity and delta from the loop, and p = -1 - delta
+    p = P({0: -1, 2: 1, -2: 1})
+    ident, e = tl_identity(2), tl_e(2, 0)
+    t = tangle(2, [[coupon(ident.scaled(p) + e)], [coupon(ident + e)]])
+    got = interpret_tangle(t)
+    assert got == literal_fold(t) == ident.scaled(p)
+    assert len(got.terms) == 1
+
+
+def test_fold_plans_delta_powers_once_per_event(monkeypatch):
+    # factor * delta**l is worked out once per distinct event and fold, so
+    # the count does not grow with the crossings
+    calls = []
+    powers = tl._delta_powers
+    monkeypatch.setattr(tl, "_delta_powers",
+                        lambda *args: calls.append(args) or powers(*args))
+    word = (1, -2, 3, -1, 2, -3, 1, 2, -3, -2)
+    counts = []
+    for w in (word, word * 2):
+        calls.clear()
+        interpret_tangle(closed_braid_tangle(w, 4))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_cable_double_widths():

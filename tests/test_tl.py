@@ -234,6 +234,12 @@ def test_crossing_coefficients():
     assert pos.terms == {id_diag: P({1: 1}), e_diag: P({-1: 1})}
 
 
+def test_crossing_resolution_is_identity_plus_hook():
+    for s in (1, -1):
+        assert crossing_resolution(s) == (tl_identity(2).scaled(P({s: 1}))
+                                          + tl_e(2, 0).scaled(P({-s: 1})))
+
+
 def test_crossing_sign_must_be_an_int_unit():
     for bad in (0, 2, 1.0, -1.0, True, Fraction(1), "1"):
         with pytest.raises(ContractViolation, match="sign"):
