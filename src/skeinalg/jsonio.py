@@ -81,7 +81,9 @@ def laurent_from_json(obj: dict) -> LaurentPoly:
 
 
 def annular_to_json(a: AnnularClass) -> dict:
-    return {str(k): laurent_to_json(c) for k, c in a.coeffs.items()}
+    """The z-degrees from the highest down, each with its Laurent dict."""
+    return {str(k): laurent_to_json(a.coeffs[k])
+            for k in sorted(a.coeffs, reverse=True)}
 
 
 # -- matrices over Q ----------------------------------------------------------

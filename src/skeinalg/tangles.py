@@ -4,8 +4,9 @@ A tangle is a list of horizontal slices; each slice is a tensor of
 elementary events (identity, cup, cap, signed crossing, signed twist,
 coupon).  The interpretation folds the slices bottom to top with the
 one gluing engine of ``tl``: each event but the identity acts on just
-the open boundary points it touches, through the rewrites of its
-morphism, and only the final terms become checked ``TLDiagram``s.
+the open boundary points it touches, through the plan of its
+morphism, made once per distinct event and fold, and only the final
+terms become checked ``TLDiagram``s.
 
 Conventions:
   * cross+ resolves to A*id + A^-1*e, cross- to the mirror;
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from .errors import (ContractViolation, InternalCheckError, TangleShapeError,
                      int_arg)
 from .laurent import LaurentPoly
-from .tl import (TLMorphism, _fold, _rewrites, _sign, crossing_resolution,
+from .tl import (TLMorphism, _fold, _plan, _sign, crossing_resolution,
                  delta, plane_closure, tl_cap, tl_cup, tl_identity)
 # unused here, but benchmarks/test_bench.py traces tl_compose under this name
 from .tl import tl_compose  # noqa: F401
@@ -149,11 +150,11 @@ def interpret_tangle(t: SliceTangle) -> TLMorphism:
     """Fold the slices bottom-to-top into a single morphism.
 
     Each slice's events act right to left, so a rewrite never moves the
-    points of the events still to come; identity events do nothing.  The
-    rewrites of each distinct event are computed once per fold.
+    points of the events still to come; identity events do nothing.  Each
+    distinct event's morphism is planned once per fold.
     """
     widths = t.widths
-    rewrites: dict = {}
+    plans: dict = {}
 
     def steps():
         for k, sl in enumerate(t.slices):
@@ -162,10 +163,10 @@ def interpret_tangle(t: SliceTangle) -> TLMorphism:
                 at -= e.widths()[0]
                 if e.kind == "id":
                     continue
-                r = rewrites.get(e)
-                if r is None:
-                    r = rewrites[e] = _rewrites(_event_morphism(e))
-                yield at, r
+                plan = plans.get(e)
+                if plan is None:
+                    plan = plans[e] = _plan(_event_morphism(e))
+                yield at, plan
 
     return _fold(t.strands_in, widths[-1], steps())
 

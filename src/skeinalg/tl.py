@@ -13,12 +13,13 @@ mate tables over the open boundary and lets each morphism act on the top
 points it touches, its caps joining two mates (or closing a loop worth
 delta) and its cups inserting a mated pair.  During the fold a
 coefficient is a plain {exponent: int} dict; it becomes a LaurentPoly
-only for the output terms.  The fold works out each factor times the
-delta powers it can close once per distinct morphism and fold, scales
-every table at once by a one-monomial identity term (a crossing's or a
-twist's), and drops cancelled entries in place.  ``tl_compose``,
-``tl_tensor`` and the tangle fold are its three callers.  The rewrites
-and the annular closure read the circular mate table directly, the plane
+only for the output terms.  ``_plan`` is the one place a morphism
+becomes fold work: a one-monomial identity term (a crossing's or a
+twist's) that scales every table at once, and each other term with its
+factor times the delta powers it can close.  The fold only applies
+plans; its three callers, ``tl_compose``, ``tl_tensor`` and the tangle
+fold, plan each distinct morphism once per fold.  The rewrites and the
+annular closure read the circular mate table directly, the plane
 closure is the annular one at z = delta, and ``TLDiagram.pairs`` exists
 only for printing.  A coefficient other than an int or a LaurentPoly
 raises ContractViolation.
@@ -270,11 +271,10 @@ def _rewrites(m: TLMorphism) -> list:
 def _rewrite(mate: tuple, at: int, caps: tuple, cups: tuple):
     """Apply one term's caps, then its cups, at boundary index ``at``.
 
-    Returns the new mate table and the number of loops closed; a term
-    with no caps and no cups returns the table itself.
+    Returns the new mate table and the number of loops closed.  Only a
+    move of a ``_plan`` comes here; the hook (one cap, then one cup at
+    the same place) swaps two mates without rebuilding the table.
     """
-    if not caps and not cups:
-        return mate, 0
     if caps == cups == (0,):
         # the hook: a cap then a cup at one place swaps mates
         a, b = mate[at], mate[at + 1]
@@ -314,17 +314,19 @@ def _delta_powers(factor: LaurentPoly, most: int, d: tuple) -> tuple:
     return tuple(out)
 
 
-def _plan(rewrites: list, d: tuple):
-    """(bulk, moves) for one morphism's ``_rewrites``.
+def _plan(m: TLMorphism):
+    """(bulk, moves): the work of gluing m, the one form a fold step takes.
 
-    bulk is the (exp, coeff) monomial of the identity term, the one term
+    bulk is the (exp, coeff) monomial of m's identity term, the one term
     with no caps and no cups, which leaves every table in place, or None
     when that term is missing or its factor has more than one monomial;
-    moves holds every other term as (caps, cups, factor * d**l for
-    l = 0..len(caps)).
+    moves holds every other term of ``_rewrites(m)`` as (caps, cups,
+    factor * delta**l for l = 0..len(caps)).  Callers plan each distinct
+    morphism once per fold and keep nothing from one fold to the next.
     """
+    d = delta().terms
     bulk, moves = None, []
-    for caps, cups, factor in rewrites:
+    for caps, cups, factor in _rewrites(m):
         if not caps and not cups and len(factor.terms) == 1:
             (bulk,) = factor.terms
         else:
@@ -333,33 +335,24 @@ def _plan(rewrites: list, d: tuple):
 
 
 def _fold(n_in: int, n_out: int, steps) -> TLMorphism:
-    """Glue morphisms one by one onto the top of the identity on n_in points.
+    """Glue planned morphisms one by one onto the identity on n_in points.
 
     The state maps a mate table to its coefficient, a plain
     {exponent: int} dict in A.  A table indexes the open boundary
     linearly: the n_in input points left to right, then the current top
-    points left to right.  Each step is (pos, rewrites): the
-    ``_rewrites`` of one morphism, acting on the top points from position
-    pos on.  Each distinct rewrites list is planned once per fold: every
-    factor times delta**l, l up to its number of caps.  A term with no
-    caps or cups and a one-monomial factor (a crossing's or a twist's
-    identity term) scales every table at once; each other term
-    rewrites each table and multiplies its factor straight into the
-    target table's dict.  After the step, only the tables holding a zero
-    are filtered, in place, and a table left empty is dropped.  Only the
-    final tables get a LaurentPoly.  The result has n_out top points,
-    which an empty state (a zero morphism on the way) cannot tell.
+    points left to right.  Each step is (pos, plan): the ``_plan`` of one
+    morphism, acting on the top points from position pos on; the fold
+    only applies plans, and its callers make them.  A plan's bulk
+    monomial scales every table at once; each move rewrites each table
+    and multiplies its factor straight into the target table's dict.
+    After the step, only the tables holding a zero are rebuilt without
+    it, and a table left empty is dropped.  Only the final tables get a
+    LaurentPoly.  The result has n_out top points, which an empty state
+    (a zero morphism on the way) cannot tell.
     """
-    d = delta().terms
     state = {tuple(range(n_in, 2 * n_in)) + tuple(range(n_in)): {0: 1}}
-    # id(rewrites) -> (rewrites, bulk, moves); holding the list keeps its id
-    plans: dict = {}
-    for pos, rewrites in steps:
+    for pos, (bulk, moves) in steps:
         at = n_in + pos
-        plan = plans.get(id(rewrites))
-        if plan is None:
-            plan = plans[id(rewrites)] = (rewrites, *_plan(rewrites, d))
-        _, bulk, moves = plan
         if bulk is None:
             out: dict = {}
         else:
@@ -372,24 +365,17 @@ def _fold(n_in: int, n_out: int, steps) -> TLMorphism:
                 f = powers[loops]
                 acc = out.get(m)
                 if acc is None:
-                    if len(f) == 1:
-                        ((e0, c0),) = f
-                        out[m] = {e + e0: c * c0 for e, c in coeff.items()}
-                        continue
                     acc = out[m] = {}
                 for e1, c1 in coeff.items():
                     for e2, c2 in f:
                         e = e1 + e2
                         acc[e] = acc.get(e, 0) + c1 * c2
-        empty = []
-        for m, acc in out.items():
-            if 0 in acc.values():
-                for e in [e for e, c in acc.items() if not c]:
-                    del acc[e]
-                if not acc:
-                    empty.append(m)
-        for m in empty:
-            del out[m]
+        for m in [m for m, acc in out.items() if 0 in acc.values()]:
+            acc = {e: c for e, c in out[m].items() if c}
+            if acc:
+                out[m] = acc
+            else:
+                del out[m]
         state = out
     # linear index x of a top point is circular index top - x
     top = 2 * n_in + n_out - 1
@@ -411,13 +397,13 @@ def tl_compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     if f.n_top != g.n_bottom:
         raise ContractViolation(
             f"cannot stack {g.n_bottom} onto {f.n_top} strands")
-    return _fold(f.n_bottom, g.n_top, [(0, _rewrites(f)), (0, _rewrites(g))])
+    return _fold(f.n_bottom, g.n_top, [(0, _plan(f)), (0, _plan(g))])
 
 
 def tl_tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     """Side-by-side placement; widths add and coefficients multiply."""
     return _fold(f.n_bottom + g.n_bottom, f.n_top + g.n_top,
-                 [(f.n_bottom, _rewrites(g)), (0, _rewrites(f))])
+                 [(f.n_bottom, _plan(g)), (0, _plan(f))])
 
 
 def _sign(sign, what: str) -> int:

@@ -15,10 +15,12 @@ from skeinalg.bimodule import regular_bimodule
 from skeinalg.cli import main
 from skeinalg.errors import SkeinalgError
 from skeinalg.jsonio import (algebra_from_json, algebra_to_json,
-                             bimodule_from_json, bimodule_to_json,
-                             hom_from_json, hom_to_json, laurent_from_json,
-                             system_from_json, tangle_from_json)
+                             annular_to_json, bimodule_from_json,
+                             bimodule_to_json, hom_from_json, hom_to_json,
+                             laurent_from_json, system_from_json,
+                             tangle_from_json)
 from skeinalg.linalg import Matrix
+from skeinalg.tl import AnnularClass
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -100,3 +102,8 @@ def test_cli_exits_with_a_documented_code(value):
                      ["algebra", "modulate", path],
                      ["tqft1d", path, "w[0] . u(2) . v[0]"]):
             assert main(argv, out=lambda line: None) in range(6), argv
+
+
+def test_annular_json_lists_z_degrees_from_the_highest_down():
+    # not in the order the class's terms first reached each degree
+    assert list(annular_to_json(AnnularClass({0: 1, 2: 1}))) == ["2", "0"]

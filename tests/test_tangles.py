@@ -232,11 +232,11 @@ def test_coupon_tangles_hash_like_their_equals(monkeypatch):
     assert t == same and hash(t) == hash(same)
     assert coupon(e) != coupon(twice)
     assert len({coupon(e), coupon(e_again), coupon(twice)}) == 2
-    # the fold computes the rewrites of each distinct event once
+    # the fold plans each distinct event once
     seen = []
-    rewrites = tangles._rewrites
-    monkeypatch.setattr(tangles, "_rewrites",
-                        lambda m: seen.append(m) or rewrites(m))
+    plan = tangles._plan
+    monkeypatch.setattr(tangles, "_plan",
+                        lambda m: seen.append(m) or plan(m))
     t = tangle(2, [[coupon(e)], [coupon(e_again)], [coupon(twice)],
                    [coupon(e)]])
     assert interpret_tangle(t) == e.scaled(2 * delta() * delta())

@@ -11,10 +11,11 @@ from skeinalg.errors import ContractViolation, ValidationError
 from skeinalg.laurent import LaurentPoly
 from skeinalg.tangles import braid_to_slices, interpret_tangle
 from skeinalg.tl import (CATALAN_MAX_N, TL_BASIS_MAX_POINTS, AnnularClass,
-                         TLDiagram, TLMorphism, _closure_windings, _rewrites,
-                         annulus_closure_eval, catalan, crossing_resolution,
-                         delta, plane_closure, tl_basis, tl_cap, tl_compose,
-                         tl_cup, tl_e, tl_from_diagram, tl_identity, tl_tensor)
+                         TLDiagram, TLMorphism, _closure_windings, _plan,
+                         _rewrites, annulus_closure_eval, catalan,
+                         crossing_resolution, delta, plane_closure, tl_basis,
+                         tl_cap, tl_compose, tl_cup, tl_e, tl_from_diagram,
+                         tl_identity, tl_tensor)
 
 
 def P(d):
@@ -367,3 +368,26 @@ def test_rewrites_match_the_pairs_reference():
                 d: _random_coefficient(rng)
                 for d in tl_basis(nb, total - nb)})
             assert _rewrites(m) == tagged_rewrites(m)
+
+
+def test_plan_splits_the_identity_term_from_the_moves():
+    def as_dicts(powers):
+        return [dict(p) for p in powers]
+
+    # a crossing: its identity term scales in bulk, its hook is the move
+    bulk, moves = _plan(crossing_resolution(1))
+    assert bulk == (1, 1)
+    ((caps, cups, powers),) = moves
+    assert (caps, cups) == ((0,), (0,))
+    # A^-1 and A^-1 * delta = -A - A^-3
+    assert as_dicts(powers) == [{-1: 1}, {1: -1, -3: -1}]
+    # an identity factor of two monomials is a move with no caps or cups
+    bulk, moves = _plan(tl_identity(2).scaled(P({0: 1, 1: 1})) + tl_e(2, 0))
+    assert bulk is None
+    ident = [powers for caps, cups, powers in moves if caps == cups == ()]
+    assert [as_dicts(p) for p in ident] == [[{0: 1, 1: 1}]]
+    # a cap closes at most one loop
+    bulk, moves = _plan(tl_cap())
+    ((caps, cups, powers),) = moves
+    assert (bulk, caps, cups) == (None, (0,), ())
+    assert as_dicts(powers) == [{0: 1}, delta().to_dict()]
