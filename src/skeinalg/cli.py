@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
-Exit codes: 0 ok, 1 parse error, 2 tangle shape, 3 algebra validation,
-4 unknown label, 5 internal invariant failure.
+Exit codes: 0 ok, 1 parse error (of an input file or of the command
+line), 2 tangle shape, 3 algebra validation, 4 unknown label, 5 internal
+invariant failure.  Each library error exits with its code and one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ def cmd_algebra(args, out) -> int:
     def load_bimodule(path):
         return bimodule_from_json(load_json(path), os.path.dirname(path) or ".")
 
+    wanted = 1 if args.action in ("validate", "modulate") else 2
+    if len(args.inputs) != wanted:
+        raise ParseError(f"algebra {args.action} takes {wanted} input "
+                         f"file(s), got {len(args.inputs)}")
     if args.action == "validate":
         a = algebra_from_json(load_json(args.inputs[0]))
         out(f"OK, dim {a.dim}")
@@ -109,8 +115,6 @@ def cmd_algebra(args, out) -> int:
             out(f"modulation of a hom {f.source.dim} -> {f.target.dim}: "
                 f"bimodule of dim {b.dim}")
         return EXIT_OK
-    if len(args.inputs) != 2:
-        raise ParseError(f"algebra {args.action} needs two bimodule files")
     m1 = load_bimodule(args.inputs[0])
     m2 = load_bimodule(args.inputs[1])
     if args.action == "tensor":
@@ -160,10 +164,17 @@ def cmd_selftest(args, out) -> int:
     return selftest_mod.run_selftest(args.level, args.seed, out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are ParseErrors (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="skeinalg",
-                                description="exact pointed-bimodule and "
-                                            "Kauffman-bracket computations")
+    p = _Parser(prog="skeinalg",
+                description="exact pointed-bimodule and Kauffman-bracket "
+                            "computations")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bracket", help="Kauffman bracket of a closed tangle")
@@ -214,15 +225,15 @@ _ERROR_EXITS = (
 
 
 def main(argv=None, out=print) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "bracket": cmd_bracket,
-        "tl": cmd_tl,
-        "algebra": cmd_algebra,
-        "tqft1d": cmd_tqft1d,
-        "selftest": cmd_selftest,
-    }[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        handler = {
+            "bracket": cmd_bracket,
+            "tl": cmd_tl,
+            "algebra": cmd_algebra,
+            "tqft1d": cmd_tqft1d,
+            "selftest": cmd_selftest,
+        }[args.command]
         return handler(args, out)
     except SkeinalgError as exc:
         for cls, code in _ERROR_EXITS:

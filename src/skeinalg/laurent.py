@@ -32,11 +32,22 @@ class LaurentPoly:
     terms: tuple = ()
 
     def __post_init__(self):
+        # one stored form per polynomial, so == and hash agree; a term of
+        # the wrong type anywhere is named before an out-of-order one
+        canonical = True
+        last = None
         for e, c in self.terms:
             if type(e) is not int or type(c) is not int:
                 raise ContractViolation(
                     "Laurent exponents and coefficients are ints, not "
                     f"{type(e).__name__} and {type(c).__name__}")
+            if not c or (last is not None and e <= last):
+                canonical = False
+            last = e
+        if not canonical:
+            raise ContractViolation(
+                "Laurent terms need strictly increasing exponents and "
+                f"nonzero coefficients, got {self.terms!r}")
 
     @staticmethod
     def from_dict(coeffs: dict) -> "LaurentPoly":

@@ -177,12 +177,14 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        return self.entries[i * self.cols + j]
+        return self.row(i)[int_arg(j, "matrix column", 0, self.cols - 1)]
 
     def row(self, i: int) -> tuple:
+        i = int_arg(i, "matrix row", 0, self.rows - 1)
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple:
+        j = int_arg(j, "matrix column", 0, self.cols - 1)
         return self.entries[j::self.cols]
 
     @property

@@ -179,7 +179,8 @@ def writhe(t: SliceTangle) -> int:
 # ---------------------------------------------------------------------------
 # the state sum (independent of the composition machinery)
 
-# the state sum refuses tangles with more crossings (2^20 states) at once
+# the state sum refuses tangles with more crossings before it starts: its
+# forward pass holds at most 2^k states before crossing k
 STATE_SUM_MAX_CROSSINGS = 20
 # kauffman_bracket runs the state sum up to this many crossings
 STATE_SUM_VERIFY_MAX_CROSSINGS = 10
@@ -214,7 +215,8 @@ def bracket_state_sum(t: SliceTangle) -> LaurentPoly:
     if c > STATE_SUM_MAX_CROSSINGS:
         raise ContractViolation(
             f"state sum over {c} crossings exceeds the cap of "
-            f"{STATE_SUM_MAX_CROSSINGS} (2^{c} states)")
+            f"{STATE_SUM_MAX_CROSSINGS}, which bounds the states its forward "
+            f"pass holds at once by 2^{STATE_SUM_MAX_CROSSINGS}")
 
     # union-find over the wire segments, with path halving
     parent: list = []

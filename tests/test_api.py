@@ -58,6 +58,10 @@ BAD_SHAPES_AND_SIZES = {
     "matrix negative shape": (lambda: skeinalg.Matrix(-2, -3, (0,) * 6), "matrix rows must be an int >= 0"),
     "matrix bool rows": (lambda: skeinalg.Matrix(True, 2, (1, 2)), "matrix rows must be an int >= 0"),
     "matrix list entries": (lambda: skeinalg.Matrix(1, 2, [1, 2]), "a tuple"),
+    # an index past the end read another row's entry, or an empty tuple
+    "matrix entry past the last column": (lambda: SWAP[0, 2], "matrix column must be an int in 0..1, got 2"),
+    "matrix row past the end": (lambda: SWAP.row(5), "matrix row must be an int in 0..1, got 5"),
+    "matrix col past the end": (lambda: SWAP.col(7), "matrix column must be an int in 0..1, got 7"),
     "matrix identity None": (lambda: skeinalg.Matrix.identity(None), "matrix size must be an int >= 0"),
     "matrix zeros 2.0": (lambda: skeinalg.Matrix.zeros(2.0, 1), "matrix rows must be an int >= 0"),
     "mat_lincomb 2.0 rows": (lambda: skeinalg.mat_lincomb([], 2.0, 2), "matrix rows must be an int >= 0"),
@@ -137,6 +141,10 @@ INT_ARGUMENTS = {
     "matrix rows": (lambda v: skeinalg.Matrix(v, 0, ()), ()),
     "matrix cols": (lambda v: skeinalg.Matrix(0, v, ()), ()),
     "matrix identity": (skeinalg.Matrix.identity, ()),
+    "matrix entry row": (lambda v: SWAP[v, 0], ()),
+    "matrix entry column": (lambda v: SWAP[0, v], ()),
+    "matrix row": (SWAP.row, ()),
+    "matrix col": (SWAP.col, ()),
     "matrix zeros rows": (lambda v: skeinalg.Matrix.zeros(v, 1), ()),
     "matrix zeros cols": (lambda v: skeinalg.Matrix.zeros(1, v), ()),
     "mat_lincomb rows": (lambda v: skeinalg.mat_lincomb([], v, 1), ()),

@@ -10,7 +10,7 @@ import pytest
 
 from skeinalg.algebra import (ALGEBRA_MAX_DIM, conjugation_hom,
                               matrix_algebra, product_field_algebra,
-                              identity_hom, make_hom)
+                              identity_hom, make_hom, transport_algebra)
 from skeinalg import bimodule as bimodule_mod
 from skeinalg import jsonio
 from skeinalg import tqft1d as tqft1d_mod
@@ -375,18 +375,16 @@ def test_algebra_tensor_past_dim_16_needs_no_flag(tmp_path):
     code, lines = run_cli("algebra", "tensor", str(path), str(path))
     assert code == 0
     assert lines == ["tensor bimodule of dim 25"]
-    with pytest.raises(SystemExit) as exc:
-        run_cli("algebra", "tensor", str(path), str(path), "--max-dim", "25")
-    assert exc.value.code == 2
+    assert run_cli("algebra", "tensor", str(path), str(path),
+                   "--max-dim", "25") == (1, [])
 
 
 def test_algebra_trials_flag_is_gone(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(bimodule_to_json(
         modulate(identity_hom(matrix_algebra(2))))))
-    with pytest.raises(SystemExit) as exc:
-        run_cli("algebra", "iso", str(path), str(path), "--trials", "32")
-    assert exc.value.code == 2
+    assert run_cli("algebra", "iso", str(path), str(path),
+                   "--trials", "32") == (1, [])
 
 
 def test_algebra_iso_non_witness_exits_5(tmp_path, monkeypatch):
@@ -576,29 +574,138 @@ def test_selftest_catches_corrupted_loop_value(monkeypatch):
                    for line in fails), fails
 
 
-# -- the README examples, byte for byte ---------------------------------------
+# -- the command-line contract, one row per pinned behaviour ------------------
+#
+# A new contract is a new row here.  Each row runs main in a fresh tmp_path
+# that holds its input documents, written as JSON under their names.
 
-README_EXAMPLES = [
-    (["bracket", "--braid", "s1 s1 s1", "--strands", "2"],
+M2_JSON = algebra_to_json(matrix_algebra(2))
+# conjugation by [[1, 1], [0, 1]] on M_2
+CONJUGATION_HOM = {"source": M2_JSON, "target": M2_JSON,
+                   "matrix": [["1", "0", "-1", "0"], ["1", "1", "-1", "-1"],
+                              ["0", "0", "1", "0"], ["0", "0", "1", "1"]]}
+# f(E00) = E00 + E01 and f(E11) = E11 - E01: unital, not multiplicative
+NON_MULTIPLICATIVE_HOM = {
+    "source": M2_JSON, "target": M2_JSON,
+    "matrix": [["1", "0", "0", "0"], ["1", "1", "0", "-1"],
+               ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
+# the regular bimodule of M_2 in a basis with fractional structure constants
+FRACTIONAL_BIMODULE = bimodule_to_json(regular_bimodule(transport_algebra(
+    matrix_algebra(2), Matrix.from_rows(
+        [[1, Fraction(1, 3), 0, 0], [0, 1, Fraction(2, 5), 0],
+         [0, 0, 1, Fraction(-1, 2)], [Fraction(3, 11), 0, 0, 1]]))))
+MOVED_BY_A_SEVENTH = json.loads(json.dumps(FRACTIONAL_BIMODULE))
+MOVED_BY_A_SEVENTH["left_action"][1][0][1] = str(
+    Fraction(FRACTIONAL_BIMODULE["left_action"][1][0][1]) + Fraction(1, 7))
+# a 2-component link (crossing at 1) with a positive twist on strand 3
+TWISTED_LINK = {"strands_in": 0,
+                "slices": [["cup"], ["cup", {"at": 2}], ["cross+", {"at": 1}],
+                           ["twist+", {"at": 3}], ["cap", {"at": 2}], ["cap"]]}
+# 19 crossings, past STATE_SUM_VERIFY_MAX_CROSSINGS
+BRAID_19 = ("s1 s4^-1 s1 s2 s1 s3^-1 s2 s3^-1 s4^-1 s1^-1 s1^-1 s3^-1 s2 s3 "
+            "s2 s2^-1 s4^-1 s1 s2")
+
+# (argv, input documents, the exact stdout of exit 0)
+GOLDEN_OUTPUTS = [
+    # the README examples
+    (["bracket", "--braid", "s1 s1 s1", "--strands", "2"], {},
      "A^7 + A^3 + A^-1 - A^-9\n"),
     (["bracket", "--braid", "s1 s1 s1", "--strands", "2",
-      "--normalize-writhe"],
+      "--normalize-writhe"], {},
      "-A^-2 - A^-6 - A^-10 + A^-18\n"),
-    (["tl", "basis", "3", "3"],
+    (["tl", "basis", "3", "3"], {},
      "hom(3, 3) has 5 diagrams\n"
      "  bottom0-bottom1 bottom2-top2 top1-top0\n"
      "  bottom0-bottom1 bottom2-top0 top2-top1\n"
      "  bottom0-top2 bottom1-bottom2 top1-top0\n"
      "  bottom0-top0 bottom1-bottom2 top2-top1\n"
      "  bottom0-top0 bottom1-top1 bottom2-top2\n"),
-    (["tl", "closure", "--braid", "s1", "--strands", "2"], "A^5 + A\n"),
+    (["tl", "closure", "--braid", "s1", "--strands", "2"], {}, "A^5 + A\n"),
     (["tl", "annulus", "--braid", "s1 s2^-1", "--strands", "3", "--emit-json"],
-     '{"3": {"0": 1}, "1": {"-4": -1, "0": -1, "4": -1}}\n'),
+     {}, '{"3": {"0": 1}, "1": {"-4": -1, "0": -1, "4": -1}}\n'),
+    # the plane and annular closures
+    (["tl", "closure", "--braid", "s1 s2^-1 s1", "--strands", "3"], {},
+     "-A^3 - A^-1 - A^-5 - A^-9\n"),
+    (["tl", "annulus", "--braid", "s1 s2^-1 s1", "--strands", "3",
+      "--emit-json"], {},
+     '{"3": {"1": 1}, "1": {"-7": 1, "-3": -1, "1": -1, "5": -1}}\n'),
+    (["tl", "annulus", "--braid", "s1 s2^-1 s3", "--strands", "4",
+      "--emit-json"], {},
+     '{"4": {"1": 1}, "2": {"-3": -2, "1": -1, "5": -1}, '
+     '"0": {"-7": 1, "-3": 1}}\n'),
+    (["tl", "annulus", "--braid", "s1 s1", "--strands", "2"], {},
+     "AnnularClass((-A^2 + A^-6)*z^0 + (A^2)*z^2)\n"),
+    # a tangle file with positioned slices and a twist
+    (["bracket", "t.json"], {"t.json": TWISTED_LINK}, "-A^8 - A^4\n"),
+    (["bracket", "t.json", "--emit-json"], {"t.json": TWISTED_LINK},
+     '{"4": -1, "8": -1}\n'),
+    # a bracket the built-in state-sum check does not cover
+    (["bracket", "--braid", BRAID_19, "--strands", "5"], {},
+     "A^23 - A^19 - A^11 - 2*A^7 - 2*A^3 - 4*A^-1 - 2*A^-5 - 3*A^-9 "
+     "- A^-13 - A^-21\n"),
+    (["bracket", "--braid", BRAID_19, "--strands", "5", "--emit-json"], {},
+     '{"-21": -1, "-13": -1, "-9": -3, "-5": -2, "-1": -4, "3": -2, "7": -2, '
+     '"11": -1, "19": -1, "23": 1}\n'),
+    # the algebra layer
+    (["algebra", "modulate", "hom.json"], {"hom.json": CONJUGATION_HOM},
+     "modulation of a hom 4 -> 4: bimodule of dim 4\n"),
+    (["algebra", "iso", "b.json", "b.json"], {"b.json": FRACTIONAL_BIMODULE},
+     'present\n[["1", "0", "0", "0"], ["0", "1", "0", "0"], '
+     '["0", "0", "1", "0"], ["0", "0", "0", "1"]]\n'),
+]
+
+# (argv, input documents, the exit code)
+ERROR_CONTRACT = [
+    # a width, strand count or braid letter out of range
+    (["tl", "basis", "--", "-1", "0"], {}, 3),
+    (["bracket", "--braid", "s1", "--strands", "0"], {}, 3),
+    (["bracket", "--braid", "s1", "--strands", "65"], {}, 3),
+    (["tl", "closure", "--braid", "s1", "--strands", "65"], {}, 3),
+    (["tl", "closure", "--braid", "s3", "--strands", "2"], {}, 3),
+    # algebra files that parse but break an invariant
+    (["algebra", "modulate", "hom.json"], {"hom.json": NON_MULTIPLICATIVE_HOM},
+     3),
+    (["algebra", "tensor", "bad.json", "good.json"],
+     {"bad.json": MOVED_BY_A_SEVENTH, "good.json": FRACTIONAL_BIMODULE}, 3),
+    # command lines that do not parse
+    (["bracket", "--braid", "s1", "--strands", "x"], {}, 1),
+    (["bracket", "--braid", "s1", "--strands", "2", "--bogus"], {}, 1),
+    (["algebra", "validate", "k.json", "missing.json"], {"k.json": FIELD_JSON},
+     1),
+    (["algebra", "modulate", "hom.json", "hom.json"],
+     {"hom.json": CONJUGATION_HOM}, 1),
 ]
 
 
-@pytest.mark.parametrize("argv,stdout", README_EXAMPLES,
-                         ids=[" ".join(a) for a, _ in README_EXAMPLES])
-def test_readme_examples_print_their_golden_output(argv, stdout, capsys):
+def _write_inputs(docs, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv,docs,stdout", GOLDEN_OUTPUTS,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN_OUTPUTS])
+def test_cli_prints_its_golden_output(argv, docs, stdout, tmp_path,
+                                      monkeypatch, capsys):
+    _write_inputs(docs, tmp_path, monkeypatch)
     assert main(argv) == 0
-    assert capsys.readouterr().out == stdout
+    assert capsys.readouterr() == (stdout, "")
+
+
+@pytest.mark.parametrize("argv,docs,code", ERROR_CONTRACT,
+                         ids=[" ".join(a) for a, _, _ in ERROR_CONTRACT])
+def test_cli_error_exits_with_its_code_and_one_error_line(
+        argv, docs, code, tmp_path, monkeypatch, capsys):
+    _write_inputs(docs, tmp_path, monkeypatch)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: skeinalg bracket")

@@ -38,6 +38,16 @@ def test_canonical_form_drops_zeros():
     assert not P({1: 0})
 
 
+def test_directly_built_terms_must_be_canonical():
+    # unsorted terms printed like A^2 + 1 but were unequal to it, and a
+    # zero term printed as -0*A and was truthy
+    for bad in (((2, 1), (0, 1)), ((1, 0),), ((0, 1), (0, 2))):
+        with pytest.raises(ContractViolation, match="strictly increasing"):
+            LaurentPoly(bad)
+    p = LaurentPoly(((0, 1), (2, 1)))
+    assert p == P({0: 1, 2: 1}) and hash(p) == hash(P({0: 1, 2: 1}))
+
+
 def test_equality_is_coefficientwise():
     assert P({1: 2, -3: 1}) == P({-3: 1, 1: 2})
     assert P({1: 2}) != P({1: 3})

@@ -42,11 +42,15 @@ def test_quick_level_prints_one_ok_line_per_check():
         ["all 20 invariants hold at level 'quick'"]
 
 
-@pytest.mark.parametrize("name,check,sizes", ALL_CHECKS,
-                         ids=[name for name, _, _ in ALL_CHECKS])
-def test_check_holds_at_full_sizes(name, check, sizes):
-    # the stream run_selftest("full", 0) gives this check
-    check(random.Random(f"0:{name}"), **sizes["full"])
+FULL_RUNS = [(f"{seed}:{name}", check, sizes)
+             for seed in (0, 3) for name, check, sizes in ALL_CHECKS]
+
+
+@pytest.mark.parametrize("stream,check,sizes", FULL_RUNS,
+                         ids=[stream for stream, _, _ in FULL_RUNS])
+def test_check_holds_at_full_sizes(stream, check, sizes):
+    # the stream run_selftest("full", seed) gives this check
+    check(random.Random(stream), **sizes["full"])
 
 
 def test_unknown_level_is_rejected():
