@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
-Exit codes: 0 ok, 1 parse error (of an input file or of the command
-line), 2 tangle shape, 3 algebra validation, 4 unknown label, 5 internal
-invariant failure.  Each library error exits with its code and one
-``error:`` line on stderr.
+Each command takes only the arguments its handler reads.  Exit codes: 0
+ok, 1 parse error (of an input file or of the command line), 2 tangle
+shape, 3 algebra validation, 4 unknown label, 5 internal invariant
+failure.  Each library error exits with its code and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -38,103 +38,88 @@ EXIT_LABEL = 4
 EXIT_INTERNAL = 5
 
 
-def _print_laurent(p: LaurentPoly, args, out):
-    if args.emit_json:
-        out(json.dumps(laurent_to_json(p)))
-    else:
-        out(p.text(args.variable))
-
-
-def _load_bracket_tangle(args):
-    if args.braid is not None:
-        if args.strands is None:
-            raise ParseError("--braid needs --strands")
-        word = parse_braid_string(args.braid)
-        return closed_braid_tangle(word, args.strands)
-    if args.tangle is None:
-        raise ParseError("bracket needs a tangle file or --braid")
-    return tangle_from_json(load_json(args.tangle))
+def _print_value(value, to_json, args, out):
+    out(json.dumps(to_json(value)) if args.emit_json
+        else value.text(args.variable))
 
 
 def cmd_bracket(args, out) -> int:
-    t = _load_bracket_tangle(args)
+    if (args.braid is None) != (args.strands is None):
+        raise ParseError("skeinalg bracket: --braid and --strands go together")
+    if args.braid is None:
+        t = tangle_from_json(load_json(args.tangle))
+    else:
+        t = closed_braid_tangle(parse_braid_string(args.braid), args.strands)
     value = kauffman_bracket(t)
     if args.normalize_writhe:
         w = writhe(t)
         value = (LaurentPoly.from_dict({3: -1}) ** (-w)) * value
-    _print_laurent(value, args, out)
+    _print_value(value, laurent_to_json, args, out)
     return EXIT_OK
 
 
-def cmd_tl(args, out) -> int:
-    if args.action == "basis":
-        diagrams = tl_basis(args.n_bottom, args.n_top)
-        if args.emit_json:
-            out(json.dumps({"count": len(diagrams),
-                            "matchings": [list(d.mate) for d in diagrams]}))
-        else:
-            out(f"hom({args.n_bottom}, {args.n_top}) has {len(diagrams)} diagrams")
-            for d in diagrams:
-                arcs = " ".join(f"{s1}{p1}-{s2}{p2}"
-                                for (s1, p1), (s2, p2) in d.pairs())
-                out("  " + arcs)
-        return EXIT_OK
-    if args.strands is None or args.braid is None:
-        raise ParseError("tl closure needs --braid and --strands")
+def cmd_tl_basis(args, out) -> int:
+    diagrams = tl_basis(args.n_bottom, args.n_top)
+    if args.emit_json:
+        out(json.dumps({"count": len(diagrams),
+                        "matchings": [list(d.mate) for d in diagrams]}))
+    else:
+        out(f"hom({args.n_bottom}, {args.n_top}) has {len(diagrams)} diagrams")
+        for d in diagrams:
+            arcs = " ".join(f"{s1}{p1}-{s2}{p2}"
+                            for (s1, p1), (s2, p2) in d.pairs())
+            out("  " + arcs)
+    return EXIT_OK
+
+
+def cmd_tl_closure(args, out) -> int:
     word = parse_braid_string(args.braid)
     m = interpret_tangle(braid_to_slices(word, args.strands))
-    if args.action == "closure":
-        _print_laurent(plane_closure(m), args, out)
-        return EXIT_OK
-    cls = annulus_closure_eval(m)
-    if args.emit_json:
-        out(json.dumps(annular_to_json(cls)))
+    if args.annular:
+        _print_value(annulus_closure_eval(m), annular_to_json, args, out)
     else:
-        out(cls.text(args.variable))
+        _print_value(plane_closure(m), laurent_to_json, args, out)
     return EXIT_OK
 
 
-def cmd_algebra(args, out) -> int:
-    def load_bimodule(path):
-        return bimodule_from_json(load_json(path), os.path.dirname(path) or ".")
+def cmd_algebra_validate(args, out) -> int:
+    a = algebra_from_json(load_json(args.file))
+    out(f"OK, dim {a.dim}")
+    return EXIT_OK
 
-    wanted = 1 if args.action in ("validate", "modulate") else 2
-    if len(args.inputs) != wanted:
-        raise ParseError(f"algebra {args.action} takes {wanted} input "
-                         f"file(s), got {len(args.inputs)}")
-    if args.action == "validate":
-        a = algebra_from_json(load_json(args.inputs[0]))
-        out(f"OK, dim {a.dim}")
-        return EXIT_OK
-    if args.action == "modulate":
-        f = hom_from_json(load_json(args.inputs[0]))
-        b = modulate(f)
-        if args.emit_json:
-            out(json.dumps(bimodule_to_json(b)))
-        else:
-            out(f"modulation of a hom {f.source.dim} -> {f.target.dim}: "
-                f"bimodule of dim {b.dim}")
-        return EXIT_OK
-    m1 = load_bimodule(args.inputs[0])
-    m2 = load_bimodule(args.inputs[1])
-    if args.action == "tensor":
-        t = tensor_over(m1, m2)
-        if args.emit_json:
-            out(json.dumps(bimodule_to_json(t)))
-        else:
-            out(f"tensor bimodule of dim {t.dim}")
-        return EXIT_OK
-    if args.action in ("iso", "iso-unpointed"):
-        if args.action == "iso":
-            w = bimodule_iso_pointed(m1, m2, seed=args.seed)
-            mat = None if w is None else w.matrix
-        else:
-            mat = bimodule_iso_unpointed(m1, m2, seed=args.seed)
-        out("absent" if mat is None else "present")
-        if mat is not None:
-            out(json.dumps(matrix_to_json(mat)))
-        return EXIT_OK
-    raise ParseError(f"unknown algebra action {args.action!r}")
+
+def cmd_algebra_modulate(args, out) -> int:
+    f = hom_from_json(load_json(args.file))
+    b = modulate(f)
+    out(json.dumps(bimodule_to_json(b)) if args.emit_json else
+        f"modulation of a hom {f.source.dim} -> {f.target.dim}: "
+        f"bimodule of dim {b.dim}")
+    return EXIT_OK
+
+
+def _load_bimodules(args):
+    return [bimodule_from_json(load_json(path), os.path.dirname(path) or ".")
+            for path in args.bimodules]
+
+
+def cmd_algebra_tensor(args, out) -> int:
+    t = tensor_over(*_load_bimodules(args))
+    out(json.dumps(bimodule_to_json(t)) if args.emit_json
+        else f"tensor bimodule of dim {t.dim}")
+    return EXIT_OK
+
+
+def cmd_algebra_iso(args, out) -> int:
+    m1, m2 = _load_bimodules(args)
+    if args.pointed:
+        w = bimodule_iso_pointed(m1, m2, seed=args.seed)
+        mat = None if w is None else w.matrix
+    else:
+        mat = bimodule_iso_unpointed(m1, m2, seed=args.seed)
+    out("absent" if mat is None else "present")
+    if mat is not None:
+        out(json.dumps(matrix_to_json(mat)))
+    return EXIT_OK
 
 
 def cmd_tqft1d(args, out) -> int:
@@ -164,8 +149,17 @@ def cmd_selftest(args, out) -> int:
     return selftest_mod.run_selftest(args.level, args.seed, out)
 
 
+def _decimal(text: str) -> int:
+    """An optional '-', then ASCII digits: int() alone also reads '1_0'."""
+    digits = text[text.startswith("-"):]
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose errors are ParseErrors (exit 1), not exit 2."""
+    """An ArgumentParser whose errors, at every level, are ParseErrors
+    (exit 1), not exit 2."""
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
@@ -176,41 +170,58 @@ def build_parser() -> argparse.ArgumentParser:
                 description="exact pointed-bimodule and Kauffman-bracket "
                             "computations")
     sub = p.add_subparsers(dest="command", required=True)
+    shared = {"--emit-json": {"action": "store_true"},
+              "--variable": {"default": "A"},
+              "--seed": {"type": _decimal, "default": 0}}
 
-    b = sub.add_parser("bracket", help="Kauffman bracket of a closed tangle")
-    b.add_argument("tangle", nargs="?", help="tangle JSON file")
-    b.add_argument("--braid", help='braid word like "s1 s1 s1"')
-    b.add_argument("--strands", type=int)
-    b.add_argument("--variable", default="A")
+    def leaf(parent, name, handler, help, options=(), **defaults):
+        q = parent.add_parser(name, help=help)
+        q.set_defaults(handler=handler, **defaults)
+        for option in options:
+            q.add_argument(option, **shared[option])
+        return q
+
+    b = leaf(sub, "bracket", cmd_bracket, "Kauffman bracket of a closed tangle",
+             ("--variable", "--emit-json"))
+    source = b.add_mutually_exclusive_group(required=True)
+    source.add_argument("tangle", nargs="?", help="tangle JSON file")
+    source.add_argument("--braid", help='braid word like "s1 s1 s1"')
+    b.add_argument("--strands", type=_decimal, help="needed with --braid")
     b.add_argument("--normalize-writhe", action="store_true")
-    b.add_argument("--emit-json", action="store_true")
 
-    t = sub.add_parser("tl", help="Temperley-Lieb utilities")
-    t.add_argument("action", choices=["basis", "closure", "annulus"])
-    t.add_argument("n_bottom", nargs="?", type=int, default=0)
-    t.add_argument("n_top", nargs="?", type=int, default=0)
-    t.add_argument("--braid")
-    t.add_argument("--strands", type=int)
-    t.add_argument("--variable", default="A")
-    t.add_argument("--emit-json", action="store_true")
+    tl = sub.add_parser("tl", help="Temperley-Lieb utilities") \
+        .add_subparsers(dest="action", required=True)
+    t = leaf(tl, "basis", cmd_tl_basis, "the diagrams of hom(n_bottom, n_top)",
+             ("--emit-json",))
+    t.add_argument("n_bottom", nargs="?", type=_decimal, default=0)
+    t.add_argument("n_top", nargs="?", type=_decimal, default=0)
+    for name, annular in (("closure", False), ("annulus", True)):
+        t = leaf(tl, name, cmd_tl_closure, f"the {name} closure of a braid",
+                 ("--variable", "--emit-json"), annular=annular)
+        t.add_argument("--braid", required=True)
+        t.add_argument("--strands", required=True, type=_decimal)
 
-    a = sub.add_parser("algebra", help="algebra and bimodule operations")
-    a.add_argument("action",
-                   choices=["validate", "modulate", "tensor", "iso",
-                            "iso-unpointed"])
-    a.add_argument("inputs", nargs="+")
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--emit-json", action="store_true")
+    alg = sub.add_parser("algebra", help="algebra and bimodule operations") \
+        .add_subparsers(dest="action", required=True)
+    leaf(alg, "validate", cmd_algebra_validate,
+         "check an algebra file").add_argument("file")
+    leaf(alg, "modulate", cmd_algebra_modulate, "modulate an algebra hom file",
+         ("--emit-json",)).add_argument("file")
+    leaf(alg, "tensor", cmd_algebra_tensor, "tensor two bimodules",
+         ("--emit-json",)).add_argument("bimodules", nargs=2, metavar="FILE")
+    for name, pointed in (("iso", True), ("iso-unpointed", False)):
+        a = leaf(alg, name, cmd_algebra_iso, "are two bimodules isomorphic",
+                 ("--seed",), pointed=pointed)
+        a.add_argument("bimodules", nargs=2, metavar="FILE")
 
-    q = sub.add_parser("tqft1d", help="evaluate a spacetime word")
+    q = leaf(sub, "tqft1d", cmd_tqft1d, "evaluate a spacetime word")
     q.add_argument("system", help="system JSON file")
     q.add_argument("word", help='word like "w[0] . u(2) . v[0]"')
     q.add_argument("--picture", choices=["schrodinger", "heisenberg", "both"],
                    default="both")
-
-    s = sub.add_parser("selftest", help="run the invariant suites")
+    s = leaf(sub, "selftest", cmd_selftest, "run the invariant suites",
+             ("--seed",))
     s.add_argument("--level", choices=selftest_mod.LEVELS, default="quick")
-    s.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -227,21 +238,11 @@ _ERROR_EXITS = (
 def main(argv=None, out=print) -> int:
     try:
         args = build_parser().parse_args(argv)
-        handler = {
-            "bracket": cmd_bracket,
-            "tl": cmd_tl,
-            "algebra": cmd_algebra,
-            "tqft1d": cmd_tqft1d,
-            "selftest": cmd_selftest,
-        }[args.command]
-        return handler(args, out)
+        return args.handler(args, out)
     except SkeinalgError as exc:
-        for cls, code in _ERROR_EXITS:
-            if isinstance(exc, cls):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return next((code for cls, code in _ERROR_EXITS
+                     if isinstance(exc, cls)), EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

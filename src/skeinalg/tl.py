@@ -111,8 +111,6 @@ def cap_diagram() -> TLDiagram:
 @lru_cache(maxsize=None)
 def _noncrossing_matchings(n: int):
     """All noncrossing perfect matchings of n linearly ordered points."""
-    if n % 2:
-        return ()
     if n == 0:
         return ((),)
     out = []

@@ -601,6 +601,19 @@ MOVED_BY_A_SEVENTH["left_action"][1][0][1] = str(
 TWISTED_LINK = {"strands_in": 0,
                 "slices": [["cup"], ["cup", {"at": 2}], ["cross+", {"at": 1}],
                            ["twist+", {"at": 3}], ["cap", {"at": 2}], ["cap"]]}
+# the regular bimodule of M_2, naming its algebras by a file next to it
+REGULAR_BY_FILE = dict(bimodule_to_json(regular_bimodule(matrix_algebra(2))),
+                       left="m2.json", right="m2.json")
+# bimodules of dimensions 1 and 2 over the field Q
+FIELD_BIMODULE = {"left": FIELD_JSON, "right": FIELD_JSON, "dim": 1,
+                  "left_action": [[["1"]]], "right_action": [[["1"]]],
+                  "point": ["1"]}
+FIELD_BIMODULE_2 = {"left": FIELD_JSON, "right": FIELD_JSON, "dim": 2,
+                    "left_action": [[["1", "0"], ["0", "1"]]],
+                    "right_action": [[["1", "0"], ["0", "1"]]],
+                    "point": ["1", "0"]}
+UNIPOTENT_SYSTEM = json.loads(_unipotent_system({"x": ["0", "1"]},
+                                                {"y": ["1", "0"]}))
 # 19 crossings, past STATE_SUM_VERIFY_MAX_CROSSINGS
 BRAID_19 = ("s1 s4^-1 s1 s2 s1 s3^-1 s2 s3^-1 s4^-1 s1^-1 s1^-1 s3^-1 s2 s3 "
             "s2 s2^-1 s4^-1 s1 s2")
@@ -652,6 +665,18 @@ GOLDEN_OUTPUTS = [
     (["algebra", "iso", "b.json", "b.json"], {"b.json": FRACTIONAL_BIMODULE},
      'present\n[["1", "0", "0", "0"], ["0", "1", "0", "0"], '
      '["0", "0", "1", "0"], ["0", "0", "0", "1"]]\n'),
+    # an algebra path is read relative to the bimodule file, not the cwd
+    (["algebra", "tensor", "d/b.json", "d/b.json"],
+     {"d/b.json": REGULAR_BY_FILE, "d/m2.json": M2_JSON},
+     "tensor bimodule of dim 4\n"),
+    # no isomorphism between bimodules of unequal dimension
+    (["algebra", "iso", "one.json", "two.json"],
+     {"one.json": FIELD_BIMODULE, "two.json": FIELD_BIMODULE_2}, "absent\n"),
+    # blanks after the last generator of a word
+    (["tqft1d", "sys.json", "w[y] . u(3) . v[x]  "],
+     {"sys.json": UNIPOTENT_SYSTEM},
+     'schrodinger: [["3"]]\nheisenberg: bimodule of dim 1, pointing ["3"]\n'
+     "scalars: 3 vs 3: AGREE\n"),
 ]
 
 # (argv, input documents, the exit code)
@@ -674,12 +699,31 @@ ERROR_CONTRACT = [
      1),
     (["algebra", "modulate", "hom.json", "hom.json"],
      {"hom.json": CONJUGATION_HOM}, 1),
+    # an int argument is an optional '-' and ASCII digits, nothing else
+    (["bracket", "--braid", "s1", "--strands", "1_0"], {}, 1),
+    (["bracket", "--braid", "s1", "--strands", "\u0663"], {}, 1),
+    (["selftest", "--seed", "\u0663"], {}, 1),
+    # an argument the command does not read
+    (["bracket", "/nonexistent.json", "--braid", "s1", "--strands", "2"], {},
+     1),
+    (["tl", "closure", "7", "7", "--braid", "s1", "--strands", "2"], {}, 1),
+    (["tl", "basis", "2", "2", "--braid", "s1"], {}, 1),
+    (["algebra", "validate", "k.json", "--seed", "3"], {"k.json": FIELD_JSON},
+     1),
+    (["algebra", "iso", "b.json", "b.json", "--emit-json"],
+     {"b.json": FRACTIONAL_BIMODULE}, 1),
+    (["bracket", "--strands", "2", "t.json"], {"t.json": TWISTED_LINK}, 1),
+    # an argument the command needs
+    (["bracket", "--braid", "s1"], {}, 1),
+    (["bracket"], {}, 1),
+    (["tl", "closure", "--braid", "s1"], {}, 1),
 ]
 
 
 def _write_inputs(docs, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, doc in docs.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(json.dumps(doc))
 
 
@@ -704,8 +748,12 @@ def test_cli_error_exits_with_its_code_and_one_error_line(
     assert "Traceback" not in err
 
 
-def test_help_exits_0(capsys):
+@pytest.mark.parametrize("command", [
+    "bracket", "tl basis", "tl closure", "tl annulus", "algebra validate",
+    "algebra modulate", "algebra tensor", "algebra iso",
+    "algebra iso-unpointed", "tqft1d", "selftest"])
+def test_help_exits_0(command, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bracket", "--help"])
+        main(command.split() + ["--help"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: skeinalg bracket")
+    assert capsys.readouterr().out.startswith(f"usage: skeinalg {command}")
