@@ -110,8 +110,8 @@ def make_bimodule(left: Algebra, right: Algebra, left_action, right_action,
     Each side's unit and product laws depend only on that side's algebra
     and action.  An action equal in value to the algebra's own regular
     action is checked once per algebra, in a bounded memo, and every
-    other action on every call; shapes, exactness and commutation are
-    checked on every call.
+    other action on every call; shapes, the pointing's exactness and
+    commutation are checked on every call.
     """
     left_action = tuple(left_action)
     right_action = tuple(right_action)
@@ -122,7 +122,6 @@ def make_bimodule(left: Algebra, right: Algebra, left_action, right_action,
     for mat in left_action + right_action:
         if (mat.rows, mat.cols) != (m, m):
             raise ContractViolation("action matrices must be dim x dim")
-        matrix_image(mat)  # raises ContractViolation on an inexact entry
     _check_exact(pointing)
     for alg, action, on_left in ((left, left_action, True),
                                  (right, right_action, False)):
@@ -194,7 +193,6 @@ def end_morphism(f: Matrix) -> PointedBimodule:
     """
     if f.rows < 1 or f.cols < 1:
         raise ContractViolation("zero-dimensional source or target rejected")
-    matrix_image(f)  # raises ContractViolation on an inexact entry
     return replace(_hom_space(f.rows, f.cols), pointing=flatten_matrix(f))
 
 
@@ -323,7 +321,6 @@ def make_bimodule_map(source: PointedBimodule, target: PointedBimodule,
         raise ContractViolation("bimodule map needs equal acting algebras")
     if (matrix.rows, matrix.cols) != (target.dim, source.dim):
         raise ContractViolation("bimodule map matrix has wrong shape")
-    matrix_image(matrix)  # raises ContractViolation on an inexact entry
     failure = _map_failure(source, target, matrix, pointed=True)
     if failure is not None:
         raise ValidationError(failure)

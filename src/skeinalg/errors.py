@@ -9,7 +9,8 @@ tangle, where an event or a coupon's morphism of the wrong class would
 fail only later, in a fold, and so raises ContractViolation when the
 tangle is built.  A size, count, width, index, sign, exponent or
 scalar of the wrong type or value, or past a documented cap, raises
-ContractViolation.  Containers from a file
+ContractViolation.  A Matrix refuses any entry that is not an int or a
+Fraction when it is built.  Containers from a file
 or the command line are checked where they are read (``jsonio``,
 ``parse_word``), before any constructor sees them.
 

@@ -1,12 +1,13 @@
 """Dense exact matrices and row reduction over the rationals.
 
-Entries are ints and Fractions, mixed freely; any other entry in a
-Matrix row or right-hand side that enters elimination, a product or a
-linear combination raises ContractViolation, with no floating-point or
-fraction-field fallback.  All arithmetic runs on Python ints: each
-Matrix scales its entries to one common denominator once, each
-TensorMap its constants, and the engine keeps primitive integer rows;
-Fractions appear only where values are read out.
+Entries are ints and Fractions, mixed freely.  A Matrix refuses any
+entry that is not an int or a Fraction when it is built, with
+ContractViolation; a vector, coefficient or right-hand side is checked
+where it enters a kernel.  There is no floating-point or fraction-field
+fallback.  All arithmetic runs on Python ints: each Matrix scales its
+entries to one common denominator when it is built, each TensorMap its
+constants, and the engine keeps primitive integer rows; Fractions appear
+only where values are read out.
 
 The integer image of a matrix is a pair (den, ints), den > 0, whose
 values are ints[k] / den.  ``product_image`` is the one product kernel
@@ -124,6 +125,8 @@ class Matrix:
         if len(entries) != rows * cols:
             raise ContractViolation(
                 f"matrix with {rows}x{cols} shape but {len(entries)} entries")
+        # the integer image (D, ints): refuses an entry not int or Fraction
+        object.__setattr__(self, "_ints", _scaled(entries))
 
     def __hash__(self) -> int:
         return self._hash
@@ -190,11 +193,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    @cached_property
-    def _ints(self) -> tuple:
-        """_scaled(entries), computed once per matrix: (D, ints)."""
-        return _scaled(self.entries)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -265,11 +263,7 @@ class Matrix:
 
 
 def matrix_image(m: Matrix) -> tuple:
-    """The integer image of m, computed once per matrix.
-
-    Raises ContractViolation on an entry that is neither an int nor a
-    Fraction.
-    """
+    """The integer image of m, computed once, when m was built."""
     return m._ints
 
 
@@ -302,12 +296,12 @@ def lincomb_image(pairs, rows: int, cols: int) -> tuple:
     """The integer image of the sum of coeff * matrix over (coeff, Matrix)
     pairs, skipping zero coefficients: summed on ints over the lcm of the
     matrices' denominators, neither divided nor reduced.  An inexact
-    coefficient or entry raises ContractViolation, under a zero
-    coefficient too."""
+    coefficient raises ContractViolation, under a zero coefficient too; a
+    Matrix refuses any entry that is not an int or a Fraction when it is
+    built."""
     pairs = list(pairs)
     dc, coeffs = _scaled([c for c, _ in pairs])
-    images = [m._ints for _, m in pairs]   # read under a zero coefficient too
-    terms = [(c, im) for c, im in zip(coeffs, images) if c]
+    terms = [(c, m._ints) for c, (_, m) in zip(coeffs, pairs) if c]
     den = lcm(*(d for _, (d, _) in terms))
     out = [0] * (rows * cols)
     for c, (d, ents) in terms:

@@ -72,8 +72,7 @@ def make_system(dim_v: int, step: Matrix, states=None, costates=None,
         if not isinstance(m, Matrix) or (m.rows, m.cols) != (dim_v, dim_v):
             raise ContractViolation(
                 f"observable {k!r} is not a {dim_v}x{dim_v} Matrix")
-    for values in (step.entries, *states.values(), *costates.values(),
-                   *(m.entries for m in observables.values())):
+    for values in (*states.values(), *costates.values()):
         _check_exact(values)
     return System(dim_v, step, states, costates, observables)
 

@@ -118,7 +118,37 @@ BAD_SHAPES_AND_SIZES = {
         IDENTITY_1, [], seed=None), "search seed must be an int, got None"),
     "search seed 'x', early return": (lambda: skeinalg.find_invertible_in_affine_family(
         IDENTITY_1, [], seed="x"), "search seed must be an int, got 'x'"),
+    "matrix 2x2 with 3 entries": (lambda: skeinalg.Matrix(2, 2, (1, 2, 3)), "2x2 shape but 3 entries"),
+    "matrix ragged rows": (lambda: skeinalg.Matrix.from_rows([[1, 2], [3]]), "ragged rows"),
+    "matrix ragged columns": (lambda: skeinalg.Matrix.from_cols([[1, 2], [3]], 2), "ragged columns"),
+    "matmul 2x2 by 3x3": (lambda: skeinalg.Matrix.identity(2) @ skeinalg.Matrix.identity(3),
+                          "cannot multiply 2x2 by 3x3"),
+    "affine family of unequal squares": (lambda: skeinalg.find_invertible_in_affine_family(
+        skeinalg.Matrix.zeros(2, 2), [skeinalg.Matrix.identity(3)]),
+        "affine family must consist of equal square matrices"),
+    "bimodule with no left action": (lambda: skeinalg.make_bimodule(
+        skeinalg.field_algebra(), skeinalg.field_algebra(), [], [IDENTITY_1], (1,)),
+        "one action matrix per algebra basis element"),
+    "bimodule with a 2x2 action on a line": (lambda: skeinalg.make_bimodule(
+        skeinalg.field_algebra(), skeinalg.field_algebra(), [skeinalg.Matrix.identity(2)],
+        [IDENTITY_1], (1,)), "action matrices must be dim x dim"),
 }
+
+# every Matrix constructor refuses an entry that is not an int or a Fraction
+_BAD_ENTRIES = {"float": 0.5, "float zero": 0.0,
+                "LaurentPoly": skeinalg.LaurentPoly.monomial(1, 1), "str": "1"}
+_MATRIX_BUILDERS = {
+    "Matrix": lambda x: skeinalg.Matrix(1, 2, (1, x)),
+    "from_rows": lambda x: skeinalg.Matrix.from_rows([[1], [x]]),
+    "from_cols": lambda x: skeinalg.Matrix.from_cols([(1, x)], 2),
+    "column": lambda x: skeinalg.Matrix.column((x, 1)),
+    "row_vector": lambda x: skeinalg.Matrix.row_vector((1, x)),
+}
+BAD_SHAPES_AND_SIZES.update(
+    (f"{build} with a {kind} entry",
+     (lambda build=build, kind=kind: _MATRIX_BUILDERS[build](_BAD_ENTRIES[kind]),
+      "int and Fraction entries"))
+    for build in _MATRIX_BUILDERS for kind in _BAD_ENTRIES)
 
 
 @pytest.mark.parametrize("name", sorted(BAD_SHAPES_AND_SIZES))

@@ -142,12 +142,12 @@ def test_both_sides_broken_reports_the_left_product_before_the_right_unit():
 
 def test_make_bimodule_rejects_floats():
     k = field_algebra()
-    ident = Matrix.identity(1)
-    for left, right, point in (([ident], [ident], (0.5,)),
-                               ([Matrix(1, 1, (1.0,))], [ident], (1,)),
-                               ([ident], [Matrix(1, 1, (1.0,))], (1,))):
+    for left, right, point in (((1,), (1,), (0.5,)),
+                               ((1.0,), (1,), (1,)),
+                               ((1,), (1.0,), (1,))):
         with pytest.raises(ContractViolation, match="float"):
-            make_bimodule(k, k, left, right, point)
+            make_bimodule(k, k, [Matrix(1, 1, left)], [Matrix(1, 1, right)],
+                          point)
     with pytest.raises(ContractViolation, match="float"):
         end_morphism(Matrix(1, 1, (0.5,)))
 
@@ -161,8 +161,8 @@ def test_make_bimodule_reads_every_action_image_before_any_law_check(
     for bad in (0.5, 0.0):
         for acts in (left, right):
             kept = acts[-1]
-            acts[-1] = Matrix(4, 4, kept.entries[:-1] + (bad,))
             with pytest.raises(ContractViolation, match="int and Fraction"):
+                acts[-1] = Matrix(4, 4, kept.entries[:-1] + (bad,))
                 make_bimodule(m2, m2, left, right, m2.unit)
             acts[-1] = kept
     with pytest.raises(ValidationError, match="unit"):
@@ -173,12 +173,10 @@ def test_make_bimodule_reads_every_action_image_before_any_law_check(
 
     for name in ("lincomb_image", "product_image", "same_image"):
         monkeypatch.setattr(bimodule, name, law_check)
-    ident = Matrix.identity(1)
     k = field_algebra()
-    for la, ra in (([Matrix(1, 1, (1.0,))], [ident]),
-                   ([ident], [Matrix(1, 1, (0.0,))])):
+    for la, ra in (((1.0,), (1,)), ((1,), (0.0,))):
         with pytest.raises(ContractViolation, match="float"):
-            make_bimodule(k, k, la, ra, (1,))
+            make_bimodule(k, k, [Matrix(1, 1, la)], [Matrix(1, 1, ra)], (1,))
 
 
 def test_make_bimodule_map_reads_the_matrix_before_any_law_check():
@@ -187,10 +185,10 @@ def test_make_bimodule_map_reads_the_matrix_before_any_law_check():
     r1 = regular_bimodule(matrix_algebra(1))
     r2 = regular_bimodule(matrix_algebra(2))
     ident = Matrix.identity(4).entries
-    for m, bad in ((r1, Matrix(1, 1, (1.0,))),
-                   (r2, Matrix(4, 4, ident[:1] + (0.0,) + ident[2:]))):
+    for m, n, bad in ((r1, 1, (1.0,)),
+                      (r2, 4, ident[:1] + (0.0,) + ident[2:])):
         with pytest.raises(ContractViolation, match="float"):
-            make_bimodule_map(m, m, bad)
+            make_bimodule_map(m, m, Matrix(n, n, bad))
     assert make_bimodule_map(r1, r1, Matrix(1, 1, (1,))).matrix[0, 0] == 1
 
 

@@ -135,6 +135,12 @@ def test_powers_and_unit_inverse():
     assert minus_a3 ** -2 == P({-6: 1})
     with pytest.raises(ContractViolation):
         (a + 1) ** -1
+    # a monomial whose coefficient is not +-1 is no unit
+    for non_unit in (P({1: 2}), P({0: -3})):
+        assert non_unit.unit_inverse() is None
+        with pytest.raises(ContractViolation,
+                           match="negative power of a non-unit"):
+            non_unit ** -1
     for bad in (2.0, "2", True, Fraction(2)):
         with pytest.raises(ContractViolation, match="Laurent exponent must be an int"):
             delta() ** bad

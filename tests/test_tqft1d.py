@@ -85,13 +85,15 @@ def test_eval_schrodinger_empty_word():
 
 
 def test_make_system_rejects_floats():
-    ident, half = Matrix.identity(2), Matrix.from_rows([[0.5, 0], [0, 1]])
-    for step, data in ((half, {}),
-                       (ident, {"states": {"0": (0.5, 1)}}),
-                       (ident, {"costates": {"0": (1, 0.0)}}),
-                       (ident, {"observables": {"0": half}})):
+    def half():
+        return Matrix.from_rows([[0.5, 0], [0, 1]])
+    ident = Matrix.identity(2)
+    for call in (lambda: make_system(2, half()),
+                 lambda: make_system(2, ident, states={"0": (0.5, 1)}),
+                 lambda: make_system(2, ident, costates={"0": (1, 0.0)}),
+                 lambda: make_system(2, ident, observables={"0": half()})):
         with pytest.raises(ContractViolation, match="float"):
-            make_system(2, step, **data)
+            call()
 
 
 def test_eval_schrodinger_example_scalar():
